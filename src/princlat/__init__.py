@@ -2,8 +2,12 @@
 
 The library has two halves.  The congruence engine works on any finite
 lattice: principal congruences by worklist closure, the full congruence
-order by join-closure, the principal-congruence order, and the valuation
-counting how many principal congruences a congruence needs.  The
+order, the principal-congruence order, and the valuation counting how
+many principal congruences a congruence needs.  Each lattice is analysed
+once (``FiniteLattice.con_analysis``): inside that analysis a congruence
+is an int bitmask over the join-irreducibles J(L), bit j set iff it
+collapses j with its lower cover, so join is OR and refinement is the
+subset test; only |J(L)| worklist closures are run.  The
 construction half realizes any finite bounded order P as the order of
 principal congruences of a lattice built from per-comparability gadgets,
 and ships a verifier that re-checks every structural property of the

@@ -27,7 +27,7 @@ from .io import (
     poset_to_doc,
 )
 from .lattice import length, prime_intervals
-from .order import Poset, to_bounded, _freeze
+from .order import to_bounded
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def cmd_con(cfg: RunConfig) -> int:
 def cmd_princ(cfg: RunConfig) -> int:
     lat = load_lattice(cfg.lattice_path)
     po = princ_order(lat)
-    order_poset = _order_doc(po)
+    order_poset = poset_to_doc(po.as_poset(), name="princ-order")
     doc = {
         "count": len(po),
         "principal": [
@@ -120,15 +120,6 @@ def cmd_princ(cfg: RunConfig) -> int:
     if cfg.out_path:
         dump_json(order_poset, cfg.out_path)
     return 0
-
-
-def _order_doc(po) -> dict:
-    import numpy as np
-
-    k = len(po.congruences)
-    names = tuple(f"pc{i}" for i in range(k))
-    p = Poset(names, _freeze(po.leq.copy()))
-    return poset_to_doc(p, name="princ-order")
 
 
 def cmd_valuation(cfg: RunConfig) -> int:

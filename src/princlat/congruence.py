@@ -1,21 +1,34 @@
 """Congruences of finite lattices.
 
-A congruence is stored as a canonical label vector: ``labels[i]`` is the
-block id of element ``i``, with blocks numbered by first occurrence.  The
-closure engine is a worklist algorithm: merging two blocks enqueues the
-merged pair, and processing a pair enforces the substitution property
-against all elements at once via the dense join/meet tables.
+Inside the engine a congruence theta is one int bitmask over the
+join-irreducibles J(L): bit k is set iff theta collapses the k-th
+join-irreducible j with its unique lower cover j_.  Join is OR and
+refinement is the subset test.  :class:`ConAnalysis` builds, once per
+lattice, the masks of the |J(L)| congruences con(j_, j) by worklist
+closure, and from them Con L (the OR-closure), every principal
+congruence con(a, b) (the OR over the j below b and not below a) and the
+valuation (breadth-first ORs); its docstring proves the facts used.
+
+At the API boundary a congruence is a :class:`CongruenceRelation`, a
+canonical label vector: ``labels[i]`` is the block id of element ``i``,
+with blocks numbered by first occurrence.  The closure engine
+(:func:`principal_congruence`, :func:`join_congruences`) is a worklist
+algorithm on label vectors: merging two blocks enqueues the merged pair,
+and processing a pair enforces the substitution property against all
+elements at once via the dense join/meet tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotICongruence, ValuationDiverged
 from .lattice import FiniteLattice
+from .order import Poset, _freeze
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -99,6 +112,11 @@ class PrincOrder:
 
     def __len__(self):
         return len(self.congruences)
+
+    def as_poset(self) -> Poset:
+        """The order as a poset on ``pc0, pc1, ...``, in congruence order."""
+        names = tuple(f"pc{i}" for i in range(len(self.congruences)))
+        return Poset(names, _freeze(self.leq.copy()))
 
 
 @dataclass(frozen=True)
@@ -237,37 +255,205 @@ def cover_principals(lat: FiniteLattice) -> dict[tuple[int, int], CongruenceRela
     return out
 
 
-def all_congruences(lat: FiniteLattice) -> ConOrder:
-    """Every congruence, as the join-closure of the prime-interval principals.
+def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
+    """Read-only ``leq[x, y]`` iff ``masks[x]`` is a subset of ``masks[y]``.
 
-    For a finite lattice every congruence is a join of principal ones, and
-    every principal congruence is a join of prime-interval principals, so
-    closing the latter under binary joins yields all of Con.
+    Filled a row at a time, so no temporary is larger than len(masks) x
+    width booleans.
     """
-    gens: dict[tuple[int, ...], CongruenceRelation] = {}
-    for theta in cover_principals(lat).values():
-        gens[theta.labels] = theta
-    zero = zero_congruence(lat)
-    known: dict[tuple[int, ...], CongruenceRelation] = {zero.labels: zero}
-    known.update(gens)
-    frontier = list(gens.values())
-    while frontier:
-        new = []
-        for theta in frontier:
-            for g in gens.values():
-                j = join_congruences(theta, g)
-                if j.labels not in known:
-                    known[j.labels] = j
-                    new.append(j)
-        frontier = new
-    cons = sorted(known.values(), key=lambda c: (-c.n_blocks, c.labels))
-    k = len(cons)
-    leq = np.zeros((k, k), dtype=bool)
-    for x in range(k):
-        for y in range(k):
-            leq[x, y] = congruence_leq(cons[x], cons[y])
+    member = np.array([[(m >> k) & 1 for k in range(width)] for m in masks],
+                      dtype=bool).reshape(len(masks), width)
+    outside = ~member
+    leq = np.empty((len(masks), len(masks)), dtype=bool)
+    for x, row in enumerate(member):
+        leq[x] = ~(outside & row).any(axis=1)
     leq.setflags(write=False)
-    return ConOrder(lat, tuple(cons), leq)
+    return leq
+
+
+class ConAnalysis:
+    """Con L, Princ L and the valuation of one lattice, over J(L) bitmasks.
+
+    Let J be the join-irreducibles of L (one lower cover ``j_``), bit k
+    standing for ``joinirr[k]``.  A congruence theta is stored as the mask
+    M(theta) = {j : j_ theta j}.  The engine rests on one fact: for a <= b,
+
+        con(a, b) = join of con(j_, j) over j in J with j <= b, j not <= a.   (*)
+
+    Proof.  If a theta b and j <= b, j not <= a, then j ^ a theta j ^ b = j
+    and j ^ a <= j_ < j, so j_ theta j by convexity of blocks.  Conversely,
+    if theta contains every such con(j_, j), show j v a theta a for every
+    j in J below b, by induction on j: clear for j <= a; otherwise j theta
+    j_, and j_ is the join of join-irreducibles below b strictly under j,
+    each with k v a theta a, so j v a theta j_ v a theta a.  Joining over
+    the j below b gives b theta a.
+
+    Consequences used here, with J(x) = {j in J : j <= x}:
+
+    * theta is the join of con(j_, j) over M(theta) (apply (*) to the
+      covers j_ < j), so theta <= psi iff M(theta) is a subset of M(psi).
+    * Each con(j_, j) is join-irreducible in Con L (a chain of theta and
+      psi steps from j_ to j, moved into [j_, j] by z -> (z v j_) ^ j, has
+      a step from j_ to j), hence join-prime, Con L being distributive.
+      So M(theta v psi) = M(theta) | M(psi): join is OR, and Con L is the
+      OR-closure of the masks cm[k] of the con(j_, j), one closure each.
+    * con(a, b) has mask OR{cm[k] : k in J(b) minus J(a)} by (*).
+    * Blocks: let r(x) = J(x) minus M.  For a <= b, a theta b iff J(b)
+      minus J(a) lies in M, i.e. r(a) = r(b).  x theta y iff x and y are
+      both congruent to x ^ y, and r(x ^ y) = r(x) & r(y), so x theta y
+      iff r(x) = r(y).  Numbering the distinct r(x) by first occurrence
+      gives the canonical label vector.
+
+    Built once per lattice (``FiniteLattice.con_analysis``); the public
+    functions below are views of it.  It holds ints, tuples and the
+    lattice's poset, never the lattice itself: a reference back would
+    make a cycle that keeps every analysed lattice alive until the
+    cyclic garbage collector runs.
+    """
+
+    def __init__(self, lat: FiniteLattice):
+        self.poset = lat.poset
+        self.bottom = lat.bottom
+        lower: dict[int, list[int]] = {}
+        for i, j in lat.poset.covers():
+            lower.setdefault(j, []).append(i)
+        self.joinirr = tuple(j for j in range(lat.n) if len(lower.get(j, ())) == 1)
+        self.lower_cover = tuple(lower[j][0] for j in self.joinirr)
+        jbelow = [0] * lat.n
+        for k, j in enumerate(self.joinirr):
+            for x in np.nonzero(lat.leq[j])[0].tolist():
+                jbelow[x] |= 1 << k
+        self.jbelow = tuple(jbelow)
+        els = lat.elements
+        self.cm = tuple(
+            self.mask_of(principal_congruence(lat, els[lo], els[j]).labels)
+            for j, lo in zip(self.joinirr, self.lower_cover)
+        )
+        self._labels: dict[int, tuple[int, ...]] = {}
+        self._principal: dict[int, int] = {}
+
+    def mask_of(self, labels) -> int:
+        """M(theta) of a congruence given by its label vector."""
+        mask = 0
+        for k, (j, lo) in enumerate(zip(self.joinirr, self.lower_cover)):
+            if labels[j] == labels[lo]:
+                mask |= 1 << k
+        return mask
+
+    def labels(self, mask: int) -> tuple[int, ...]:
+        """The canonical label vector of a congruence mask (see above)."""
+        labels = self._labels.get(mask)
+        if labels is None:
+            ids: dict[int, int] = {}
+            labels = tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
+            self._labels[mask] = labels
+        return labels
+
+    def principal(self, a: int, b: int) -> int:
+        """Mask of con(a, b) for a <= b, memoised on J(b) minus J(a)."""
+        diff = self.jbelow[b] & ~self.jbelow[a]
+        mask = self._principal.get(diff)
+        if mask is None:
+            mask, rest = 0, diff
+            while rest:
+                k = (rest & -rest).bit_length() - 1
+                mask |= self.cm[k]
+                rest &= ~mask  # a bit already in a congruence mask adds nothing
+            self._principal[diff] = mask
+        return mask
+
+    def _sorted(self, masks) -> tuple[int, ...]:
+        """Masks in ConOrder order: more blocks first, then by label vector."""
+        def key(m):
+            labels = self.labels(m)
+            return -len(set(labels)), labels
+        return tuple(sorted(masks, key=key))
+
+    @cached_property
+    def con_masks(self) -> tuple[int, ...]:
+        """Every congruence mask, in ConOrder order: the OR-closure of the cm[k]."""
+        gens = sorted(set(self.cm))
+        known = {0}
+        frontier = [0]
+        while frontier:
+            new = []
+            for m in frontier:
+                for g in gens:
+                    u = m | g
+                    if u not in known:
+                        known.add(u)
+                        new.append(u)
+            frontier = new
+        return self._sorted(known)
+
+    @cached_property
+    def con_leq(self) -> np.ndarray:
+        return _subset_matrix(self.con_masks, len(self.joinirr))
+
+    @cached_property
+    def princ_witnesses(self) -> dict[int, tuple[str, str]]:
+        """Principal masks with first-seen witnesses, pairs (x, then y) in order."""
+        p = self.poset
+        els = p.elements
+        found = {0: (self.bottom, self.bottom)}
+        for x in range(p.n):
+            for y in np.nonzero(p.leq[x])[0].tolist():
+                if y != x:
+                    found.setdefault(self.principal(x, y), (els[x], els[y]))
+        return found
+
+    @cached_property
+    def princ_masks(self) -> tuple[int, ...]:
+        return self._sorted(self.princ_witnesses)
+
+    @cached_property
+    def princ_leq(self) -> np.ndarray:
+        return _subset_matrix(self.princ_masks, len(self.joinirr))
+
+    @cached_property
+    def values(self) -> dict[int, int]:
+        """Valuation of every congruence mask, by breadth-first ORs.
+
+        Layer 0 holds zero; layer k holds ORs of k principal masks.  The
+        layering must stabilise within |L|^2 rounds; exceeding the cap is
+        an engine-bug tripwire, not a recoverable condition.
+        """
+        principals = [m for m in self.princ_witnesses if m]
+        values = {0: 0}
+        frontier = []
+        for m in principals:
+            if m not in values:
+                values[m] = 1
+                frontier.append(m)
+        total = len(self.con_masks)
+        cap = self.poset.n * self.poset.n
+        layer = 1
+        while len(values) < total:
+            layer += 1
+            if layer > cap:
+                raise ValuationDiverged(f"valuation layering exceeded {cap} rounds")
+            new = []
+            for m in frontier:
+                for p in principals:
+                    u = m | p
+                    if u not in values:
+                        values[u] = layer
+                        new.append(u)
+            if not new and len(values) < total:
+                raise ValuationDiverged("join layering stalled before covering Con")
+            frontier = new
+        return values
+
+
+def _relations(lat: FiniteLattice, masks) -> tuple[CongruenceRelation, ...]:
+    an = lat.con_analysis
+    return tuple(CongruenceRelation(lat, an.labels(m)) for m in masks)
+
+
+def all_congruences(lat: FiniteLattice) -> ConOrder:
+    """Every congruence, ordered by block count, with the refinement order."""
+    an = lat.con_analysis
+    return ConOrder(lat, _relations(lat, an.con_masks), an.con_leq)
 
 
 def principal_congruences_with_witnesses(
@@ -275,56 +461,24 @@ def principal_congruences_with_witnesses(
 ) -> tuple[dict[tuple[int, ...], CongruenceRelation], dict[tuple[int, ...], tuple[str, str]]]:
     """con(x, y) for every comparable pair, with first-seen witnesses.
 
-    con(x, y) is computed as the join of prime-interval principals along a
-    maximal chain from x to y, which agrees with the direct closure and
-    reuses the memoised cover congruences.
+    Pairs are visited x first, then y, in element order; zero is
+    witnessed by (bottom, bottom).
     """
-    covers = lat.poset.covers()
-    up_cover: dict[int, list[int]] = {}
-    for i, j in covers:
-        up_cover.setdefault(i, []).append(j)
-    base = cover_principals(lat)
-    zero = zero_congruence(lat)
-    found: dict[tuple[int, ...], CongruenceRelation] = {zero.labels: zero}
-    witness: dict[tuple[int, ...], tuple[str, str]] = {zero.labels: (lat.bottom, lat.bottom)}
-    join_memo: dict[tuple[tuple[int, ...], tuple[int, int]], CongruenceRelation] = {}
-
-    def chain_join(x: int, y: int) -> CongruenceRelation:
-        theta = zero
-        cur = x
-        while cur != y:
-            nxt = next(j for j in sorted(up_cover.get(cur, ())) if lat.leq[j, y])
-            step = base[(cur, nxt)]
-            key = (theta.labels, (cur, nxt))
-            if key in join_memo:
-                theta = join_memo[key]
-            else:
-                theta = join_congruences(theta, step)
-                join_memo[key] = theta
-            cur = nxt
-        return theta
-
-    strict = lat.leq & ~np.eye(lat.n, dtype=bool)
-    for x in range(lat.n):
-        for y in np.nonzero(strict[x])[0]:
-            theta = chain_join(x, int(y))
-            if theta.labels not in found:
-                found[theta.labels] = theta
-                witness[theta.labels] = (lat.elements[x], lat.elements[int(y)])
+    an = lat.con_analysis
+    found: dict[tuple[int, ...], CongruenceRelation] = {}
+    witness: dict[tuple[int, ...], tuple[str, str]] = {}
+    for mask, pair in an.princ_witnesses.items():
+        theta = CongruenceRelation(lat, an.labels(mask))
+        found[theta.labels] = theta
+        witness[theta.labels] = pair
     return found, witness
 
 
 def princ_order(lat: FiniteLattice) -> PrincOrder:
     """Deduplicated principal congruences ordered by refinement."""
-    found, witness = principal_congruences_with_witnesses(lat)
-    cons = sorted(found.values(), key=lambda c: (-c.n_blocks, c.labels))
-    k = len(cons)
-    leq = np.zeros((k, k), dtype=bool)
-    for x in range(k):
-        for y in range(k):
-            leq[x, y] = congruence_leq(cons[x], cons[y])
-    leq.setflags(write=False)
-    return PrincOrder(lat, tuple(cons), tuple(witness[c.labels] for c in cons), leq)
+    an = lat.con_analysis
+    return PrincOrder(lat, _relations(lat, an.princ_masks),
+                      tuple(an.princ_witnesses[m] for m in an.princ_masks), an.princ_leq)
 
 
 def is_I_congruence(lat: FiniteLattice, theta: CongruenceRelation) -> bool:
@@ -356,40 +510,13 @@ def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, .
 
 
 def valuation(lat: FiniteLattice, con: ConOrder | None = None) -> Valuation:
-    """Breadth-first join layering: v = first layer containing a congruence.
+    """v(theta) for every congruence of ``con`` (default: all of Con L).
 
-    Layer 0 holds zero; layer k holds joins of k principal congruences.
-    The layering must stabilise within |L|^2 rounds; exceeding the cap is
-    an engine-bug tripwire, not a recoverable condition.
+    Computed by breadth-first ORs of principal masks; see
+    ``ConAnalysis.values`` for the layering and its tripwires.
     """
     if con is None:
         con = all_congruences(lat)
-    principals, _ = principal_congruences_with_witnesses(lat)
-    index = {c.labels: i for i, c in enumerate(con.congruences)}
-    values: dict[int, int] = {}
-    zero = zero_congruence(lat)
-    values[index[zero.labels]] = 0
-    frontier = []
-    for labels in principals:
-        i = index[labels]
-        if i not in values:
-            values[i] = 1
-            frontier.append(con.congruences[i])
-    cap = lat.n * lat.n
-    layer = 1
-    while len(values) < len(con.congruences):
-        layer += 1
-        if layer > cap:
-            raise ValuationDiverged(f"valuation layering exceeded {cap} rounds")
-        new = []
-        for theta in frontier:
-            for labels in principals:
-                j = join_congruences(theta, con.congruences[index[labels]])
-                ji = index[j.labels]
-                if ji not in values:
-                    values[ji] = layer
-                    new.append(j)
-        if not new and len(values) < len(con.congruences):
-            raise ValuationDiverged("join layering stalled before covering Con")
-        frontier = new
-    return Valuation(con, tuple(values[i] for i in range(len(con.congruences))))
+    an = lat.con_analysis
+    values = an.values
+    return Valuation(con, tuple(values[an.mask_of(t.labels)] for t in con.congruences))

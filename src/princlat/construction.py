@@ -110,6 +110,7 @@ class ConstructionResult:
     anchor: dict[str, tuple[str, str]]
     membership: dict[str, tuple[str, ...]]
     s_instances: dict[tuple[str, str], dict[str, str]]
+    # the nontrivial pairs of con(a_p, b_p) and con(a_q, b_q) in S, as S roles
     theta_p_pairs: tuple[tuple[str, str], ...]
     theta_q_pairs: tuple[tuple[str, str], ...]
 
@@ -168,9 +169,16 @@ def _check_gadget(t: GadgetTemplate) -> None:
     cn = set(lat.poset.cover_names())
     if (r["d"], r["e"]) not in cn or (r["b_p"], r["g"]) not in cn:
         raise TemplateInvalid(t.name, "required-prime-intervals")
-    tp = principal_congruence(lat, r["a_p"], r["b_p"])
-    tq = principal_congruence(lat, r["a_q"], r["b_q"])
-    if principal_congruence(lat, r["d"], r["e"]) != tp:
+    an = lat.con_analysis
+
+    def con_of(x, y):
+        i, j = lat.index(x), lat.index(y)
+        return CongruenceRelation(lat, an.labels(an.principal(int(lat.meet[i, j]),
+                                                               int(lat.join[i, j]))))
+
+    tp = con_of(r["a_p"], r["b_p"])
+    tq = con_of(r["a_q"], r["b_q"])
+    if con_of(r["d"], r["e"]) != tp:
         raise TemplateInvalid(t.name, "lower-congruence-generators")
     if not tp.collapses(r["f"], r["g"]):
         raise TemplateInvalid(t.name, "upper-rail-pair")
@@ -178,7 +186,7 @@ def _check_gadget(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "congruence-comparability")
     if not (is_I_congruence(lat, tp) and is_I_congruence(lat, tq)):
         raise TemplateInvalid(t.name, "isolating")
-    if not principal_congruence(lat, r["b_p"], r["g"]).collapses(r["o"], r["c"]):
+    if not con_of(r["b_p"], r["g"]).collapses(r["o"], r["c"]):
         raise TemplateInvalid(t.name, "collapse-witness")
     con = all_congruences(lat)
     icons = [x for x in con.congruences if is_I_congruence(lat, x)]
@@ -202,7 +210,7 @@ def _check_gadget(t: GadgetTemplate) -> None:
                 if not (lat.leq[a, b] or lat.leq[b, a]):
                     raise TemplateInvalid(t.name, "block-chain")
     for edge in prime_intervals(lat):
-        theta = principal_congruence(lat, edge.lower, edge.upper)
+        theta = con_of(edge.lower, edge.upper)
         if is_I_congruence(lat, theta) and theta not in (tp, tq):
             raise TemplateInvalid(t.name, "prime-interval-dichotomy", f"{edge}")
     if lattice_iso(quotient(lat, tq), c2_times_c3()) is None:
@@ -352,8 +360,8 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     rs = {role: ph for ph, role in s.role_map.items()}
     theta_p = principal_congruence(s.lattice, rs["a_p"], rs["b_p"])
     theta_q = principal_congruence(s.lattice, rs["a_q"], rs["b_q"])
-    tp_pairs = tuple(_nontrivial_pairs(theta_p))
-    tq_pairs = tuple(_nontrivial_pairs(theta_q))
+    tp_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_p)))
+    tq_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_q)))
 
     if len(P.elements) <= 2:
         return _assemble_degenerate(P, tp_pairs, tq_pairs)
@@ -481,11 +489,9 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
             pairs.add((a, b))
     for (p, q), naming in result.s_instances.items():
         if q in hset:
-            for a, b in result.theta_q_pairs:
-                pairs.add((_map_template_pair(result, (p, q), a, b)))
+            pairs.update((naming[a], naming[b]) for a, b in result.theta_q_pairs)
         if p in hset:
-            for a, b in result.theta_p_pairs:
-                pairs.add((_map_template_pair(result, (p, q), a, b)))
+            pairs.update((naming[a], naming[b]) for a, b in result.theta_p_pairs)
 
     labels = np.arange(lat.n)
     for a, b in pairs:
@@ -517,20 +523,6 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     if not ok:
         raise AssemblyNotALattice(witness, "down-set relation fails substitution")
     return theta
-
-
-def _map_template_pair(result, pq, a, b):
-    lat_names = result.s_instances[pq]
-    # a, b are template placeholder names; translate via the S template roles
-    return (lat_names[_S_PLACEHOLDER_ROLE[a]], lat_names[_S_PLACEHOLDER_ROLE[b]])
-
-
-_S_PLACEHOLDER_ROLE: dict[str, str] = {}
-
-
-def _index_s_roles(templates: dict[str, GadgetTemplate]) -> None:
-    _S_PLACEHOLDER_ROLE.clear()
-    _S_PLACEHOLDER_ROLE.update(templates["S"].role_map)
 
 
 def phi(result: ConstructionResult) -> IsoCorrespondence:
@@ -617,8 +609,11 @@ def _interior_has_chain3(P: BoundedPoset) -> bool:
 
 def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
                    name: str = "") -> VerificationReport:
-    """Assemble K for P and run every structural check, reporting per stage."""
-    _index_s_roles(templates)
+    """Assemble K for P and run every structural check, reporting per stage.
+
+    Every stage reads the one congruence analysis of K
+    (``FiniteLattice.con_analysis``).
+    """
     stages: list[tuple[str, bool, str]] = []
 
     def stage(label, fn):
@@ -644,9 +639,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     if result.degenerate:
         def s_degenerate():
-            po = princ_order(lat)
-            order = _princ_poset(po)
-            if order_iso(P.poset, order) is None:
+            if order_iso(P.poset, princ_order(lat).as_poset()) is None:
                 raise VerificationFailed("degenerate", detail="principal order differs")
             return f"|P|={len(P.elements)}"
         stage("degenerate-realization", s_degenerate)
@@ -717,7 +710,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         mapping = phi(result)
         image = set()
         for theta in po.congruences:
-            ds = mapping.forward[_find(con, theta)]
+            ds = mapping.forward[theta]
             image.add(tuple(sorted(ds.members)))
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
@@ -733,8 +726,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_princ_iso():
         po = princ_order(lat)
-        order = _princ_poset(po)
-        if order_iso(P.poset, order) is None:
+        if order_iso(P.poset, po.as_poset()) is None:
             raise VerificationFailed("principal-order-isomorphism")
         return f"|Princ K| = {len(po)}"
 
@@ -761,16 +753,3 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     stage("length-bound", s_length)
     return VerificationReport(name, tuple(stages), lat.n, length(lat))
 
-
-def _find(con, theta):
-    for t in con.congruences:
-        if t.labels == theta.labels:
-            return t
-    raise KeyError("congruence not found in ConOrder")
-
-
-def _princ_poset(po) -> Poset:
-    k = len(po.congruences)
-    names = tuple(f"pc{i}" for i in range(k))
-    leq = po.leq.copy()
-    return Poset(names, _freeze(leq))

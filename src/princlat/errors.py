@@ -52,6 +52,14 @@ class NotALattice(PrinclatError):
         )
 
 
+class InputNotALattice(NotALattice, InputError):
+    """A lattice input file whose order is not a lattice.
+
+    Still a NotALattice, with the same witness and message, and also an
+    input error, so the CLI exits with code 2.
+    """
+
+
 class NotACongruence(PrinclatError):
     def __init__(self, message, witness=None):
         self.witness = witness

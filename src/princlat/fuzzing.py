@@ -65,8 +65,8 @@ class FuzzOutcome:
 
 
 def run_sample(args) -> FuzzOutcome:
-    seed, index, max_size, template_dir = args
-    templates = load_templates(template_dir)
+    """Verify one sample; ``args`` is (seed, index, max_size, templates)."""
+    seed, index, max_size, templates = args
     P = random_bounded_poset(seed, index, max_size)
     t0 = time.perf_counter()
     report = verify_theorem(P, templates, name=f"sample{index}")
@@ -85,9 +85,13 @@ def run_sample(args) -> FuzzOutcome:
 
 def run_fuzz(max_size: int, samples: int, seed: int, jobs: int = 1,
              template_dir=None) -> list[FuzzOutcome]:
-    """Verify `samples` random posets; results ordered by sample index."""
-    load_templates(template_dir)  # fail fast on a bad template directory
-    work = [(seed, i, max_size, template_dir) for i in range(samples)]
+    """Verify `samples` random posets; results ordered by sample index.
+
+    The templates are loaded and validated once; every work item carries
+    them (they pickle, for ``jobs > 1``).
+    """
+    templates = load_templates(template_dir)
+    work = [(seed, i, max_size, templates) for i in range(samples)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_sample, work))

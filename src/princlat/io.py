@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import InvalidInput
+from .errors import InputNotALattice, InvalidInput, NotALattice
 from .lattice import FiniteLattice, as_lattice
 from .order import Poset, validate_poset
 
@@ -47,7 +47,11 @@ def load_poset(path) -> Poset:
 
 
 def load_lattice(path) -> FiniteLattice:
-    return as_lattice(load_poset(path))
+    """Read a lattice file; an order that is not a lattice is an input error."""
+    try:
+        return as_lattice(load_poset(path))
+    except NotALattice as exc:
+        raise InputNotALattice(exc.x, exc.y, exc.witnesses, exc.kind) from None
 
 
 def dump_json(doc: dict, path) -> None:

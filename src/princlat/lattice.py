@@ -8,6 +8,7 @@ index arrays; every downstream closure relies on O(1) lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,13 @@ class FiniteLattice:
 
     def index(self, name: str) -> int:
         return self.poset.index(name)
+
+    @cached_property
+    def con_analysis(self):
+        """The congruence analysis of this lattice, built on first use."""
+        from .congruence import ConAnalysis  # local import to avoid a cycle
+
+        return ConAnalysis(self)
 
     def join_of(self, x: str, y: str) -> str:
         return self.elements[self.join[self.index(x), self.index(y)]]

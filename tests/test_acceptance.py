@@ -37,7 +37,6 @@ from princlat.congruence import (
 )
 from princlat.construction import (
     AMALGAM_COPIES,
-    _index_s_roles,
     assemble_K,
     beta_H,
     load_templates,
@@ -61,8 +60,6 @@ from princlat.order import (
     order_iso,
     principal_down_set,
     validate_poset,
-    Poset,
-    _freeze,
 )
 
 from conftest import random_lattices
@@ -85,7 +82,6 @@ def report(criterion, name, ok):
 @pytest.fixture(scope="module")
 def corpus(templates):
     """The fuzz corpus with one full assembly per sample, computed once."""
-    _index_s_roles(templates)
     out = []
     for i in range(FUZZ_SAMPLES):
         P = random_bounded_poset(FUZZ_SEED, i, FUZZ_MAX_SIZE)
@@ -100,11 +96,6 @@ def corpus(templates):
 def admissible_gadgets():
     """Every labelled gadget meeting criteria 3 and 5, computed once."""
     return gadgets()
-
-
-def _princ_as_poset(po):
-    return Poset(tuple(f"pc{i}" for i in range(len(po.congruences))),
-                 _freeze(po.leq.copy()))
 
 
 def test_criterion_1_theorem_at_desk_scale(templates):
@@ -192,7 +183,7 @@ def test_criterion_4_degenerate_cases(templates):
         result = assemble_K(P, templates)
         assert result.lattice.n == len(els)
         po = princ_order(result.lattice)
-        iso = order_iso(P.poset, _princ_as_poset(po))
+        iso = order_iso(P.poset, po.as_poset())
         ok = ok and iso is not None
         assert iso is not None
     report(4, "degenerate cases", ok)

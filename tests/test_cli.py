@@ -152,6 +152,18 @@ def test_export_dot_bad_input_is_2(workdir):
     assert code == 2
 
 
+def test_non_lattice_file_is_input_error(workdir):
+    # an order with no join for (a, b) is bad input: exit 2, message kept
+    bad = str(workdir / "antichain.json")
+    for argv in (["con", "--lattice", bad], ["princ", "--lattice", bad],
+                 ["valuation", "--lattice", bad],
+                 ["export-dot", "--lattice", bad, "--out", str(workdir / "x.dot")]):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: no unique join for (a, b); minimal candidates: []\n"
+
+
 def test_fuzz_deterministic_and_green(workdir):
     code1, out1, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
     code2, out2, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])

@@ -270,3 +270,92 @@ def test_con_order_is_bounded_lattice_under_refinement():
         for a in con.congruences:
             for b in con.congruences:
                 assert join_congruences(a, b).labels in {t.labels for t in con.congruences}
+
+
+# ------------------------------------- bitmask engine against label vectors
+
+def layered_valuation(lat, con):
+    """v by breadth-first joins of principal congruences, on label vectors."""
+    principals = {principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
+                  for x in range(lat.n) for y in range(lat.n)}
+    by_labels = {t.labels: t for t in con.congruences}
+    values = {zero_congruence(lat).labels: 0}
+    frontier = []
+    for labels in principals:
+        if labels not in values:
+            values[labels] = 1
+            frontier.append(by_labels[labels])
+    layer = 1
+    while frontier:
+        layer += 1
+        new = []
+        for theta in frontier:
+            for labels in principals:
+                j = join_congruences(theta, by_labels[labels])
+                if j.labels not in values:
+                    values[j.labels] = layer
+                    new.append(j)
+        frontier = new
+    return tuple(values[t.labels] for t in con.congruences)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_engine_con_matches_brute_force(seed):
+    for lat in random_lattices(seed, 1, max_size=8):
+        assert lat.n <= 8
+        con = all_congruences(lat)
+        got = [t.labels for t in con.congruences]
+        assert len(got) == len(set(got))
+        assert set(got) == congruences_by_brute_force(lat)
+        for x, a in enumerate(con.congruences):
+            for y, b in enumerate(con.congruences):
+                assert con.leq[x, y] == congruence_leq(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_engine_princ_matches_direct_closure(seed):
+    for lat in random_lattices(seed, 1, max_size=10):
+        po = princ_order(lat)
+        for theta, (x, y) in zip(po.congruences, po.witnesses):
+            assert principal_congruence(lat, x, y) == theta
+        direct = {
+            principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
+            for x in range(lat.n) for y in range(lat.n) if lat.leq[x, y]
+        }
+        assert [t.labels for t in po.congruences] == sorted(
+            direct, key=lambda labels: (-len(set(labels)), labels))
+        for x, a in enumerate(po.congruences):
+            for y, b in enumerate(po.congruences):
+                assert po.leq[x, y] == congruence_leq(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_engine_valuation_matches_join_layering(seed):
+    for lat in random_lattices(seed, 1, max_size=9):
+        con = all_congruences(lat)
+        assert valuation(lat, con).values == layered_valuation(lat, con)
+        assert valuation(lat).values == valuation(lat, con).values
+
+
+def test_one_analysis_per_lattice(monkeypatch):
+    import princlat.congruence as congruence
+
+    calls = []
+    original = congruence.principal_congruence
+
+    def counting(lat, x, y):
+        calls.append((x, y))
+        return original(lat, x, y)
+
+    monkeypatch.setattr(congruence, "principal_congruence", counting)
+    for lat in random_lattices(31, 5, max_size=10):
+        analysis = lat.con_analysis
+        all_congruences(lat)
+        princ_order(lat)
+        valuation(lat)
+        assert lat.con_analysis is analysis
+        assert len(calls) == len(analysis.joinirr)
+        calls.clear()

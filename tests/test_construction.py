@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from princlat.congruence import (
+    ConAnalysis,
     all_congruences,
     base,
     is_I_congruence,
@@ -10,20 +13,16 @@ from princlat.congruence import (
 from princlat.construction import (
     assemble_K,
     beta_H,
+    default_template_dir,
+    load_templates,
     phi,
     verify_theorem,
-    _index_s_roles,
 )
 from princlat.errors import NotADownSet, NotICongruence
 from princlat.lattice import length
 from princlat.order import down_sets, order_iso, principal_down_set
 
 from conftest import bounded
-
-
-@pytest.fixture(autouse=True)
-def _roles(templates):
-    _index_s_roles(templates)
 
 
 def test_degenerate_sizes(templates, poset_zoo):
@@ -159,3 +158,63 @@ def test_assembled_lattice_size_formula(templates, poset_zoo):
         r = assemble_K(P, templates)
         expected = 4 + 2 * len(P.interior) + 5 * len(P.comparabilities())
         assert r.lattice.n == expected
+
+
+def _renamed_templates(tmp_path):
+    """The shipped templates with every S placeholder renamed."""
+    src = default_template_dir()
+    for f in src.iterdir():
+        if f.suffix == ".json":
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+    doc = json.loads((src / "S.json").read_text(encoding="utf-8"))
+    roles = json.loads((src / "S.roles.json").read_text(encoding="utf-8"))
+    doc["elements"] = [f"s_{x}" for x in doc["elements"]]
+    doc["covers"] = [[f"s_{a}", f"s_{b}"] for a, b in doc["covers"]]
+    (tmp_path / "S.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "S.roles.json").write_text(
+        json.dumps({f"s_{ph}": role for ph, role in roles.items()}), encoding="utf-8")
+    return load_templates(tmp_path)
+
+
+def test_beta_and_phi_on_a_fresh_result_in_any_call_order(templates, poset_zoo, tmp_path):
+    def snapshot():
+        r = assemble_K(poset_zoo["4-chain"], templates)
+        corr = phi(r)
+        return (beta_H(r, ("p",)).labels, beta_H(r, ("p", "q")).labels,
+                sorted((t.labels, ds.members) for t, ds in corr.forward.items()))
+
+    before = snapshot()
+    assert len(before[2]) == 4
+    other = _renamed_templates(tmp_path)
+    assert other["S"].role_map != templates["S"].role_map
+    assert verify_theorem(poset_zoo["V"], other, "V").passed
+    assert snapshot() == before
+
+
+def test_verify_theorem_analyses_k_once(templates, poset_zoo, monkeypatch):
+    import princlat.congruence
+    import princlat.construction
+
+    built, closures = [], []
+    original_init = ConAnalysis.__init__
+    original_closure = principal_congruence
+
+    def counting_init(self, lat):
+        built.append(lat)
+        original_init(self, lat)
+
+    def counting_closure(lat, x, y):
+        closures.append(lat)
+        return original_closure(lat, x, y)
+
+    monkeypatch.setattr(ConAnalysis, "__init__", counting_init)
+    for module in (princlat.congruence, princlat.construction):
+        monkeypatch.setattr(module, "principal_congruence", counting_closure)
+    P = poset_zoo["V"]
+    report = verify_theorem(P, templates, "V")
+    assert report.passed
+    assert len(built) == 1 and built[0].n == report.k_size
+    K = built[0]
+    # one closure per join-irreducible of K, plus one per interior anchor pair
+    assert sum(1 for lat in closures if lat is K) == (
+        len(K.con_analysis.joinirr) + len(P.interior))
