@@ -271,6 +271,30 @@ def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
     return leq
 
 
+def order_mismatch(thetas, members) -> tuple[int, int] | None:
+    """The first pair (a, b), row-major, where refinement and containment disagree.
+
+    "``thetas[a]`` refines ``thetas[b]``" is read from the label vectors
+    alone, not from the lattice's ``ConAnalysis``: it holds iff every
+    element has, under b, the label of the first element of its a-block.
+    ``members`` is a boolean matrix with one row per congruence; row a is
+    contained in row b iff it has no True outside it.  Filled a row at a
+    time: no temporary is larger than len(thetas) x |L|, len(thetas) x
+    width or |L| x |L|.
+    """
+    labels = np.array([t.labels for t in thetas])
+    members = np.asarray(members, dtype=bool)
+    outside = ~members
+    for a, row in enumerate(labels):
+        first = (row[:, None] == row).argmax(axis=1)  # first element of i's block, for each i
+        refines = (labels == labels[:, first]).all(axis=1)
+        contained = ~(outside & members[a]).any(axis=1)
+        bad = np.flatnonzero(refines != contained)
+        if bad.size:
+            return a, int(bad[0])
+    return None
+
+
 class ConAnalysis:
     """Con L, Princ L and the valuation of one lattice, over J(L) bitmasks.
 

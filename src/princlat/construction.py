@@ -31,6 +31,7 @@ from .congruence import (
     congruence_leq,
     is_congruence,
     is_I_congruence,
+    order_mismatch,
     principal_congruence,
     princ_order,
     zero_congruence,
@@ -473,11 +474,9 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     """
     members = tuple(sorted(set(getattr(H, "members", H))))
     P = result.source
-    interior_idx = [P.poset.index(x) for x in P.interior]
-    interior = P.poset.restrict(sorted(interior_idx))
     if not set(members) <= set(P.interior):
         raise NotADownSet(f"{members} is not a subset of the interior")
-    if not is_down_set(interior, members):
+    if not is_down_set(P.interior_poset, members):
         raise NotADownSet(f"{members} is not downward closed in the interior")
 
     lat = result.lattice
@@ -525,8 +524,21 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     return theta
 
 
+def _membership(family, elements) -> np.ndarray:
+    """One boolean row per member tuple of ``family``, one column per element."""
+    pos = {x: k for k, x in enumerate(elements)}
+    rows = np.zeros((len(family), len(elements)), dtype=bool)
+    for r, members in enumerate(family):
+        rows[r, [pos[x] for x in members]] = True
+    return rows
+
+
 def phi(result: ConstructionResult) -> IsoCorrespondence:
-    """The verified correspondence between Con K and nonempty down sets."""
+    """The verified correspondence between Con K and nonempty down sets.
+
+    The backward map sends {0} u H to beta_H, for every down set H of the
+    interior, and the full set to the one congruence.
+    """
     lat = result.lattice
     P = result.source
     con = all_congruences(lat)
@@ -547,8 +559,7 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
             if not is_I_congruence(lat, theta):
                 raise CorrespondenceBroken(theta.blocks(), "congruence neither bound nor isolating")
             b = base(result, theta)
-            interior_idx = sorted(P.poset.index(x) for x in P.interior)
-            if not is_down_set(P.poset.restrict(interior_idx), b):
+            if not is_down_set(P.interior_poset, b):
                 raise CorrespondenceBroken(b, "base is not a down set")
             forward[theta] = DownSet(tuple(sorted((P.zero,) + b)))
     if sorted(forward.values(), key=lambda d: d.members) != sorted(downs, key=lambda d: d.members):
@@ -567,11 +578,11 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
             if forward[theta] != ds:
                 raise CorrespondenceBroken(ds.members, "round trip broke")
     cons = list(forward)
-    for t1 in cons:
-        for t2 in cons:
-            if congruence_leq(t1, t2) != (set(forward[t1].members) <= set(forward[t2].members)):
-                raise CorrespondenceBroken(
-                    (forward[t1].members, forward[t2].members), "order not preserved")
+    bad = order_mismatch(cons, _membership([forward[t].members for t in cons], P.elements))
+    if bad is not None:
+        t1, t2 = (cons[k] for k in bad)
+        raise CorrespondenceBroken(
+            (forward[t1].members, forward[t2].members), "order not preserved")
     return IsoCorrespondence(forward, backward)
 
 
@@ -612,7 +623,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     """Assemble K for P and run every structural check, reporting per stage.
 
     Every stage reads the one congruence analysis of K
-    (``FiniteLattice.con_analysis``).
+    (``FiniteLattice.con_analysis``).  :func:`phi` runs once, and the
+    down-set stage takes beta_H of each down set from its backward map.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -656,8 +668,12 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
                 five = {result.anchor[p][0], a0, a1, lat.bottom, lat.top}
             if len(five) != 5 or not is_01_sublattice(lat, five):
                 raise VerificationFailed("diamond-cover", witness=x)
-            from .lattice import m3, sublattice
-            if lattice_iso(sublattice(lat, five), m3()) is None:
+            # a 0-1 sublattice of five elements whose three middle elements are
+            # pairwise incomparable is M3: the join of two of them lies in the
+            # set, above both, and is neither of them nor the third, so it is
+            # the top; dually their meet is the bottom
+            mid = [lat.index(y) for y in five - {lat.bottom, lat.top}]
+            if any(lat.leq[u, v] for u in mid for v in mid if u != v):
                 raise VerificationFailed("diamond-cover", witness=x)
         return f"{lat.n - 2} interior elements"
 
@@ -668,38 +684,46 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"{len(con)} congruences"
 
     def s_base():
-        interior_idx = sorted(P.poset.index(x) for x in P.interior)
-        interior = P.poset.restrict(interior_idx)
         for theta in con.congruences:
             if is_I_congruence(lat, theta):
-                if not is_down_set(interior, base(result, theta)):
+                if not is_down_set(P.interior_poset, base(result, theta)):
                     raise VerificationFailed("base-down-set", witness=base(result, theta))
         return ""
 
+    # phi runs once: both correspondence stages report its result or its
+    # exception, and the down-set stage reads beta_H from its backward map
+    try:
+        mapping, phi_error = phi(result), None
+    except Exception as exc:  # noqa: BLE001 - reported by the stages below
+        mapping, phi_error = None, exc
+
     def s_beta():
-        interior_idx = sorted(P.poset.index(x) for x in P.interior)
-        interior = P.poset.restrict(interior_idx)
-        family = down_sets(interior)
+        # the backward map holds beta_H of each down set H at {0} u H; when
+        # phi failed, beta_H runs here instead
+        family = down_sets(P.interior_poset)
         seen = {}
         for ds in family:
-            theta = beta_H(result, ds.members)
+            if mapping is None:
+                theta = beta_H(result, ds.members)
+            else:
+                theta = mapping.backward[DownSet(tuple(sorted((P.zero,) + ds.members)))]
             if not ds.members:
                 if not theta.is_zero():
                     raise VerificationFailed("downset-congruence", witness="empty")
             elif not is_I_congruence(lat, theta):
                 raise VerificationFailed("downset-congruence", witness=ds.members)
             seen[ds.members] = theta
-        items = list(seen.items())
-        for m1, t1 in items:
-            for m2, t2 in items:
-                if (set(m1) <= set(m2)) != congruence_leq(t1, t2):
-                    raise VerificationFailed("downset-congruence", witness=(m1, m2))
+        downs = list(seen)
+        bad = order_mismatch(list(seen.values()), _membership(downs, P.interior))
+        if bad is not None:
+            raise VerificationFailed("downset-congruence", witness=tuple(downs[k] for k in bad))
         if len({t.labels for t in seen.values()}) != len(seen):
             raise VerificationFailed("downset-congruence", witness="not injective")
         return f"{len(family)} down sets"
 
     def s_phi():
-        phi(result)
+        if phi_error is not None:
+            raise phi_error
         return f"|Con K| = {len(con)}"
 
     def s_princ_corr():
@@ -707,7 +731,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         principal_downs = {
             tuple(sorted(principal_down_set(P.poset, p).members)) for p in P.elements
         }
-        mapping = phi(result)
+        if phi_error is not None:
+            raise phi_error
         image = set()
         for theta in po.congruences:
             ds = mapping.forward[theta]

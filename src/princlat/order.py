@@ -10,6 +10,7 @@ computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class BoundedPoset:
     def elements(self) -> tuple[str, ...]:
         return self.poset.elements
 
+    @cached_property
+    def interior_poset(self) -> Poset:
+        """The induced subposet on the interior, in element order."""
+        return self.poset.restrict(sorted(self.poset.index(x) for x in self.interior))
+
     def comparabilities(self) -> list[tuple[str, str]]:
         """All strict pairs p < q with both p, q interior, sorted."""
         p = self.poset
@@ -201,27 +207,19 @@ def to_bounded(p: Poset) -> BoundedPoset:
 def down_sets(p: Poset, nonempty_only: bool = False) -> list[DownSet]:
     """All down sets of ``p``, deterministically ordered.
 
-    Enumeration backtracks over a linear extension: an element may enter
-    only once everything strictly below it is in, so each down set is
-    produced exactly once.  Output is ordered by (size, member indices).
+    Enumeration runs along a linear extension, keeping the down sets of
+    the prefix seen so far: the next element extends exactly those that
+    hold everything strictly below it, so each down set is produced once.
+    It is a loop, not a recursive closure, whose reference cycle would
+    keep every set alive until the cyclic garbage collector runs.  Output
+    is ordered by (size, member indices).
     """
     strict = p.leq & ~np.eye(p.n, dtype=bool)
     order = sorted(range(p.n), key=lambda i: (int(strict[:, i].sum()), i))
-    below = {i: set(np.nonzero(strict[:, i])[0].tolist()) for i in range(p.n)}
-    found: list[frozenset[int]] = []
-
-    def walk(k: int, current: set[int]):
-        if k == len(order):
-            found.append(frozenset(current))
-            return
-        x = order[k]
-        walk(k + 1, current)
-        if below[x] <= current:
-            current.add(x)
-            walk(k + 1, current)
-            current.remove(x)
-
-    walk(0, set())
+    found: list[frozenset[int]] = [frozenset()]
+    for x in order:
+        below = frozenset(np.nonzero(strict[:, x])[0].tolist())
+        found += [s | {x} for s in found if below <= s]
     found.sort(key=lambda s: (len(s), sorted(s)))
     out = [DownSet(tuple(sorted((p.elements[i] for i in s)))) for s in found]
     if nonempty_only:

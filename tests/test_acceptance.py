@@ -209,7 +209,7 @@ def test_criterion_5_structural_lemmas(corpus, templates):
         for theta in con.congruences:
             assert theta.is_zero() or theta.is_one() or is_I_congruence(lat, theta)
         # bases of isolating congruences are down sets
-        interior = P.poset.restrict(sorted(P.poset.index(x) for x in P.interior))
+        interior = P.interior_poset
         for theta in con.congruences:
             if is_I_congruence(lat, theta):
                 assert is_down_set(interior, base(result, theta))

@@ -13,6 +13,7 @@ from princlat.congruence import (
     is_I_congruence,
     join_congruences,
     one_congruence,
+    order_mismatch,
     princ_order,
     principal_congruence,
     valuation,
@@ -359,3 +360,28 @@ def test_one_analysis_per_lattice(monkeypatch):
         assert lat.con_analysis is analysis
         assert len(calls) == len(analysis.joinirr)
         calls.clear()
+
+
+# ------------------------------------ row-wise order check against a double loop
+
+def first_order_mismatch(thetas, members):
+    """The row-major scalar reference for ``order_mismatch``."""
+    for a, ta in enumerate(thetas):
+        for b, tb in enumerate(thetas):
+            if congruence_leq(ta, tb) != bool((members[a] <= members[b]).all()):
+                return a, b
+    return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
+def test_order_mismatch_matches_a_scalar_double_loop(seed, rng):
+    for lat in random_lattices(seed, 1, max_size=8):
+        thetas = all_congruences(lat).congruences
+        # row a holds the congruences below thetas[a], so containment of
+        # rows is refinement
+        members = np.array([[congruence_leq(t, s) for t in thetas] for s in thetas])
+        assert order_mismatch(thetas, members) is None
+        a, k = rng.randrange(len(thetas)), rng.randrange(len(thetas))
+        members[a, k] = not members[a, k]
+        assert order_mismatch(thetas, members) == first_order_mismatch(thetas, members)

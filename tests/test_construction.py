@@ -4,8 +4,10 @@ import pytest
 
 from princlat.congruence import (
     ConAnalysis,
+    CongruenceRelation,
     all_congruences,
     base,
+    congruence_leq,
     is_I_congruence,
     princ_order,
     principal_congruence,
@@ -18,7 +20,12 @@ from princlat.construction import (
     phi,
     verify_theorem,
 )
-from princlat.errors import NotADownSet, NotICongruence
+from princlat.errors import (
+    CorrespondenceBroken,
+    NotADownSet,
+    NotICongruence,
+    VerificationFailed,
+)
 from princlat.lattice import length
 from princlat.order import down_sets, order_iso, principal_down_set
 
@@ -218,3 +225,84 @@ def test_verify_theorem_analyses_k_once(templates, poset_zoo, monkeypatch):
     # one closure per join-irreducible of K, plus one per interior anchor pair
     assert sum(1 for lat in closures if lat is K) == (
         len(K.con_analysis.joinirr) + len(P.interior))
+
+
+def _stage_details(report):
+    return {name: (ok, detail) for name, ok, detail in report.stages}
+
+
+def test_verify_theorem_runs_phi_once_and_beta_once_per_down_set(
+        templates, poset_zoo, monkeypatch):
+    import princlat.construction as construction
+
+    calls = {"phi": 0, "beta_H": 0, "congruence_leq": 0}
+    for fname in calls:
+        original = getattr(construction, fname)
+
+        def counting(*args, _fname=fname, _original=original):
+            calls[_fname] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(construction, fname, counting)
+    P = poset_zoo["V"]
+    assert verify_theorem(P, templates, "V").passed
+    assert calls == {"phi": 1, "beta_H": len(down_sets(P.interior_poset)),
+                     "congruence_leq": 0}
+
+
+def test_downset_congruence_reports_the_first_order_mismatch(
+        templates, poset_zoo, monkeypatch):
+    import princlat.construction as construction
+
+    P = poset_zoo["4-chain"]
+    r = assemble_K(P, templates)
+    original = construction.beta_H
+    swap = {("p",): ("p", "q"), ("p", "q"): ("p",)}
+
+    def swapped(result, H):
+        return original(result, swap.get(tuple(H), tuple(H)))
+
+    monkeypatch.setattr(construction, "beta_H", swapped)
+    family = [ds.members for ds in down_sets(P.interior_poset)]
+    betas = [swapped(r, h) for h in family]
+    expect = next(
+        (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
+        if (set(m1) <= set(m2)) != congruence_leq(t1, t2))
+    assert expect == (("p",), ("p", "q"))
+    stages = _stage_details(verify_theorem(P, templates, "4-chain"))
+    failure = VerificationFailed("downset-congruence", witness=expect)
+    assert stages["downset-congruence"] == (False, f"VerificationFailed: {failure}")
+
+
+def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch):
+    import princlat.construction as construction
+
+    P = poset_zoo["4-chain"]
+    r = assemble_K(P, templates)
+    forward = phi(r).forward
+    lo, hi = beta_H(r, ("p",)), beta_H(r, ("p", "q"))
+    swap = {lo.labels: hi.labels, hi.labels: lo.labels}
+
+    def swapped(theta):
+        return CongruenceRelation(theta.lattice, swap.get(theta.labels, theta.labels))
+
+    # swapping the two congruences in both base and beta_H keeps the round
+    # trip intact and breaks only the order
+    original_base, original_beta = construction.base, construction.beta_H
+    monkeypatch.setattr(construction, "base",
+                        lambda result, theta: original_base(result, swapped(theta)))
+    monkeypatch.setattr(construction, "beta_H",
+                        lambda result, H: swapped(original_beta(result, H)))
+    image = {t: forward[swapped(t)].members for t in forward}
+    expect = next(
+        (image[t1], image[t2]) for t1 in forward for t2 in forward
+        if congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
+    assert expect == (("0", "p", "q"), ("0", "p"))
+    with pytest.raises(CorrespondenceBroken) as exc:
+        phi(r)
+    assert exc.value.witness == expect
+    assert str(exc.value) == str(CorrespondenceBroken(expect, "order not preserved"))
+    stages = _stage_details(verify_theorem(P, templates, "4-chain"))
+    detail = f"CorrespondenceBroken: {exc.value}"
+    assert stages["congruence-correspondence"] == (False, detail)
+    assert stages["principal-correspondence"] == (False, detail)
