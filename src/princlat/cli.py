@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .congruence import all_congruences, princ_order, valuation
 from .construction import assemble_K, load_templates, verify_theorem
 from .dotexport import poset_to_dot
-from .errors import InputError, PrinclatError, TemplateInvalid
+from .errors import InputError, PrinclatError
 from .fuzzing import run_fuzz
 from .io import (
     congruence_blocks_doc,
@@ -30,30 +29,17 @@ from .lattice import length, prime_intervals
 from .order import to_bounded
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    poset_path: str = ""
-    lattice_path: str = ""
-    out_path: str = ""
-    template_dir: str | None = None
-    max_size: int = 1
-    samples: int = 1
-    seed: int = 0
-    parallelism: int = 1
-
-
 def _template_dir(explicit: str | None) -> str | None:
     return explicit or os.environ.get("PRINC_TEMPLATES") or None
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    templates = load_templates(_template_dir(cfg.template_dir))
-    P = to_bounded(load_poset(cfg.poset_path))
+def cmd_build(ns: argparse.Namespace) -> int:
+    templates = load_templates(_template_dir(ns.templates))
+    P = to_bounded(load_poset(ns.poset))
     result = assemble_K(P, templates)
     lat = result.lattice
-    doc = lattice_to_doc(lat, name=f"K({cfg.poset_path})", anchors=result.anchor)
-    dump_json(doc, cfg.out_path)
+    doc = lattice_to_doc(lat, name=f"K({ns.poset})", anchors=result.anchor)
+    dump_json(doc, ns.out)
     kinds: dict[str, int] = {}
     for g in sorted({g for gs in result.membership.values() for g in gs}):
         kinds[g.split("@")[0]] = kinds.get(g.split("@")[0], 0) + 1
@@ -62,19 +48,23 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    templates = load_templates(_template_dir(cfg.template_dir))
-    P = to_bounded(load_poset(cfg.poset_path))
-    report = verify_theorem(P, templates, name=cfg.poset_path)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    templates = load_templates(_template_dir(ns.templates))
+    P = to_bounded(load_poset(ns.poset))
+    report = verify_theorem(P, templates, name=ns.poset)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def cmd_fuzz(cfg: RunConfig) -> int:
-    outcomes = run_fuzz(cfg.max_size, cfg.samples, cfg.seed,
-                        jobs=cfg.parallelism, template_dir=_template_dir(cfg.template_dir))
-    print(f"fuzz max-size={cfg.max_size} samples={cfg.samples} seed={cfg.seed}")
+def cmd_fuzz(ns: argparse.Namespace) -> int:
+    if ns.max_size < 1 or ns.samples < 1 or ns.jobs < 1:
+        raise InputError("--max-size, --samples and --jobs must be >= 1")
+    if not 0 <= ns.seed < 2 ** 64:
+        raise InputError("--seed must fit in 64 bits")
+    outcomes = run_fuzz(ns.max_size, ns.samples, ns.seed,
+                        jobs=ns.jobs, template_dir=_template_dir(ns.templates))
+    print(f"fuzz max-size={ns.max_size} samples={ns.samples} seed={ns.seed}")
     print("index |P| comps |K| length status")
     bad = None
     for o in outcomes:
@@ -93,8 +83,8 @@ def cmd_fuzz(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_con(cfg: RunConfig) -> int:
-    lat = load_lattice(cfg.lattice_path)
+def cmd_con(ns: argparse.Namespace) -> int:
+    lat = load_lattice(ns.lattice)
     con = all_congruences(lat)
     doc = {
         "count": len(con),
@@ -104,8 +94,8 @@ def cmd_con(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_princ(cfg: RunConfig) -> int:
-    lat = load_lattice(cfg.lattice_path)
+def cmd_princ(ns: argparse.Namespace) -> int:
+    lat = load_lattice(ns.lattice)
     po = princ_order(lat)
     order_poset = poset_to_doc(po.as_poset(), name="princ-order")
     doc = {
@@ -117,13 +107,13 @@ def cmd_princ(cfg: RunConfig) -> int:
         "order": order_poset,
     }
     print(json.dumps(doc, indent=1))
-    if cfg.out_path:
-        dump_json(order_poset, cfg.out_path)
+    if ns.out:
+        dump_json(order_poset, ns.out)
     return 0
 
 
-def cmd_valuation(cfg: RunConfig) -> int:
-    lat = load_lattice(cfg.lattice_path)
+def cmd_valuation(ns: argparse.Namespace) -> int:
+    lat = load_lattice(ns.lattice)
     con = all_congruences(lat)
     v = valuation(lat, con)
     doc = {
@@ -136,12 +126,12 @@ def cmd_valuation(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    lat = load_lattice(cfg.lattice_path)
+def cmd_export_dot(ns: argparse.Namespace) -> int:
+    lat = load_lattice(ns.lattice)
     dot = poset_to_dot(lat.poset)
-    with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    with open(ns.out, "w", encoding="utf-8") as fh:
         fh.write(dot)
-    print(f"wrote {cfg.out_path}: {lat.n} nodes, {len(prime_intervals(lat))} edges")
+    print(f"wrote {ns.out}: {lat.n} nodes, {len(prime_intervals(lat))} edges")
     return 0
 
 
@@ -180,26 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=ns.command,
-        poset_path=getattr(ns, "poset", "") or "",
-        lattice_path=getattr(ns, "lattice", "") or "",
-        out_path=getattr(ns, "out", "") or "",
-        template_dir=getattr(ns, "templates", None),
-        max_size=getattr(ns, "max_size", 1),
-        samples=getattr(ns, "samples", 1),
-        seed=getattr(ns, "seed", 0),
-        parallelism=getattr(ns, "jobs", 1),
-    )
-    if cfg.command == "fuzz":
-        if cfg.max_size < 1 or cfg.samples < 1 or cfg.parallelism < 1:
-            raise InputError("--max-size, --samples and --jobs must be >= 1")
-        if not 0 <= cfg.seed < 2 ** 64:
-            raise InputError("--seed must fit in 64 bits")
-    return cfg
-
-
 COMMANDS = {
     "build": cmd_build,
     "verify": cmd_verify,
@@ -215,20 +185,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
-        cfg = config_from_args(ns)
-        return COMMANDS[cfg.command](cfg)
-    except InputError as exc:
+        return COMMANDS[ns.command](ns)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TemplateInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PrinclatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -144,16 +144,28 @@ def _canonical(labels: np.ndarray) -> tuple[int, ...]:
     return tuple(out.tolist())
 
 
-def _sp_closure(lat: FiniteLattice, labels: np.ndarray, seeds: list[tuple[int, int]]) -> np.ndarray:
-    """Close a partition under the substitution property.
+def _merge(labels: np.ndarray, i: int, j: int) -> bool:
+    """Merge the blocks of i and j in place, keeping the smaller label.
 
-    ``seeds`` are pairs already merged into ``labels`` whose consequences
-    still need propagating.  Each merge enqueues one pair; processing a
-    pair compares whole join/meet table rows, so the total work is a few
-    vector operations per merge.
+    Returns False when i and j already share a block.
+    """
+    li, lj = int(labels[i]), int(labels[j])
+    if li == lj:
+        return False
+    keep, drop = (li, lj) if li < lj else (lj, li)
+    labels[labels == drop] = keep
+    return True
+
+
+def _sp_closure(lat: FiniteLattice, labels: np.ndarray, pairs) -> np.ndarray:
+    """Merge each pair into ``labels``, then close under the substitution property.
+
+    Each merge enqueues one pair; processing a pair compares whole
+    join/meet table rows, so the total work is a few vector operations
+    per merge.
     """
     join, meet = lat.join, lat.meet
-    queue = list(seeds)
+    queue = [(i, j) for i, j in pairs if _merge(labels, i, j)]
     while queue:
         a, b = queue.pop()
         for table in (join, meet):
@@ -162,45 +174,23 @@ def _sp_closure(lat: FiniteLattice, labels: np.ndarray, seeds: list[tuple[int, i
             diff = np.nonzero(la != lb)[0]
             for z in diff:
                 u, v = int(table[a, z]), int(table[b, z])
-                lu, lv = int(labels[u]), int(labels[v])
-                if lu == lv:
-                    continue
-                keep, drop = (lu, lv) if lu < lv else (lv, lu)
-                labels[labels == drop] = keep
-                queue.append((u, v))
+                if _merge(labels, u, v):
+                    queue.append((u, v))
     return labels
 
 
 def principal_congruence(lat: FiniteLattice, x: str, y: str) -> CongruenceRelation:
     """The smallest congruence collapsing x and y, by worklist closure."""
-    xi, yi = lat.index(x), lat.index(y)
-    labels = np.arange(lat.n)
-    if xi != yi:
-        keep, drop = min(xi, yi), max(xi, yi)
-        labels[labels == drop] = keep
-        labels = _sp_closure(lat, labels, [(xi, yi)])
+    labels = _sp_closure(lat, np.arange(lat.n), [(lat.index(x), lat.index(y))])
     return CongruenceRelation(lat, _canonical(labels))
 
 
 def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> CongruenceRelation:
     """Smallest congruence above both: merge partitions, then re-close."""
-    lat = a.lattice
-    labels = np.asarray(a.labels).copy()
-    seeds = []
     reps: dict[int, int] = {}
-    for i, l in enumerate(b.labels):
-        if l in reps:
-            j = reps[l]
-            li, lj = int(labels[i]), int(labels[j])
-            if li != lj:
-                keep, drop = (li, lj) if li < lj else (lj, li)
-                labels[labels == drop] = keep
-                seeds.append((i, j))
-        else:
-            reps[l] = i
-    if seeds:
-        labels = _sp_closure(lat, labels, seeds)
-    return CongruenceRelation(lat, _canonical(labels))
+    pairs = [(i, reps.setdefault(l, i)) for i, l in enumerate(b.labels)]
+    labels = _sp_closure(a.lattice, np.array(a.labels), pairs)
+    return CongruenceRelation(a.lattice, _canonical(labels))
 
 
 def is_congruence(lat: FiniteLattice, labels) -> tuple[bool, tuple[str, str, str] | None]:

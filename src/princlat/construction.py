@@ -26,6 +26,8 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
+    _canonical,
+    _merge,
     all_congruences,
     base,
     congruence_leq,
@@ -50,6 +52,7 @@ from .lattice import (
     as_lattice,
     c2_times_c3,
     is_01_sublattice,
+    is_closed,
     lattice_iso,
     length,
     prime_intervals,
@@ -80,6 +83,8 @@ AMALGAM_COPIES = {
     "SH": ({}, {"a_p": "a_p'", "b_p": "b_p'",
                 "c": "c'", "d": "d'", "e": "e'", "f": "f'", "g": "g'"}),
 }
+# which two of a double gadget's parameters (p, q, r) each S copy takes
+AMALGAM_PARAMS = {"SC": ((0, 1), (1, 2)), "SV": ((0, 1), (0, 2)), "SH": ((0, 2), (1, 2))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +159,8 @@ def _load_one(directory: Path, stem: str) -> GadgetTemplate:
 
 
 def _check_gadget(t: GadgetTemplate) -> None:
-    """The load-time congruence battery for the comparability gadget."""
+    """The load-time checks of the comparability gadget: its shape, then
+    :func:`gadget_battery`."""
     lat = t.lattice
     if lat.n != 11 or set(t.role_map.values()) != S_ROLE_SET:
         raise TemplateInvalid(t.name, "element-set")
@@ -167,6 +173,19 @@ def _check_gadget(t: GadgetTemplate) -> None:
     # 15 (tests/gadget_space.py enumerates them)
     if len(prime_intervals(lat)) != 15:
         raise TemplateInvalid(t.name, "prime-interval-count", str(len(prime_intervals(lat))))
+    gadget_battery(t)
+
+
+def gadget_battery(t: GadgetTemplate) -> None:
+    """The congruence battery of the comparability gadget.
+
+    Raises :class:`TemplateInvalid` naming the first check that fails.  It
+    pins nothing of the gadget's shape (element count, bounds, length,
+    number of prime intervals), which :func:`_check_gadget` checks first,
+    so ``scripts/derive_gadget.py`` can search for gadgets with it.
+    """
+    lat = t.lattice
+    r = {role: ph for ph, role in t.role_map.items()}
     cn = set(lat.poset.cover_names())
     if (r["d"], r["e"]) not in cn or (r["b_p"], r["g"]) not in cn:
         raise TemplateInvalid(t.name, "required-prime-intervals")
@@ -225,40 +244,52 @@ def _check_chain(t: GadgetTemplate, size: int, roles: set[str]) -> None:
         raise TemplateInvalid(t.name, "chain-shape")
 
 
+def _copy_fault(big: FiniteLattice, names, small: Poset) -> str | None:
+    """Whether the elements ``names`` of ``big``, listed in the element
+    order of ``small``, are a copy of it: None if they are, "order" if
+    their induced order is not ``small``'s, "sublattice" if they are not
+    closed under join and meet."""
+    idx = [big.index(x) for x in names]
+    if not np.array_equal(big.leq[np.ix_(idx, idx)], small.leq):
+        return "order"
+    if not is_closed(big, idx):
+        return "sublattice"
+    return None
+
+
+def _amalgam_copies(s: GadgetTemplate, kind: str) -> tuple[dict[str, str], ...]:
+    """S placeholder -> role of double gadget ``kind``, for each of its S copies."""
+    return tuple({ph: copy.get(role, role) for ph, role in s.role_map.items()}
+                 for copy in AMALGAM_COPIES[kind])
+
+
+def amalgam_covers(s: GadgetTemplate, kind: str) -> list[tuple[str, str]]:
+    """The cover pairs of the two S copies of double gadget ``kind``, over
+    its role names, sorted: their union generates its order."""
+    return sorted({(m[a], m[b]) for m in _amalgam_copies(s, kind)
+                   for a, b in s.poset.cover_names()})
+
+
 def _check_amalgam(t: GadgetTemplate, s: GadgetTemplate) -> None:
     """The double gadget must be exactly the glueing of two S copies."""
     if t.lattice.n != 18:
         raise TemplateInvalid(t.name, "element-set", str(t.lattice.n))
-    maps = AMALGAM_COPIES[t.name]
     rev = {role: ph for ph, role in t.role_map.items()}
-    cover_union = set()
-    copies = []
-    for rolemap in maps:
-        try:
-            phmap = {
-                ph: rev[rolemap.get(role, role)]
-                for ph, role in s.role_map.items()
-            }
-        except KeyError as exc:
-            raise TemplateInvalid(t.name, "copy-roles", str(exc)) from None
-        copies.append(phmap)
-        cover_union |= {(phmap[a], phmap[b]) for a, b in s.poset.cover_names()}
-    expected = validate_poset(sorted({x for e in cover_union for x in e}), sorted(cover_union))
+    try:
+        copies = [{ph: rev[role] for ph, role in m.items()} for m in _amalgam_copies(s, t.name)]
+    except KeyError as exc:
+        raise TemplateInvalid(t.name, "copy-roles", str(exc)) from None
+    covers = [(rev[a], rev[b]) for a, b in amalgam_covers(s, t.name)]
+    expected = validate_poset(sorted({x for e in covers for x in e}), covers)
     if set(expected.elements) != set(t.poset.elements):
         raise TemplateInvalid(t.name, "glue-elements")
     idx = [expected.index(e) for e in t.poset.elements]
     if not np.array_equal(expected.leq[np.ix_(idx, idx)], t.poset.leq):
         raise TemplateInvalid(t.name, "glue-order")
-    big = t.lattice
     for phmap in copies:
-        els = [phmap[ph] for ph in s.poset.elements]
-        sub = np.ix_([big.index(x) for x in els], [big.index(x) for x in els])
-        if not np.array_equal(big.leq[sub], s.poset.leq):
-            raise TemplateInvalid(t.name, "copy-order")
-        present = np.zeros(big.n, dtype=bool)
-        present[[big.index(x) for x in els]] = True
-        if not (present[big.join[sub]].all() and present[big.meet[sub]].all()):
-            raise TemplateInvalid(t.name, "copy-sublattice")
+        fault = _copy_fault(t.lattice, [phmap[ph] for ph in s.poset.elements], s.poset)
+        if fault is not None:
+            raise TemplateInvalid(t.name, f"copy-{fault}")
 
 
 def load_templates(directory=None) -> dict[str, GadgetTemplate]:
@@ -297,29 +328,11 @@ def _instance_naming(kind: str, params: tuple[str, ...]) -> dict[str, str]:
     if kind == "frame":
         (p,) = params
         return {"o": "o", "i": "i", "a_p": f"a@{p}"}
-    if kind == "SC":  # S(p<q) glued with S(q<r)
-        p, q, r = params
-        names = _role_names(p, q)
-        upper = _role_names(q, r)
-        names.update({"a_q'": upper["a_q"], "b_q'": upper["b_q"],
-                      "c'": upper["c"], "d'": upper["d"], "e'": upper["e"],
-                      "f'": upper["f"], "g'": upper["g"]})
-        return names
-    if kind == "SV":  # S(p<q) glued with S(p<r), q != r
-        p, q, r = params
-        names = _role_names(p, q)
-        other = _role_names(p, r)
-        names.update({"a_q'": other["a_q"], "b_q'": other["b_q"],
-                      "c'": other["c"], "d'": other["d"], "e'": other["e"],
-                      "f'": other["f"], "g'": other["g"]})
-        return names
-    if kind == "SH":  # S(p<r) glued with S(q<r), p != q
-        p, q, r = params
-        names = _role_names(p, r)
-        other = _role_names(q, r)
-        names.update({"a_p'": other["a_p"], "b_p'": other["b_p"],
-                      "c'": other["c"], "d'": other["d"], "e'": other["e"],
-                      "f'": other["f"], "g'": other["g"]})
+    if kind in AMALGAM_COPIES:  # each S copy is named as the S gadget on its two parameters
+        names = {}
+        for copy, (i, j) in zip(AMALGAM_COPIES[kind], AMALGAM_PARAMS[kind]):
+            for role, name in _role_names(params[i], params[j]).items():
+                names[copy.get(role, role)] = name
         return names
     raise InvalidInput(f"unknown template kind {kind!r}")
 
@@ -367,17 +380,18 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     if len(P.elements) <= 2:
         return _assemble_degenerate(P, tp_pairs, tq_pairs)
 
-    instances = _instances(P)
+    placed = []  # (instance id, template, placeholder -> element name)
     leq_pairs: set[tuple[str, str]] = set()
     membership: dict[str, set[str]] = {}
     s_instances: dict[tuple[str, str], dict[str, str]] = {}
-    for inst_id, kind, params in instances:
+    for inst_id, kind, params in _instances(P):
         t = templates[kind]
         naming = _instance_naming(kind, params)
         try:
             renamed = {ph: naming[role] for ph, role in t.role_map.items()}
         except KeyError as exc:
             raise InvalidInput(f"template {kind} role {exc} has no naming") from None
+        placed.append((inst_id, t, renamed))
         n = t.poset.n
         for a in range(n):
             for b in range(n):
@@ -421,17 +435,11 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     except NotALattice as exc:
         raise AssemblyNotALattice((exc.x, exc.y), str(exc)) from exc
 
-    for inst_id, kind, params in instances:
-        t = templates[kind]
-        naming = _instance_naming(kind, params)
-        renamed = [naming[t.role_map[ph]] for ph in t.poset.elements]
-        idx = [lat.index(x) for x in renamed]
-        sub = np.ix_(idx, idx)
-        if not np.array_equal(lat.leq[sub], t.poset.leq):
+    for inst_id, t, renamed in placed:
+        fault = _copy_fault(lat, [renamed[ph] for ph in t.poset.elements], t.poset)
+        if fault == "order":
             raise AssemblyNotALattice((inst_id, "order"), "instance order distorted")
-        present = np.zeros(lat.n, dtype=bool)
-        present[idx] = True
-        if not (present[lat.join[sub]].all() and present[lat.meet[sub]].all()):
+        if fault == "sublattice":
             raise AssemblyNotALattice((inst_id, "closure"), "instance not a sublattice")
 
     anchor = {P.zero: (f"a@{P.zero}", f"a@{P.zero}"), P.one: (f"a@{P.one}", f"a@{P.one}")}
@@ -494,11 +502,7 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
 
     labels = np.arange(lat.n)
     for a, b in pairs:
-        ia, ib = lat.index(a), lat.index(b)
-        la, lb = labels[ia], labels[ib]
-        if la != lb:
-            keep, drop = (la, lb) if la < lb else (lb, la)
-            labels[labels == drop] = keep
+        _merge(labels, lat.index(a), lat.index(b))
     # transitivity of the raw union: every two block members must be
     # directly related by the contributed pairs or be equal
     related = {frozenset(p) for p in pairs}
@@ -515,8 +519,6 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
                 raise AssemblyNotALattice((na, nb), "down-set relation not transitive")
             if not (lat.leq[a, b] or lat.leq[b, a]):
                 raise AssemblyNotALattice((na, nb), "down-set congruence block not a chain")
-    from .congruence import _canonical
-
     theta = CongruenceRelation(lat, _canonical(labels))
     ok, witness = is_congruence(lat, theta.labels)
     if not ok:

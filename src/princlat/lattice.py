@@ -126,24 +126,26 @@ def prime_intervals(lat: FiniteLattice) -> list[IntervalEdge]:
     return [IntervalEdge(els[i], els[j]) for i, j in lat.poset.covers()]
 
 
+def is_closed(lat: FiniteLattice, idx) -> bool:
+    """True iff the element positions ``idx`` are closed under join and meet."""
+    present = np.zeros(lat.n, dtype=bool)
+    present[idx] = True
+    sub = np.ix_(idx, idx)
+    return bool(present[lat.join[sub]].all() and present[lat.meet[sub]].all())
+
+
 def is_01_sublattice(lat: FiniteLattice, subset) -> bool:
     """True iff subset contains the bounds and is closed under join and meet."""
     idx = sorted(lat.index(s) for s in subset)
-    present = np.zeros(lat.n, dtype=bool)
-    present[idx] = True
-    if not (present[lat.index(lat.bottom)] and present[lat.index(lat.top)]):
+    if lat.index(lat.bottom) not in idx or lat.index(lat.top) not in idx:
         return False
-    sub = np.ix_(idx, idx)
-    return bool(present[lat.join[sub]].all() and present[lat.meet[sub]].all())
+    return is_closed(lat, idx)
 
 
 def sublattice(lat: FiniteLattice, subset) -> FiniteLattice:
     """The induced lattice on a join/meet-closed subset."""
     idx = sorted(lat.index(s) for s in subset)
-    present = np.zeros(lat.n, dtype=bool)
-    present[idx] = True
-    sub = np.ix_(idx, idx)
-    if not (present[lat.join[sub]].all() and present[lat.meet[sub]].all()):
+    if not is_closed(lat, idx):
         raise NotALattice(lat.elements[idx[0]], lat.elements[idx[-1]], [], "closure")
     return as_lattice(lat.poset.restrict(idx))
 

@@ -279,30 +279,35 @@ def order_iso(p: Poset, q: Poset) -> dict[str, str] | None:
     if sorted(pp) != sorted(qq):
         return None
     candidates = [[j for j in range(q.n) if qq[j] == pp[i]] for i in range(p.n)]
-    assign: list[int | None] = [None] * p.n
+    # depth-first over positions: tried[i] counts the candidates of i tried
+    # so far.  A loop, not a self-recursive closure, whose reference cycle
+    # would keep both posets alive until the cyclic garbage collector runs.
+    assign = [-1] * p.n
+    tried = [0] * p.n
     used = [False] * q.n
-
-    def backtrack(i: int) -> bool:
-        if i == p.n:
-            return True
-        for j in candidates[i]:
+    i = 0
+    while 0 <= i < p.n:
+        if assign[i] >= 0:  # come back to i: free its assignment
+            used[assign[i]] = False
+            assign[i] = -1
+        while tried[i] < len(candidates[i]):
+            j = candidates[i][tried[i]]
+            tried[i] += 1
             if used[j]:
                 continue
-            ok = True
             for k in range(i):
                 jk = assign[k]
                 if (p.leq[k, i] != q.leq[jk, j]) or (p.leq[i, k] != q.leq[j, jk]):
-                    ok = False
                     break
-            if ok:
+            else:
                 assign[i] = j
                 used[j] = True
-                if backtrack(i + 1):
-                    return True
-                assign[i] = None
-                used[j] = False
-        return False
-
-    if not backtrack(0):
+                break
+        if assign[i] >= 0:
+            i += 1
+        else:
+            tried[i] = 0
+            i -= 1
+    if i < 0:
         return None
     return {p.elements[i]: q.elements[assign[i]] for i in range(p.n)}

@@ -54,7 +54,7 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
-from princlat.construction import AMALGAM_COPIES, GadgetTemplate
+from princlat.construction import GadgetTemplate, amalgam_covers
 from princlat.errors import NotALattice
 from princlat.lattice import as_lattice
 from princlat.order import validate_poset
@@ -153,9 +153,6 @@ def gadgets() -> list[GadgetTemplate]:
 def double_gadget(s: GadgetTemplate, name: str) -> GadgetTemplate:
     """The double gadget ``name``: two copies of s glued as AMALGAM_COPIES
     prescribes, over role names."""
-    covers = {
-        tuple(copy.get(s.role_map[x], s.role_map[x]) for x in cover)
-        for copy in AMALGAM_COPIES[name] for cover in s.poset.cover_names()
-    }
-    poset = validate_poset(sorted({x for c in covers for x in c}), sorted(covers))
+    covers = amalgam_covers(s, name)
+    poset = validate_poset(sorted({x for c in covers for x in c}), covers)
     return GadgetTemplate(name, poset, {x: x for x in poset.elements}, as_lattice(poset))

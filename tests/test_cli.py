@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shutil
@@ -9,6 +10,7 @@ import pytest
 from princlat.cli import main
 from princlat.construction import default_template_dir
 from princlat.fuzzing import random_bounded_poset, run_fuzz
+from princlat.io import dump_json, poset_to_doc
 
 
 @pytest.fixture()
@@ -50,6 +52,32 @@ def test_build_4chain(workdir):
     code, out, _ = run(["build", "--poset", str(workdir / "c4.json"), "--out", str(out_file)])
     assert code == 0
     assert "|K|=13" in out and "length=5" in out
+
+
+# sha256 of the K file and of the stdout of `build`, for one poset per
+# gadget kind: SC (5-chain), SV (V), SH (hat) and Cp (B2)
+GOLDEN_BUILD = {
+    "5-chain": ("b55a3db43274b17d775515e5d4b589a11b4ebc1c5586c4001cd722ed7170b41f",
+                "8d450cbf9c024dc113fb8398ff9b6dc4734a4d5bc25b06c341871270c27ab8b0"),
+    "V": ("ba08e62ce0b936395b3e3dfd113d7ad6dd708cd0ba0872808e2c1d3e66a8cfe1",
+          "396dce6aedccd2474e9a89b7e3b2ecc40178ab8695caa472cc3e9cfae1610479"),
+    "hat": ("316f2326a8fcdea73e9efb72410638ad22c54472f473443c24d36390dbbcd79a",
+            "396dce6aedccd2474e9a89b7e3b2ecc40178ab8695caa472cc3e9cfae1610479"),
+    "B2": ("edfbe6ea19010b5f8cb2778aeff96a62141e68274e8b5b4a0ed257a7fcd79c10",
+           "d7804f0174d9e6d1751ab8c72d3b1039debef12ccdcc739ec70120fea489c4f4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILD))
+def test_build_output_is_golden(name, poset_zoo, tmp_path, monkeypatch):
+    # relative paths: the poset path is written into the K file's name
+    monkeypatch.chdir(tmp_path)
+    dump_json(poset_to_doc(poset_zoo[name].poset, name=name), f"{name}.json")
+    code, out, _ = run(["build", "--poset", f"{name}.json", "--out", "K.json"])
+    assert code == 0
+    digests = (hashlib.sha256((tmp_path / "K.json").read_bytes()).hexdigest(),
+               hashlib.sha256(out.encode()).hexdigest())
+    assert digests == GOLDEN_BUILD[name]
 
 
 def test_build_unbounded_is_input_error(workdir):
@@ -172,9 +200,17 @@ def test_fuzz_deterministic_and_green(workdir):
     assert out1.strip().splitlines()[-1] == "RESULT pass=8 fail=0"
 
 
-def test_fuzz_bad_config_is_2():
-    code, _, _ = run(["fuzz", "--max-size", "0", "--samples", "1", "--seed", "1"])
+@pytest.mark.parametrize("option, value", [
+    ("--max-size", "0"), ("--samples", "0"), ("--jobs", "0"),
+    ("--seed", "-1"), ("--seed", "18446744073709551616"),
+], ids=["max-size-0", "samples-0", "jobs-0", "seed-negative", "seed-2to64"])
+def test_fuzz_bad_config_is_2(option, value):
+    # argparse keeps the last occurrence of a repeated option
+    code, out, err = run(["fuzz", "--max-size", "1", "--samples", "1", "--seed", "1",
+                          option, value])
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
 
 
 def test_fuzz_generator_is_index_stable():

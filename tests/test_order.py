@@ -1,10 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from princlat.errors import CycleDetected, DuplicateElement, NoOne, NoZero, UnknownElement
-from princlat.lattice import as_lattice
+from princlat.lattice import as_lattice, m3
 from princlat.order import (
     containment_order,
     down_sets,
@@ -131,6 +133,19 @@ def test_order_iso_chain_vs_its_down_sets():
     p = validate_poset(["0", "p", "q", "1"], [("0", "p"), ("p", "q"), ("q", "1")])
     family = containment_order(down_sets(p, nonempty_only=True))
     assert order_iso(p, family) is not None
+
+
+def test_order_iso_leaves_no_reference_cycles():
+    # everything one call allocates is freed by reference counting alone;
+    # the witness is the first in assignment order, here the identity of M3
+    m = m3().poset
+    gc.collect()
+    gc.disable()
+    try:
+        assert order_iso(m, m) == {x: x for x in m.elements}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @st.composite
