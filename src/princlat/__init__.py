@@ -1,13 +1,14 @@
 """Finite-lattice congruence engine and bounded-order realization toolkit.
 
 The library has two halves.  The congruence engine works on any finite
-lattice: principal congruences by worklist closure, the full congruence
-order, the principal-congruence order, and the valuation counting how
-many principal congruences a congruence needs.  Each lattice is analysed
+lattice: principal congruences, the full congruence order, the
+principal-congruence order, and the valuation counting how many
+principal congruences a congruence needs.  Each lattice is analysed
 once (``FiniteLattice.con_analysis``): inside that analysis a congruence
 is an int bitmask over the join-irreducibles J(L), bit j set iff it
 collapses j with its lower cover, so join is OR and refinement is the
-subset test; only |J(L)| worklist closures are run.  The
+subset test; the masks come from the join-dependency relation on J(L),
+and the worklist closure is kept as a reference for the tests.  The
 construction half realizes any finite bounded order P as the order of
 principal congruences of a lattice built from per-comparability gadgets,
 and ships a verifier that re-checks every structural property of the

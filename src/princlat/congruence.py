@@ -4,10 +4,11 @@ Inside the engine a congruence theta is one int bitmask over the
 join-irreducibles J(L): bit k is set iff theta collapses the k-th
 join-irreducible j with its unique lower cover j_.  Join is OR and
 refinement is the subset test.  :class:`ConAnalysis` builds, once per
-lattice, the masks of the |J(L)| congruences con(j_, j) by worklist
-closure, and from them Con L (the OR-closure), every principal
-congruence con(a, b) (the OR over the j below b and not below a) and the
-valuation (breadth-first ORs); its docstring proves the facts used.
+lattice, the masks of the |J(L)| congruences con(j_, j) from the
+join-dependency relation on J(L) and its transitive closure, and from
+them Con L (the OR-closure), every principal congruence con(a, b) (the
+OR over the j below b and not below a) and the valuation (breadth-first
+ORs); its docstring proves the facts used.
 
 At the API boundary a congruence is a :class:`CongruenceRelation`, a
 canonical label vector: ``labels[i]`` is the block id of element ``i``,
@@ -15,7 +16,9 @@ with blocks numbered by first occurrence.  The closure engine
 (:func:`principal_congruence`, :func:`join_congruences`) is a worklist
 algorithm on label vectors: merging two blocks enqueues the merged pair,
 and processing a pair enforces the substitution property against all
-elements at once via the dense join/meet tables.
+elements at once via the dense join/meet tables.  The analysis never
+runs it; it is the independent reference the tests check the analysis
+against.
 """
 
 from __future__ import annotations
@@ -245,6 +248,12 @@ def cover_principals(lat: FiniteLattice) -> dict[tuple[int, int], CongruenceRela
     return out
 
 
+def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
+    """One int per boolean row, bit i set iff the row is True at column i."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
 def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
     """Read-only ``leq[x, y]`` iff ``masks[x]`` is a subset of ``masks[y]``.
 
@@ -290,7 +299,7 @@ class ConAnalysis:
 
     Let J be the join-irreducibles of L (one lower cover ``j_``), bit k
     standing for ``joinirr[k]``.  A congruence theta is stored as the mask
-    M(theta) = {j : j_ theta j}.  The engine rests on one fact: for a <= b,
+    M(theta) = {j : j_ theta j}.  The engine rests on (*) and (**) below.  For a <= b,
 
         con(a, b) = join of con(j_, j) over j in J with j <= b, j not <= a.   (*)
 
@@ -310,13 +319,49 @@ class ConAnalysis:
       psi steps from j_ to j, moved into [j_, j] by z -> (z v j_) ^ j, has
       a step from j_ to j), hence join-prime, Con L being distributive.
       So M(theta v psi) = M(theta) | M(psi): join is OR, and Con L is the
-      OR-closure of the masks cm[k] of the con(j_, j), one closure each.
+      OR-closure of the masks cm[k] of the con(j_, j).
     * con(a, b) has mask OR{cm[k] : k in J(b) minus J(a)} by (*).
     * Blocks: let r(x) = J(x) minus M.  For a <= b, a theta b iff J(b)
       minus J(a) lies in M, i.e. r(a) = r(b).  x theta y iff x and y are
       both congruent to x ^ y, and r(x ^ y) = r(x) & r(y), so x theta y
       iff r(x) = r(y).  Numbering the distinct r(x) by first occurrence
       gives the canonical label vector.
+
+    The masks cm[k] come from the dependency relation on J (Day, Canad.
+    J. Math. 31, 1979; Freese, "Computing congruences efficiently",
+    Algebra Universalis 59, 2008), not from closures: j D k iff some x in
+    L has j <= k v x and j not <= k_ v x.  D is reflexive (take x = 0),
+    and with D* its transitive closure,
+
+        con(j_, j) <= con(k_, k)  iff  j D* k,                          (**)
+
+    so cm[k] = {j : j D* k}.  Both directions use that J(j) minus J(j_)
+    = {j}: a join-irreducible strictly below j is below j_.
+
+    Proof of "if".  D* chains compose, so take j D k, witnessed by x,
+    and theta = con(k_, k).  Then k_ v x theta k v x; meeting with j,
+    j ^ (k_ v x) theta j ^ (k v x) = j.  The left side is below j and not
+    j, so at most j_, and j_ theta j by convexity of blocks.
+
+    Proof of "only if".  Let M = {j : j D* k} and x ~ y iff r(x) = r(y),
+    with r(x) = J(x) minus M.  By the fact above ~ holds on (k_, k), as
+    k is in M, and on (j_, j) only for j in M.  So if ~ is a congruence,
+    con(j_, j) <= con(k_, k) <= ~ puts j in M.  It is an equivalence,
+    and r(x ^ y) = r(x) & r(y) makes it respect meets.  For joins, as
+    x ~ x ^ x' ~ x' when x ~ x', take x' <= x with J(x) minus J(x') in
+    M, and show r(x v y) = r(x' v y) by induction on |J(x) minus J(x')|
+    (at 0, x = x').  Let k' be minimal in J(x) minus J(x').  The
+    join-irreducibles strictly below k' lie in J(x'), by minimality, so
+    k'_ <= x'.  x'' = x' v k' is between x' and x and k' is in J(x''),
+    so r(x v y) = r(x'' v y) by induction.  With w = x' v y >= k'_,
+    every j in J below k' v w and not below w = k'_ v w has j D k', so
+    j is in M (k' is); hence r(x'' v y) = r(k' v w) = r(w) = r(x' v y).
+
+    D is built a block at a time: for each k, the bits j with
+    j <= k v x and not j <= k_ v x, over all x at once, from the join
+    table rows of k and k_; D* is a Warshall closure of a |J| x |J|
+    boolean matrix.  The label-vector closure (:func:`principal_congruence`)
+    runs only as the reference the tests compare cm against.
 
     Built once per lattice (``FiniteLattice.con_analysis``); the public
     functions below are views of it.  It holds ints, tuples and the
@@ -333,16 +378,18 @@ class ConAnalysis:
             lower.setdefault(j, []).append(i)
         self.joinirr = tuple(j for j in range(lat.n) if len(lower.get(j, ())) == 1)
         self.lower_cover = tuple(lower[j][0] for j in self.joinirr)
-        jbelow = [0] * lat.n
-        for k, j in enumerate(self.joinirr):
-            for x in np.nonzero(lat.leq[j])[0].tolist():
-                jbelow[x] |= 1 << k
-        self.jbelow = tuple(jbelow)
-        els = lat.elements
-        self.cm = tuple(
-            self.mask_of(principal_congruence(lat, els[lo], els[j]).labels)
-            for j, lo in zip(self.joinirr, self.lower_cover)
-        )
+        below = lat.leq[list(self.joinirr)].T  # below[x, k]: joinirr[k] <= x
+        self.jbelow = _row_masks(below)
+        # packed[x] has bit k set iff joinirr[k] <= x; dep[k] has bit j set
+        # iff j D k, and x = bottom puts k in it
+        packed = np.packbits(below, axis=1, bitorder="little")
+        dep = np.empty((len(self.joinirr), packed.shape[1]), dtype=np.uint8)
+        for k, (j, lo) in enumerate(zip(self.joinirr, self.lower_cover)):
+            np.bitwise_or.reduce(packed[lat.join[j]] & ~packed[lat.join[lo]], axis=0, out=dep[k])
+        reach = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
+        for m in range(len(self.joinirr)):  # Warshall: reach[k, j] iff j D* k
+            reach[reach[:, m]] |= reach[m]
+        self.cm = _row_masks(reach)
         self._labels: dict[int, tuple[int, ...]] = {}
         self._principal: dict[int, int] = {}
 

@@ -34,7 +34,6 @@ from .congruence import (
     is_congruence,
     is_I_congruence,
     order_mismatch,
-    principal_congruence,
     princ_order,
     zero_congruence,
 )
@@ -62,6 +61,7 @@ from .order import (
     BoundedPoset,
     DownSet,
     Poset,
+    _bool_product,
     _freeze,
     down_sets,
     is_down_set,
@@ -176,6 +176,14 @@ def _check_gadget(t: GadgetTemplate) -> None:
     gadget_battery(t)
 
 
+def _con(lat: FiniteLattice, x: str, y: str) -> CongruenceRelation:
+    """con(x, y) = con(x ^ y, x v y), read from the lattice's analysis."""
+    an = lat.con_analysis
+    i, j = lat.index(x), lat.index(y)
+    mask = an.principal(int(lat.meet[i, j]), int(lat.join[i, j]))
+    return CongruenceRelation(lat, an.labels(mask))
+
+
 def gadget_battery(t: GadgetTemplate) -> None:
     """The congruence battery of the comparability gadget.
 
@@ -189,16 +197,9 @@ def gadget_battery(t: GadgetTemplate) -> None:
     cn = set(lat.poset.cover_names())
     if (r["d"], r["e"]) not in cn or (r["b_p"], r["g"]) not in cn:
         raise TemplateInvalid(t.name, "required-prime-intervals")
-    an = lat.con_analysis
-
-    def con_of(x, y):
-        i, j = lat.index(x), lat.index(y)
-        return CongruenceRelation(lat, an.labels(an.principal(int(lat.meet[i, j]),
-                                                               int(lat.join[i, j]))))
-
-    tp = con_of(r["a_p"], r["b_p"])
-    tq = con_of(r["a_q"], r["b_q"])
-    if con_of(r["d"], r["e"]) != tp:
+    tp = _con(lat, r["a_p"], r["b_p"])
+    tq = _con(lat, r["a_q"], r["b_q"])
+    if _con(lat, r["d"], r["e"]) != tp:
         raise TemplateInvalid(t.name, "lower-congruence-generators")
     if not tp.collapses(r["f"], r["g"]):
         raise TemplateInvalid(t.name, "upper-rail-pair")
@@ -206,7 +207,7 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "congruence-comparability")
     if not (is_I_congruence(lat, tp) and is_I_congruence(lat, tq)):
         raise TemplateInvalid(t.name, "isolating")
-    if not con_of(r["b_p"], r["g"]).collapses(r["o"], r["c"]):
+    if not _con(lat, r["b_p"], r["g"]).collapses(r["o"], r["c"]):
         raise TemplateInvalid(t.name, "collapse-witness")
     con = all_congruences(lat)
     icons = [x for x in con.congruences if is_I_congruence(lat, x)]
@@ -230,7 +231,7 @@ def gadget_battery(t: GadgetTemplate) -> None:
                 if not (lat.leq[a, b] or lat.leq[b, a]):
                     raise TemplateInvalid(t.name, "block-chain")
     for edge in prime_intervals(lat):
-        theta = con_of(edge.lower, edge.upper)
+        theta = _con(lat, edge.lower, edge.upper)
         if is_I_congruence(lat, theta) and theta not in (tp, tq):
             raise TemplateInvalid(t.name, "prime-interval-dichotomy", f"{edge}")
     if lattice_iso(quotient(lat, tq), c2_times_c3()) is None:
@@ -372,8 +373,8 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     """Assemble the realizing lattice for a finite bounded order."""
     s = templates["S"]
     rs = {role: ph for ph, role in s.role_map.items()}
-    theta_p = principal_congruence(s.lattice, rs["a_p"], rs["b_p"])
-    theta_q = principal_congruence(s.lattice, rs["a_q"], rs["b_q"])
+    theta_p = _con(s.lattice, rs["a_p"], rs["b_p"])
+    theta_q = _con(s.lattice, rs["a_q"], rs["b_q"])
     tp_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_p)))
     tq_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_q)))
 
@@ -381,7 +382,7 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         return _assemble_degenerate(P, tp_pairs, tq_pairs)
 
     placed = []  # (instance id, template, placeholder -> element name)
-    leq_pairs: set[tuple[str, str]] = set()
+    names: set[str] = set()
     membership: dict[str, set[str]] = {}
     s_instances: dict[tuple[str, str], dict[str, str]] = {}
     for inst_id, kind, params in _instances(P):
@@ -392,11 +393,7 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         except KeyError as exc:
             raise InvalidInput(f"template {kind} role {exc} has no naming") from None
         placed.append((inst_id, t, renamed))
-        n = t.poset.n
-        for a in range(n):
-            for b in range(n):
-                if t.poset.leq[a, b]:
-                    leq_pairs.add((renamed[t.poset.elements[a]], renamed[t.poset.elements[b]]))
+        names.update(renamed[ph] for ph in t.poset.elements)
         if kind in ("S", "Cp", "frame"):
             for ph in t.poset.elements:
                 membership.setdefault(renamed[ph], set()).add(inst_id)
@@ -405,7 +402,7 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
                 role: naming[role] for role in S_ROLE_SET
             }
 
-    elements = tuple(sorted({x for pair in leq_pairs for x in pair}))
+    elements = tuple(sorted(names))
     expected = 2 + 2 + 5 * len(P.comparabilities()) + sum(
         2 for _ in P.interior
     )
@@ -417,11 +414,12 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     pos = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     leq = np.zeros((n, n), dtype=bool)
-    for a, b in leq_pairs:
-        leq[pos[a], pos[b]] = True
+    for _, t, renamed in placed:
+        idx = [pos[renamed[ph]] for ph in t.poset.elements]
+        leq[np.ix_(idx, idx)] |= t.poset.leq
     # the union of instance orders must already be transitively closed:
     # any extra comparability would not be attributable to a template
-    closure = leq | (leq @ leq)
+    closure = leq | _bool_product(leq, leq)
     if not np.array_equal(closure, leq):
         bad = np.argwhere(closure & ~leq)[0]
         raise AssemblyNotALattice(
@@ -743,7 +741,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         for p in P.interior:
             a, b = result.anchor[p]
-            theta = principal_congruence(lat, a, b)
+            theta = _con(lat, a, b)
             if not is_I_congruence(lat, theta):
                 raise VerificationFailed("principal-correspondence", witness=p)
             expect = tuple(sorted(set(principal_down_set(P.poset, p).members) - {P.zero}))

@@ -39,10 +39,14 @@ class Poset:
     def n(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
     def index(self, name: str) -> int:
         try:
-            return self.elements.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise UnknownElement(f"unknown element {name!r}") from None
 
     def le(self, x: str, y: str) -> bool:
@@ -51,7 +55,7 @@ class Poset:
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as index pairs, sorted."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        red = strict & ~(strict @ strict)
+        red = strict & ~_bool_product(strict, strict)
         return sorted(zip(*np.nonzero(red)))
 
     def cover_names(self) -> list[tuple[str, str]]:
@@ -180,6 +184,24 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
         if np.array_equal(step, closure):
             return closure
         closure = step
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product: row x is the OR of the rows of b where a[x] is True.
+
+    Numpy's ``@`` on booleans runs no BLAS kernel and grows as n^3; the
+    row-wise OR costs a few microseconds of Python per row.  ``@`` is
+    faster below about 100 rows, the row-wise OR above (2x at 160 rows,
+    35x at 636).
+    """
+    if a.shape[0] < 100:
+        return a @ b
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
+    for x, row in enumerate(a):
+        hits = np.flatnonzero(row)
+        if hits.size:
+            np.logical_or.reduce(b[hits], axis=0, out=out[x])
+    return out
 
 
 def to_bounded(p: Poset) -> BoundedPoset:

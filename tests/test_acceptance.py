@@ -65,6 +65,7 @@ from princlat.order import (
 from conftest import random_lattices
 from gadget_space import double_gadget, gadgets, grid_lattices
 from test_congruence import (
+    closure_masks,
     congruences_by_brute_force,
     find_valuation_two_witness,
     intersect_labels,
@@ -118,6 +119,14 @@ def test_criterion_2_congruence_count(corpus):
     report(2, "congruence/down-set count", ok)
     for P, result, con, downs in corpus:
         assert len(con) == len(downs), P.poset.cover_names()
+
+
+def test_dependency_masks_match_closures_on_the_corpus(corpus):
+    # the masks of the con(j_, j) every criterion above reads, against the
+    # label-vector closure
+    for P, result, con, downs in corpus:
+        assert result.lattice.con_analysis.cm == closure_masks(result.lattice), (
+            P.poset.cover_names())
 
 
 def test_criterion_3_gadget_suite(templates):

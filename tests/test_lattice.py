@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from princlat.congruence import one_congruence, principal_congruence, zero_congruence
 from princlat.errors import NotACongruence, NotALattice
 from princlat.lattice import (
+    _bound_table,
     as_lattice,
     c2_times_c3,
     chain,
@@ -115,3 +119,65 @@ def test_quotient_length_shrinks():
         ["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
     theta = principal_congruence(lat, "a", "b")
     assert length(quotient(lat, theta)) <= length(lat)
+
+
+# ------------------------------------------- join/meet tables against a pair scan
+
+def pair_scan_bound_table(leq, upper):
+    """The reference: each pair x <= y in turn, its bound as the unique minimal
+    common bound, or None and (x, y, minimal common bounds) at the first failure."""
+    n = leq.shape[0]
+    strict = leq & ~np.eye(n, dtype=bool)
+    table = np.full((n, n), -1, dtype=np.int32)
+    for x in range(n):
+        for y in range(x, n):
+            if leq[x, y]:
+                b = y if upper else x
+            elif leq[y, x]:
+                b = x if upper else y
+            else:
+                common = leq[x] & leq[y] if upper else leq[:, x] & leq[:, y]
+                cand = np.nonzero(common)[0]
+                sub = strict[np.ix_(cand, cand)]
+                extremal = cand[~(sub.any(axis=0) if upper else sub.any(axis=1))]
+                if extremal.size != 1:
+                    return None, (x, y, tuple(int(e) for e in extremal))
+                b = int(extremal[0])
+            table[x, y] = table[y, x] = b
+    return table, None
+
+
+def random_poset(rng, bounded):
+    """A random poset on up to 11 elements; with ``bounded``, a new bottom and
+    top are added (often a lattice), without, it is rarely one."""
+    k = rng.randrange(1, 10)
+    names = [f"x{i}" for i in range(k)]
+    order = rng.sample(names, k)
+    covers = [(order[i], order[j]) for i in range(k) for j in range(i + 1, k)
+              if rng.random() < 0.35]
+    if bounded:
+        covers += [("bot", x) for x in names] + [(x, "top") for x in names]
+        names = ["bot"] + names + ["top"]
+    names = rng.sample(names, len(names))  # bounds need not come first
+    return validate_poset(names, covers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_bound_tables_match_a_pair_scan(seed, bounded):
+    p = random_poset(random.Random(seed), bounded)
+    for upper in (True, False):
+        table, witness = _bound_table(p.leq, upper)
+        want_table, want_witness = pair_scan_bound_table(p.leq, upper)
+        assert witness == want_witness
+        if want_table is None:
+            assert table is None
+        else:
+            assert np.array_equal(table, want_table)
+
+
+def test_random_posets_cover_lattices_and_non_lattices():
+    rng = random.Random(0)
+    kinds = {pair_scan_bound_table(random_poset(rng, bounded).leq, upper)[0] is None
+             for bounded in (True, False) for upper in (True, False) for _ in range(20)}
+    assert kinds == {True, False}

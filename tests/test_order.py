@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from princlat.errors import CycleDetected, DuplicateElement, NoOne, NoZero, UnknownElement
 from princlat.lattice import as_lattice, m3
 from princlat.order import (
+    _bool_product,
     containment_order,
     down_sets,
     order_iso,
@@ -189,3 +190,11 @@ def test_down_sets_are_downward_closed_and_distinct(p):
             xi = p.index(x)
             below = {p.elements[j] for j in range(p.n) if p.leq[j, xi]}
             assert below <= members
+
+
+@pytest.mark.parametrize("n", [7, 99, 100, 160])
+def test_bool_product_matches_matmul_on_both_sides_of_the_switch(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random((n, n)) < 0.05, rng.random((n, n)) < 0.05
+    a[0] = False  # a row with no True entries
+    assert np.array_equal(_bool_product(a, b), a @ b)
