@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NotICongruence, ValuationDiverged
 from .lattice import FiniteLattice
-from .order import Poset, _freeze
+from .order import Poset, _freeze, _transitive_closure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -242,10 +242,9 @@ def congruence_leq(a: CongruenceRelation, b: CongruenceRelation) -> bool:
 
 def cover_principals(lat: FiniteLattice) -> dict[tuple[int, int], CongruenceRelation]:
     """Principal congruences of all prime intervals (deduplicated keys kept)."""
-    out = {}
-    for i, j in lat.poset.covers():
-        out[(i, j)] = principal_congruence(lat, lat.elements[i], lat.elements[j])
-    return out
+    an = lat.con_analysis
+    return {(i, j): CongruenceRelation(lat, an.labels(an.principal(i, j)))
+            for i, j in lat.poset.covers()}
 
 
 def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
@@ -359,7 +358,7 @@ class ConAnalysis:
 
     D is built a block at a time: for each k, the bits j with
     j <= k v x and not j <= k_ v x, over all x at once, from the join
-    table rows of k and k_; D* is a Warshall closure of a |J| x |J|
+    table rows of k and k_; D* is the transitive closure of a |J| x |J|
     boolean matrix.  The label-vector closure (:func:`principal_congruence`)
     runs only as the reference the tests compare cm against.
 
@@ -386,10 +385,8 @@ class ConAnalysis:
         dep = np.empty((len(self.joinirr), packed.shape[1]), dtype=np.uint8)
         for k, (j, lo) in enumerate(zip(self.joinirr, self.lower_cover)):
             np.bitwise_or.reduce(packed[lat.join[j]] & ~packed[lat.join[lo]], axis=0, out=dep[k])
-        reach = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
-        for m in range(len(self.joinirr)):  # Warshall: reach[k, j] iff j D* k
-            reach[reach[:, m]] |= reach[m]
-        self.cm = _row_masks(reach)
+        dep = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
+        self.cm = _row_masks(_transitive_closure(dep))  # row k: {j : j D* k}
         self._labels: dict[int, tuple[int, ...]] = {}
         self._principal: dict[int, int] = {}
 

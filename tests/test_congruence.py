@@ -9,6 +9,7 @@ from princlat.congruence import (
     CongruenceRelation,
     all_congruences,
     congruence_leq,
+    cover_principals,
     is_congruence,
     is_I_congruence,
     join_congruences,
@@ -354,6 +355,14 @@ def closure_masks(lat):
 def test_dependency_masks_match_closures(seed):
     for lat in random_lattices(seed, 3, max_size=12):
         assert lat.con_analysis.cm == closure_masks(lat)
+
+
+def test_cover_principals_match_closures():
+    for lat in random_lattices(17, 10, max_size=12):
+        covers = cover_principals(lat)
+        assert sorted(covers) == sorted(lat.poset.covers())
+        for (x, y), theta in covers.items():
+            assert theta == principal_congruence(lat, lat.elements[x], lat.elements[y])
 
 
 def test_one_analysis_per_lattice(monkeypatch):

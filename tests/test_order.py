@@ -9,6 +9,7 @@ from princlat.errors import CycleDetected, DuplicateElement, NoOne, NoZero, Unkn
 from princlat.lattice import as_lattice, m3
 from princlat.order import (
     _bool_product,
+    _transitive_closure,
     containment_order,
     down_sets,
     order_iso,
@@ -192,9 +193,13 @@ def test_down_sets_are_downward_closed_and_distinct(p):
             assert below <= members
 
 
-@pytest.mark.parametrize("n", [7, 99, 100, 160])
-def test_bool_product_matches_matmul_on_both_sides_of_the_switch(n):
+@pytest.mark.parametrize("n", [1, 7, 40, 160])
+def test_bool_product_and_closure_match_matmul(n):
     rng = np.random.default_rng(n)
     a, b = rng.random((n, n)) < 0.05, rng.random((n, n)) < 0.05
     a[0] = False  # a row with no True entries
     assert np.array_equal(_bool_product(a, b), a @ b)
+    closure = a.copy()  # cycles included: the relation is not an order
+    while not np.array_equal(closure | (closure @ closure), closure):
+        closure |= closure @ closure
+    assert np.array_equal(_transitive_closure(a), closure)
