@@ -5,16 +5,21 @@ The comparability gadget S was pinned down by exhaustive search (see
 derive_gadget.py): it is the unique lattice on the eleven placeholders,
 with at most 16 cover edges, satisfying the full congruence battery.
 The three double-gadget lattices are the transitive-closure glueings of
-two S copies over the shared bound pair, and are recomputed here rather
-than transcribed by hand.
+two S copies over the shared bound pair.  How the copies glue is stated
+once, in ``construction.AMALGAM_COPIES``; the glued cover lists come from
+``construction.amalgam_covers`` and only the placeholder names are chosen
+here.
 """
 
 import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from princlat.construction import AMALGAM_COPIES, GadgetTemplate, amalgam_covers
+from princlat.lattice import as_lattice
 from princlat.order import validate_poset
 
 S_COVERS = [
@@ -34,42 +39,28 @@ S_ROLES = {
     "c": "c", "d": "d", "e": "e", "f": "f", "g": "g",
 }
 
-# second-copy renamings for the three gadget overlaps
-GLUE = {
-    # chain shape: copy2's lower pair is copy1's upper pair
-    "SC": (
-        {"c": "c1", "d": "d1", "e": "e1", "f": "f1", "g": "g1"},
-        {"ap": "aq", "bp": "bq", "aq": "aq2", "bq": "bq2",
-         "c": "c2", "d": "d2", "e": "e2", "f": "f2", "g": "g2"},
-        {"aq2": "a_q'", "bq2": "b_q'"},
-    ),
-    # V shape: both copies share the lower pair
-    "SV": (
-        {"c": "c1", "d": "d1", "e": "e1", "f": "f1", "g": "g1"},
-        {"aq": "aq2", "bq": "bq2",
-         "c": "c2", "d": "d2", "e": "e2", "f": "f2", "g": "g2"},
-        {"aq2": "a_q'", "bq2": "b_q'"},
-    ),
-    # hat shape: both copies share the upper pair
-    "SH": (
-        {"ap": "ap1", "bp": "bp1", "c": "c1", "d": "d1", "e": "e1", "f": "f1", "g": "g1"},
-        {"ap": "ap2", "bp": "bp2",
-         "c": "c2", "d": "d2", "e": "e2", "f": "f2", "g": "g2"},
-        {"ap1": "a_p", "bp1": "b_p", "ap2": "a_p'", "bp2": "b_p'"},
-    ),
-}
+# roles whose placeholder is numbered 1 when the amalgam also has their
+# primed twin (numbered 2): the rails c..g always, and in SH the lower frame
+# pair; SC and SV keep a_q, b_q unnumbered next to aq2, bq2
+NUMBERED = {"a_p", "b_p", "c", "d", "e", "f", "g"}
 
 
-def rename(covers, mapping):
-    return [[mapping.get(a, a), mapping.get(b, b)] for a, b in covers]
+def placeholder(role, roles):
+    """The placeholder of an amalgam role, given all roles of the amalgam."""
+    base = role.rstrip("'").replace("_", "")
+    if role.endswith("'"):
+        return base + "2"
+    if role in NUMBERED and role + "'" in roles:
+        return base + "1"
+    return base
 
 
 def poset_doc(name, elements, covers):
     return {"name": name, "elements": list(elements), "covers": [list(c) for c in covers]}
 
 
-def main():
-    outdir = Path(__file__).resolve().parent.parent / "src" / "princlat" / "templates"
+def main(outdir=ROOT / "src" / "princlat" / "templates"):
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     def dump(stem, doc, roles):
@@ -79,27 +70,18 @@ def main():
     els = sorted({x for e in S_COVERS for x in e})
     dump("S", poset_doc("S", els, sorted(S_COVERS)), S_ROLES)
 
-    for name, (m1, m2, role_over) in GLUE.items():
-        c1 = rename(S_COVERS, m1)
-        c2 = rename(S_COVERS, m2)
-        els = sorted({x for e in c1 + c2 for x in e})
-        covers = sorted({(a, b) for a, b in (tuple(x) for x in c1 + c2)})
+    s_poset = validate_poset(els, S_COVERS)
+    s = GadgetTemplate("S", s_poset, S_ROLES, as_lattice(s_poset))
+    for name in AMALGAM_COPIES:
+        # the glueing of the two S copies, as construction states it
+        role_covers = amalgam_covers(s, name)
+        roles = {r for e in role_covers for r in e}
+        ph = {r: placeholder(r, roles) for r in roles}
+        els = sorted(ph.values())
         # store the transitive reduction of the glued order
-        p = validate_poset(els, covers)
+        p = validate_poset(els, sorted((ph[a], ph[b]) for a, b in role_covers))
         doc = poset_doc(name, els, p.cover_names())
-        roles = {}
-        for ph in els:
-            if ph in role_over:
-                roles[ph] = role_over[ph]
-            elif ph in S_ROLES:
-                roles[ph] = S_ROLES[ph]
-            elif ph.endswith("1"):
-                roles[ph] = S_ROLES[ph[:-1]]
-            elif ph.endswith("2"):
-                roles[ph] = S_ROLES[ph[:-1]] + "'"
-            else:
-                raise AssertionError(ph)
-        dump(name, doc, roles)
+        dump(name, doc, {ph[r]: r for r in sorted(roles, key=ph.get)})
 
     dump("Cp", poset_doc("Cp", ["o", "a", "b", "i"], [["o", "a"], ["a", "b"], ["b", "i"]]),
          {"o": "o", "a": "a_p", "b": "b_p", "i": "i"})

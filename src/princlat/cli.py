@@ -8,6 +8,7 @@ and seed; timings are reported on stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -135,6 +136,9 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parse_args never mutates the parser, and nothing
+# else touches it after it is built.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="princlat",

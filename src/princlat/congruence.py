@@ -51,12 +51,6 @@ class CongruenceRelation:
             by_label.setdefault(l, []).append(self.lattice.elements[i])
         return sorted((tuple(sorted(b)) for b in by_label.values()), key=lambda b: b[0])
 
-    def block_of(self, name: str) -> tuple[str, ...]:
-        l = self.labels[self.lattice.index(name)]
-        return tuple(sorted(
-            e for i, e in enumerate(self.lattice.elements) if self.labels[i] == l
-        ))
-
     def collapses(self, x: str, y: str) -> bool:
         return self.labels[self.lattice.index(x)] == self.labels[self.lattice.index(y)]
 
@@ -86,19 +80,27 @@ class CongruenceRelation:
 
 @dataclass(frozen=True)
 class ConOrder:
-    """Every congruence of a lattice, with the refinement order."""
+    """Every congruence of a lattice, ordered by block count (most first).
+
+    Only the zero congruence has |L| blocks and only the one congruence
+    has one, so they are the first and the last.
+    """
 
     lattice: FiniteLattice
     congruences: tuple[CongruenceRelation, ...]
-    leq: np.ndarray
+
+    @property
+    def leq(self) -> np.ndarray:
+        """The refinement order, |Con L| x |Con L|; built on first use."""
+        return self.lattice.con_analysis.con_leq
 
     @property
     def zero(self) -> CongruenceRelation:
-        return self.congruences[int(np.nonzero(self.leq.all(axis=1))[0][0])]
+        return self.congruences[0]
 
     @property
     def one(self) -> CongruenceRelation:
-        return self.congruences[int(np.nonzero(self.leq.all(axis=0))[0][0])]
+        return self.congruences[-1]
 
     def __len__(self):
         return len(self.congruences)
@@ -128,12 +130,6 @@ class Valuation:
 
     con_order: ConOrder
     values: tuple[int, ...]
-
-    def of(self, theta: CongruenceRelation) -> int:
-        for c, v in zip(self.con_order.congruences, self.values):
-            if c.labels == theta.labels:
-                return v
-        raise KeyError("congruence not in this lattice's ConOrder")
 
 
 def _canonical(labels: np.ndarray) -> tuple[int, ...]:
@@ -196,26 +192,44 @@ def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> Congruence
     return CongruenceRelation(a.lattice, _canonical(labels))
 
 
+def _block_firsts(labels: np.ndarray) -> np.ndarray:
+    """``first[r, i]``: the first element of i's block under row r of a label matrix.
+
+    A stable sort of each row lists every block's elements together and
+    in index order, so the first slot of a block holds its first element.
+    """
+    rows = np.arange(labels.shape[0])[:, None]
+    order = np.argsort(labels, axis=1, kind="stable")
+    grouped = labels[rows, order]
+    starts = np.ones(labels.shape, dtype=bool)
+    starts[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
+    slot = np.where(starts, np.arange(labels.shape[1]), 0)
+    np.maximum.accumulate(slot, axis=1, out=slot)  # the block's first slot, for each slot
+    first = np.empty_like(order)
+    first[rows, order] = order[rows, slot]
+    return first
+
+
 def is_congruence(lat: FiniteLattice, labels) -> tuple[bool, tuple[str, str, str] | None]:
     """Exhaustive substitution-property check of a partition.
 
     Returns (ok, witness); the witness is a triple (x, y, z) with x = y
-    mod the partition but x v z /= y v z (or the meet analogue).
+    mod the partition but x v z /= y v z (or the meet analogue): the
+    first x, with y the first element of its block, then joins before
+    meets, then the first z.  All elements are compared with the first
+    of their block at once, one table row each.
     """
     lab = np.asarray(labels)
-    reps: dict[int, int] = {}
-    for i in range(lat.n):
-        l = int(lab[i])
-        if l not in reps:
-            reps[l] = i
-            continue
-        r = reps[l]
-        for table in (lat.join, lat.meet):
-            bad = np.nonzero(lab[table[i]] != lab[table[r]])[0]
-            if bad.size:
-                z = int(bad[0])
-                return False, (lat.elements[i], lat.elements[r], lat.elements[z])
-    return True, None
+    first = _block_firsts(lab[None])[0]
+    rows = np.flatnonzero(first != np.arange(lat.n))
+    bad = [lab[t[rows]] != lab[t[first[rows]]] for t in (lat.join, lat.meet)]
+    hit = np.flatnonzero(bad[0].any(axis=1) | bad[1].any(axis=1))
+    if not hit.size:
+        return True, None
+    k = int(hit[0])
+    row = bad[0][k] if bad[0][k].any() else bad[1][k]
+    x, z = int(rows[k]), int(row.argmax())
+    return False, (lat.elements[x], lat.elements[int(first[x])], lat.elements[z])
 
 
 def zero_congruence(lat: FiniteLattice) -> CongruenceRelation:
@@ -277,20 +291,71 @@ def order_mismatch(thetas, members) -> tuple[int, int] | None:
     element has, under b, the label of the first element of its a-block.
     ``members`` is a boolean matrix with one row per congruence; row a is
     contained in row b iff it has no True outside it.  Filled a row at a
-    time: no temporary is larger than len(thetas) x |L|, len(thetas) x
-    width or |L| x |L|.
+    time: no temporary is larger than len(thetas) x |L| or len(thetas) x
+    width.
     """
     labels = np.array([t.labels for t in thetas])
     members = np.asarray(members, dtype=bool)
     outside = ~members
-    for a, row in enumerate(labels):
-        first = (row[:, None] == row).argmax(axis=1)  # first element of i's block, for each i
-        refines = (labels == labels[:, first]).all(axis=1)
+    first = _block_firsts(labels)
+    for a in range(len(labels)):
+        refines = (labels == labels[:, first[a]]).all(axis=1)
         contained = ~(outside & members[a]).any(axis=1)
         bad = np.flatnonzero(refines != contained)
         if bad.size:
             return a, int(bad[0])
     return None
+
+
+def cover_certificate(thetas, members) -> bool:
+    """Whether refinement and containment agree on all pairs, checked on covers only.
+
+    Takes the input of :func:`order_mismatch` and returns True iff it
+    finds no mismatch, provided the rows of ``members`` are all the down
+    sets of a poset on the columns, or all the nonempty ones, each once.
+    Writing theta_H for the congruence of down set H, the map H -> theta_H
+    is then an order embedding iff
+
+      (i) theta_H refines theta_{H u {p}} for every cover H < H u {p}
+          of the family, and
+      (ii) theta_{down p} refines theta_H iff p is in H, for every H and p.
+
+    Proof.  An embedding satisfies both, as down p is in the family and
+    is contained in H iff p is in H.  Conversely, if H is contained in
+    H', adding the elements of H' minus H in a linear-extension order
+    passes through down sets only (nonempty ones, if H is nonempty), so
+    (i) and transitivity give theta_H <= theta_H'.  If p is in H but not
+    in H', then theta_{down p} <= theta_H by (ii) and theta_{down p} is
+    not <= theta_H', so theta_H is not <= theta_H'.  Only transitivity of
+    refinement is used.
+
+    Refinement is read from the label vectors, as in order_mismatch: a
+    refines b iff every element has, under b, the label of the first
+    element of its a-block (only the elements that are not first need
+    comparing).  The checks run one column p at a time, so no temporary is
+    larger than len(thetas) x |L| small ints; down p is the smallest row
+    holding p.
+    """
+    labels = np.array([t.labels for t in thetas])
+    members = np.asarray(members, dtype=bool)
+    first = _block_firsts(labels)  # first[r, i]: first element of i's block under thetas[r]
+    keys = _row_masks(members)
+    row_of = {key: r for r, key in enumerate(keys)}
+    sizes = members.sum(axis=1)
+    for p in range(members.shape[1]):
+        has = members[:, p]
+        lo = np.flatnonzero(~has)
+        hi = np.array([row_of.get(keys[r] | 1 << p, -1) for r in lo.tolist()], dtype=np.intp)
+        lo, hi = lo[hi >= 0], hi[hi >= 0]
+        up = labels[hi]
+        if not (up[np.arange(len(hi))[:, None], first[lo]] == up).all():  # (i)
+            return False
+        down = np.flatnonzero(has)[sizes[has].argmin()]
+        moved = np.flatnonzero(first[down] != np.arange(labels.shape[1]))  # not first in block
+        if not np.array_equal((labels[:, first[down, moved]] == labels[:, moved]).all(axis=1),
+                              has):  # (ii)
+            return False
+    return True
 
 
 class ConAnalysis:
@@ -509,9 +574,9 @@ def _relations(lat: FiniteLattice, masks) -> tuple[CongruenceRelation, ...]:
 
 
 def all_congruences(lat: FiniteLattice) -> ConOrder:
-    """Every congruence, ordered by block count, with the refinement order."""
+    """Every congruence, ordered by block count; the refinement order is lazy."""
     an = lat.con_analysis
-    return ConOrder(lat, _relations(lat, an.con_masks), an.con_leq)
+    return ConOrder(lat, _relations(lat, an.con_masks))
 
 
 def principal_congruences_with_witnesses(
@@ -544,11 +609,7 @@ def is_I_congruence(lat: FiniteLattice, theta: CongruenceRelation) -> bool:
     if theta.is_zero():
         return False
     lab = theta.labels
-    for bound in (lat.bottom, lat.top):
-        b = lab[lat.index(bound)]
-        if sum(1 for l in lab if l == b) != 1:
-            return False
-    return True
+    return all(lab.count(lab[lat.index(bound)]) == 1 for bound in (lat.bottom, lat.top))
 
 
 def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, ...]:
@@ -559,12 +620,10 @@ def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, .
     """
     if not is_I_congruence(result.lattice, beta):
         raise NotICongruence("base is defined for I-congruences only")
-    out = []
-    for p in result.source.interior:
-        a, b = result.anchor[p]
-        if beta.collapses(a, b):
-            out.append(p)
-    return tuple(sorted(out))
+    lab = beta.labels
+    anchors = result.anchor_index
+    return tuple(sorted(p for p in result.source.interior
+                        if lab[anchors[p][0]] == lab[anchors[p][1]]))
 
 
 def valuation(lat: FiniteLattice, con: ConOrder | None = None) -> Valuation:

@@ -18,6 +18,7 @@ figure:
 import io
 import itertools
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -34,12 +35,16 @@ from princlat.congruence import (
     principal_congruence,
     valuation,
     base,
+    cover_certificate,
+    order_mismatch,
 )
 from princlat.construction import (
     AMALGAM_COPIES,
+    _membership,
     assemble_K,
     beta_H,
     load_templates,
+    phi,
 )
 from princlat.errors import AssemblyNotALattice
 from princlat.fuzzing import random_bounded_poset, run_fuzz
@@ -127,6 +132,32 @@ def test_dependency_masks_match_closures_on_the_corpus(corpus):
     for P, result, con, downs in corpus:
         assert result.lattice.con_analysis.cm == closure_masks(result.lattice), (
             P.poset.cover_names())
+
+
+def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_zoo):
+    # the inputs of phi's order check and of the downset-congruence stage, as
+    # verify builds them, then with two congruences swapped or one repeated
+    rng = random.Random(20260201)
+    samples = [(P, result) for P, result, _, _ in corpus]
+    samples += [(P, assemble_K(P, templates)) for P in poset_zoo.values()]
+    for P, result in samples:
+        forward = phi(result).forward
+        cons = list(forward)
+        inputs = [(cons, _membership([forward[t].members for t in cons], P.elements))]
+        if not result.degenerate:
+            family = [ds.members for ds in down_sets(P.interior_poset)]
+            inputs.append(([beta_H(result, h) for h in family], _membership(family, P.interior)))
+        for thetas, rows in inputs:
+            assert cover_certificate(thetas, rows), P.poset.cover_names()
+            if len(thetas) < 2:
+                continue
+            a, b = rng.sample(range(len(thetas)), 2)
+            swapped, repeated = list(thetas), list(thetas)
+            swapped[a], swapped[b] = thetas[b], thetas[a]
+            repeated[a] = thetas[b]
+            for variant in (swapped, repeated):
+                assert cover_certificate(variant, rows) == (
+                    order_mismatch(variant, rows) is None), P.poset.cover_names()
 
 
 def test_criterion_3_gadget_suite(templates):

@@ -224,3 +224,17 @@ def test_fuzz_jobs_match_sequential():
     par = run_fuzz(5, 6, seed=99, jobs=2)
     assert [(o.index, o.size, o.k_size, o.passed) for o in seq] == \
            [(o.index, o.size, o.k_size, o.passed) for o in par]
+
+
+def test_parser_is_built_once_and_survives_any_call_order(workdir):
+    from princlat.cli import build_parser
+
+    m3 = ["con", "--lattice", str(workdir / "m3.json")]
+    first = run(m3)
+    assert run(["fuzz", "--max-size", "0", "--samples", "1", "--seed", "1"])[0] == 2
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["fuzz", "--max-size", "1"])  # argparse rejects the missing options
+    assert exc.value.code == 2
+    assert run(m3) == first
+    assert first[0] == 0
+    assert build_parser() is build_parser()

@@ -1,14 +1,17 @@
 import itertools
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from princlat.congruence import (
     CongruenceRelation,
     all_congruences,
     congruence_leq,
+    cover_certificate,
     cover_principals,
     is_congruence,
     is_I_congruence,
@@ -21,7 +24,7 @@ from princlat.congruence import (
     zero_congruence,
 )
 from princlat.lattice import as_lattice, chain, lattice_from_covers, m3
-from princlat.order import validate_poset
+from princlat.order import down_sets, validate_poset
 
 from conftest import random_lattices
 
@@ -310,9 +313,11 @@ def test_engine_con_matches_brute_force(seed):
         got = [t.labels for t in con.congruences]
         assert len(got) == len(set(got))
         assert set(got) == congruences_by_brute_force(lat)
-        for x, a in enumerate(con.congruences):
-            for y, b in enumerate(con.congruences):
-                assert con.leq[x, y] == congruence_leq(a, b)
+        leq = [[congruence_leq(a, b) for b in con.congruences] for a in con.congruences]
+        assert con.leq.tolist() == leq
+        # zero and one are the only congruences below, and above, all others
+        assert [t for t, row in zip(con.congruences, leq) if all(row)] == [con.zero]
+        assert [t for t, col in zip(con.congruences, zip(*leq)) if all(col)] == [con.one]
 
 
 @settings(max_examples=50, deadline=None)
@@ -409,3 +414,95 @@ def test_order_mismatch_matches_a_scalar_double_loop(seed, rng):
         a, k = rng.randrange(len(thetas)), rng.randrange(len(thetas))
         members[a, k] = not members[a, k]
         assert order_mismatch(thetas, members) == first_order_mismatch(thetas, members)
+
+
+# ------------------------------------------- cover certificate on synthetic orders
+
+def synthetic_family(rng):
+    """A random poset's down sets as membership rows, with label vectors
+    whose refinement is containment.
+
+    theta_H has one block {0} u {1 + i : i in H} on the points 0..k + 1 and
+    singletons elsewhere; labels are renumbered at random per row, so
+    refinement can only be read from the partition.  The family is all
+    down sets or all nonempty ones.
+    """
+    k = rng.randrange(0, 7)
+    names = [f"x{i}" for i in range(k)]
+    covers = [(names[i], names[j]) for i in range(k) for j in range(i + 1, k)
+              if rng.random() < 0.4]
+    p = validate_poset(names, covers)
+    family = down_sets(p, nonempty_only=k > 0 and rng.random() < 0.5)
+    rows = np.array([[x in ds.members for x in p.elements] for ds in family],
+                    dtype=bool).reshape(len(family), k)
+    thetas = []
+    for row in rows:
+        block = [0] + [1 + i for i in np.flatnonzero(row).tolist()]
+        ids = rng.sample(range(100), k + 2)
+        thetas.append(SimpleNamespace(
+            labels=tuple(ids[0] if x in block else ids[x] for x in range(k + 2))))
+    return thetas, rows
+
+
+def perturbed(thetas, rng):
+    """thetas with two rows swapped, or with two blocks of one row merged."""
+    thetas = list(thetas)
+    kind = rng.choice(("swap", "merge"))
+    if kind == "swap" and len(thetas) > 1:
+        a, b = rng.sample(range(len(thetas)), 2)
+        thetas[a], thetas[b] = thetas[b], thetas[a]
+    elif kind == "merge":
+        a = rng.randrange(len(thetas))
+        lab = thetas[a].labels
+        keep, drop = rng.choice(lab), rng.choice(lab)
+        thetas[a] = SimpleNamespace(labels=tuple(keep if l == drop else l for l in lab))
+    return kind, thetas
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng):
+    # about 70 % of the valid draws break the order: a swap does unless it
+    # is an automorphism of the family, a merge unless the merged blocks
+    # already lie in one block above; event() counts each kind under
+    # --hypothesis-show-statistics
+    thetas, rows = synthetic_family(rng)
+    assert cover_certificate(thetas, rows) and order_mismatch(thetas, rows) is None
+    kind, thetas = perturbed(thetas, rng)
+    broken = order_mismatch(thetas, rows) is not None
+    event(f"{kind}: {'mismatch' if broken else 'embedding'}")
+    assert cover_certificate(thetas, rows) == (not broken)
+
+
+# ------------------------------------ vectorised substitution check against the loop
+
+def scalar_is_congruence(lat, labels):
+    """The element-by-element reference for ``is_congruence``."""
+    reps = {}
+    for i in range(lat.n):
+        if labels[i] not in reps:
+            reps[labels[i]] = i
+            continue
+        r = reps[labels[i]]
+        for table in (lat.join, lat.meet):
+            for z in range(lat.n):
+                if labels[table[i, z]] != labels[table[r, z]]:
+                    return False, (lat.elements[i], lat.elements[r], lat.elements[z])
+    return True, None
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_is_congruence_matches_a_scalar_loop(seed):
+    rng = random.Random(seed)
+    for lat in random_lattices(seed, 2, max_size=10):
+        partitions = [t.labels for t in all_congruences(lat).congruences]
+        for _ in range(10):
+            blocks = rng.randrange(1, lat.n + 1)
+            partitions.append(tuple(rng.randrange(blocks) * 7 for _ in range(lat.n)))
+        for labels in list(partitions):  # a congruence with one element moved
+            moved = list(labels)
+            moved[rng.randrange(lat.n)] = rng.choice(labels)
+            partitions.append(tuple(moved))
+        for labels in partitions:
+            assert is_congruence(lat, labels) == scalar_is_congruence(lat, labels)

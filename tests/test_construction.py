@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -308,3 +310,22 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     detail = f"CorrespondenceBroken: {exc.value}"
     assert stages["congruence-correspondence"] == (False, detail)
     assert stages["principal-correspondence"] == (False, detail)
+
+
+def test_verify_con_and_valuation_never_build_the_con_order_matrix(
+        templates, poset_zoo, monkeypatch, tmp_path):
+    from princlat.cli import main
+
+    def refuse(self):
+        raise AssertionError("the |Con| x |Con| matrix was built")
+
+    monkeypatch.setattr(ConAnalysis, "con_leq", property(refuse))
+    for name, P in poset_zoo.items():
+        assert verify_theorem(P, templates, name).passed, name
+    lattice = tmp_path / "k.json"
+    lattice.write_text(json.dumps({
+        "name": "B2", "elements": ["0", "p", "q", "1"],
+        "covers": [["0", "p"], ["0", "q"], ["p", "1"], ["q", "1"]]}))
+    with redirect_stdout(io.StringIO()):
+        for cmd in ("con", "valuation"):
+            assert main([cmd, "--lattice", str(lattice)]) == 0

@@ -1,5 +1,9 @@
+import importlib.util
+import io
 import json
 import shutil
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
-from princlat.construction import load_templates
+from princlat.construction import default_template_dir, load_templates
 from princlat.errors import TemplateInvalid
 from princlat.lattice import (
     c2_times_c3,
@@ -139,3 +143,18 @@ def test_corrupt_template_rejected(tmp_path, templates):
 def test_missing_directory_rejected(tmp_path):
     with pytest.raises(TemplateInvalid):
         load_templates(tmp_path / "nope")
+
+
+def test_make_templates_reproduces_the_shipped_files(tmp_path):
+    # the double gadgets are regenerated from construction.amalgam_covers
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_templates.py"
+    spec = importlib.util.spec_from_file_location("make_templates", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with redirect_stdout(io.StringIO()):
+        module.main(tmp_path)
+    shipped = default_template_dir()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in shipped.iterdir()
+                                                               if f.suffix == ".json")
+    for f in tmp_path.iterdir():
+        assert f.read_bytes() == (shipped / f.name).read_bytes(), f.name
