@@ -53,7 +53,8 @@ chain p < q < r, each of those 30 gadgets either fails to assemble or
 gives length 6.
 
 The default mode re-verifies the shipped template against the battery
-and the double-gadget glueings, which takes a few seconds.
+and builds the double-gadget glueings from it, which takes under a
+second.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def check_shipped():
           f"length {length(s.lattice)}, battery {'PASS' if lat is not None else 'FAIL'}")
     for name in ("SC", "SV", "SH"):
         t = templates[name]
-        print(f"shipped {name}: {t.lattice.n} elements, length {length(t.lattice)}")
+        print(f"glued {name}: {t.lattice.n} elements, length {length(t.lattice)}")
 
 
 def main():

@@ -115,12 +115,11 @@ def cmd_princ(ns: argparse.Namespace) -> int:
 
 def cmd_valuation(ns: argparse.Namespace) -> int:
     lat = load_lattice(ns.lattice)
-    con = all_congruences(lat)
-    v = valuation(lat, con)
+    v = valuation(lat)
     doc = {
         "values": [
             {"blocks": congruence_blocks_doc(t), "v": val}
-            for t, val in zip(con.congruences, v.values)
+            for t, val in zip(v.con_order.congruences, v.values)
         ]
     }
     print(json.dumps(doc, indent=1))

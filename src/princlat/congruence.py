@@ -455,14 +455,6 @@ class ConAnalysis:
         self._labels: dict[int, tuple[int, ...]] = {}
         self._principal: dict[int, int] = {}
 
-    def mask_of(self, labels) -> int:
-        """M(theta) of a congruence given by its label vector."""
-        mask = 0
-        for k, (j, lo) in enumerate(zip(self.joinirr, self.lower_cover)):
-            if labels[j] == labels[lo]:
-                mask |= 1 << k
-        return mask
-
     def labels(self, mask: int) -> tuple[int, ...]:
         """The canonical label vector of a congruence mask (see above)."""
         labels = self._labels.get(mask)
@@ -626,14 +618,12 @@ def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, .
                         if lab[anchors[p][0]] == lab[anchors[p][1]]))
 
 
-def valuation(lat: FiniteLattice, con: ConOrder | None = None) -> Valuation:
-    """v(theta) for every congruence of ``con`` (default: all of Con L).
+def valuation(lat: FiniteLattice) -> Valuation:
+    """v(theta) for every congruence of L, in ``all_congruences`` order.
 
     Computed by breadth-first ORs of principal masks; see
     ``ConAnalysis.values`` for the layering and its tripwires.
     """
-    if con is None:
-        con = all_congruences(lat)
     an = lat.con_analysis
     values = an.values
-    return Valuation(con, tuple(values[an.mask_of(t.labels)] for t in con.congruences))
+    return Valuation(all_congruences(lat), tuple(values[m] for m in an.con_masks))

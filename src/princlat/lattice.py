@@ -132,8 +132,8 @@ def as_lattice(p: Poset) -> FiniteLattice:
     return FiniteLattice(p, _freeze(join), _freeze(meet), bottom, top)
 
 
-def lattice_from_covers(elements, covers, name: str = "") -> FiniteLattice:
-    return as_lattice(validate_poset(elements, covers, name))
+def lattice_from_covers(elements, covers) -> FiniteLattice:
+    return as_lattice(validate_poset(elements, covers))
 
 
 def length(lat: FiniteLattice) -> int:

@@ -152,7 +152,7 @@ class DownSet:
         return len(self.members)
 
 
-def validate_poset(elements, covers, name: str = "") -> Poset:
+def validate_poset(elements, covers) -> Poset:
     """Build a poset from a cover list via reflexive-transitive closure.
 
     Rejects duplicate or undeclared elements and cover lists whose closure

@@ -54,7 +54,7 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
-from princlat.construction import GadgetTemplate, amalgam_covers
+from princlat.construction import GadgetTemplate
 from princlat.errors import NotALattice
 from princlat.lattice import as_lattice
 from princlat.order import validate_poset
@@ -149,10 +149,3 @@ def gadgets() -> list[GadgetTemplate]:
             out.append(GadgetTemplate("S", lat.poset, roles, lat))
     return out
 
-
-def double_gadget(s: GadgetTemplate, name: str) -> GadgetTemplate:
-    """The double gadget ``name``: two copies of s glued as AMALGAM_COPIES
-    prescribes, over role names."""
-    covers = amalgam_covers(s, name)
-    poset = validate_poset(sorted({x for c in covers for x in c}), covers)
-    return GadgetTemplate(name, poset, {x: x for x in poset.elements}, as_lattice(poset))

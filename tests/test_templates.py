@@ -13,7 +13,7 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
-from princlat.construction import default_template_dir, load_templates
+from princlat.construction import AMALGAM_COPIES, default_template_dir, load_templates
 from princlat.errors import TemplateInvalid
 from princlat.lattice import (
     c2_times_c3,
@@ -127,6 +127,32 @@ def test_double_gadget_lengths(templates):
     assert length(templates["SH"].lattice) == 5
 
 
+def test_only_the_gadget_is_read(tmp_path, templates):
+    # S.json and S.roles.json are the whole template set; the double gadgets
+    # and chains are built from S, and other files in the directory are ignored
+    for stem in ("S.json", "S.roles.json"):
+        shutil.copy(default_template_dir() / stem, tmp_path / stem)
+    (tmp_path / "SC.json").write_text("not json")
+    loaded = load_templates(tmp_path)
+    assert list(loaded) == list(templates) == ["S", "SC", "SV", "SH", "Cp", "frame"]
+    for name, t in loaded.items():
+        assert t.poset.cover_names() == templates[name].poset.cover_names(), name
+        assert t.role_map == templates[name].role_map, name
+
+
+@pytest.mark.parametrize("kind, shared, check", [
+    ("SC", "c", "copy-order"),  # the copies' orders disagree on the shared c
+    ("SV", "d", "lattice"),     # the glued order has no unique joins
+])
+def test_glueing_over_a_rail_element_rejected(monkeypatch, kind, shared, check):
+    first, second = AMALGAM_COPIES[kind]
+    second = {role: twin for role, twin in second.items() if role != shared}
+    monkeypatch.setitem(AMALGAM_COPIES, kind, (first, second))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates()
+    assert (exc.value.template_name, exc.value.check) == (kind, check)
+
+
 def test_corrupt_template_rejected(tmp_path, templates):
     src = None
     from princlat.construction import default_template_dir
@@ -146,7 +172,7 @@ def test_missing_directory_rejected(tmp_path):
 
 
 def test_make_templates_reproduces_the_shipped_files(tmp_path):
-    # the double gadgets are regenerated from construction.amalgam_covers
+    # the script writes the gadget S, the only template shipped as data
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_templates.py"
     spec = importlib.util.spec_from_file_location("make_templates", script)
     module = importlib.util.module_from_spec(spec)
@@ -154,7 +180,8 @@ def test_make_templates_reproduces_the_shipped_files(tmp_path):
     with redirect_stdout(io.StringIO()):
         module.main(tmp_path)
     shipped = default_template_dir()
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in shipped.iterdir()
-                                                               if f.suffix == ".json")
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == ["S.json", "S.roles.json"]
+    assert written == sorted(f.name for f in shipped.iterdir() if f.suffix == ".json")
     for f in tmp_path.iterdir():
         assert f.read_bytes() == (shipped / f.name).read_bytes(), f.name
