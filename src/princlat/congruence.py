@@ -596,12 +596,37 @@ def princ_order(lat: FiniteLattice) -> PrincOrder:
                       tuple(an.princ_witnesses[m] for m in an.princ_masks), an.princ_leq)
 
 
+def _block_counts(labels: np.ndarray) -> np.ndarray:
+    """The number of blocks of each row of a label matrix."""
+    ordered = np.sort(labels, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def _isolating(lat: FiniteLattice, labels: np.ndarray) -> np.ndarray:
+    """:func:`is_I_congruence` of each row of a label matrix."""
+    labels = np.asarray(labels)
+    single = _block_counts(labels) != lat.n
+    for bound in (lat.bottom, lat.top):
+        own = labels[:, lat.index(bound)]
+        single &= np.count_nonzero(labels == own[:, None], axis=1) == 1
+    return single
+
+
 def is_I_congruence(lat: FiniteLattice, theta: CongruenceRelation) -> bool:
     """Nonzero, with singleton blocks at the bottom and the top."""
-    if theta.is_zero():
-        return False
-    lab = theta.labels
-    return all(lab.count(lab[lat.index(bound)]) == 1 for bound in (lat.bottom, lat.top))
+    return bool(_isolating(lat, np.array([theta.labels]))[0])
+
+
+def _base_rows(result: "ConstructionResult", labels: np.ndarray) -> np.ndarray:
+    """For each row of a label matrix, which interior elements (in
+    ``source.interior`` order) have their anchor pair collapsed."""
+    a, b = result.anchor_columns
+    return labels[:, a] == labels[:, b]
+
+
+def _base_names(interior: tuple[str, ...], row: np.ndarray) -> tuple[str, ...]:
+    """A row of :func:`_base_rows` as :func:`base` returns it: sorted names."""
+    return tuple(sorted(interior[i] for i in np.flatnonzero(row).tolist()))
 
 
 def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, ...]:
@@ -612,10 +637,7 @@ def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, .
     """
     if not is_I_congruence(result.lattice, beta):
         raise NotICongruence("base is defined for I-congruences only")
-    lab = beta.labels
-    anchors = result.anchor_index
-    return tuple(sorted(p for p in result.source.interior
-                        if lab[anchors[p][0]] == lab[anchors[p][1]]))
+    return _base_names(result.source.interior, _base_rows(result, np.array([beta.labels]))[0])
 
 
 def valuation(lat: FiniteLattice) -> Valuation:

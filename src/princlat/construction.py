@@ -9,6 +9,13 @@ template.  The assembled order is the union of all instantiated template
 orders, which is verified to be transitively closed, a lattice, and to
 contain every instance as a sublattice.
 
+Verification works on matrices rather than one object at a time: all
+instances of a template are checked as copies at once, and the
+congruences of K and beta_H of every down set of the interior go
+through the label-matrix kernels of :mod:`princlat.kernels`.  A failure
+is named by examining only the first failing row, in the order a scalar
+loop would have met it.
+
 Only the gadget S is data (``S.json`` and ``S.roles.json``); every
 property the congruence analysis relies on is re-checked when it is
 loaded, so a corrupted data file cannot silently produce a wrong
@@ -30,17 +37,15 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
-    _canonical,
-    _merge,
+    _block_counts,
+    _isolating,
     all_congruences,
     base,
     congruence_leq,
     cover_certificate,
-    is_congruence,
     is_I_congruence,
     order_mismatch,
     princ_order,
-    zero_congruence,
 )
 from .errors import (
     AssemblyNotALattice,
@@ -52,25 +57,25 @@ from .errors import (
     TemplateInvalid,
     VerificationFailed,
 )
+from .kernels import ConFacts, _row_keys, beta_family, con_facts
 from .lattice import (
     FiniteLattice,
     as_lattice,
     c2_times_c3,
-    is_01_sublattice,
-    is_closed,
+    closed_rows,
     lattice_iso,
     length,
     prime_intervals,
     quotient,
 )
 from .order import (
+    _CHUNK,
     BoundedPoset,
     DownSet,
     Poset,
     _bool_product,
     _freeze,
     down_sets,
-    is_down_set,
     order_iso,
     principal_down_set,
     validate_poset,
@@ -135,6 +140,14 @@ class ConstructionResult:
         return {p: (ix(a), ix(b)) for p, (a, b) in self.anchor.items()}
 
     @cached_property
+    def anchor_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two ends of the anchor pair of each interior element, in
+        ``source.interior`` order, as lattice positions."""
+        pairs = [self.anchor_index[p] for p in self.source.interior]
+        a, b = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+        return a, b
+
+    @cached_property
     def theta_index_pairs(self) -> dict[tuple[str, str], tuple[tuple[tuple[int, int], ...], ...]]:
         """For each S instance (p, q), the pairs of theta_p and of theta_q as
         index pairs of the lattice."""
@@ -142,6 +155,25 @@ class ConstructionResult:
         return {pq: tuple(tuple((ix(naming[a]), ix(naming[b])) for a, b in pairs)
                           for pairs in (self.theta_p_pairs, self.theta_q_pairs))
                 for pq, naming in self.s_instances.items()}
+
+    @cached_property
+    def contributions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each interior element p (``source.interior`` order), the
+        index pairs that p in H adds to beta_H: its anchor pair if p is
+        isolated, theta_p of every S instance (p, q) and theta_q of every
+        S instance (q, p)."""
+        out: dict[str, list[tuple[int, int]]] = {p: [] for p in self.source.interior}
+        for p in self.source.isolated:
+            out[p].append(self.anchor_index[p])
+        for (p, q), (tp, tq) in self.theta_index_pairs.items():
+            out[p] += tp
+            out[q] += tq
+        return tuple(tuple(out[p]) for p in self.source.interior)
+
+    @cached_property
+    def con_facts(self) -> ConFacts:
+        """Con K as a label matrix with the flags verify reads; built once."""
+        return con_facts(self)
 
 
 @dataclass(frozen=True)
@@ -224,12 +256,13 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "upper-rail-pair")
     if not (congruence_leq(tp, tq) and tp != tq):
         raise TemplateInvalid(t.name, "congruence-comparability")
-    if not (is_I_congruence(lat, tp) and is_I_congruence(lat, tq)):
+    if not _isolating(lat, np.array([tp.labels, tq.labels])).all():
         raise TemplateInvalid(t.name, "isolating")
     if not _con(lat, r["b_p"], r["g"]).collapses(r["o"], r["c"]):
         raise TemplateInvalid(t.name, "collapse-witness")
-    con = all_congruences(lat)
-    icons = [x for x in con.congruences if is_I_congruence(lat, x)]
+    cons = all_congruences(lat).congruences
+    labels = np.array([x.labels for x in cons]).reshape(len(cons), lat.n)
+    icons = [x for x, i in zip(cons, _isolating(lat, labels)) if i]
     if len(icons) != 2:
         raise TemplateInvalid(t.name, "isolating-congruence-count", str(len(icons)))
     for x, y in ((r["a_p"], r["b_q"]), (r["a_q"], r["b_p"])):
@@ -249,25 +282,40 @@ def gadget_battery(t: GadgetTemplate) -> None:
             for a, b in itertools.combinations(idx, 2):
                 if not (lat.leq[a, b] or lat.leq[b, a]):
                     raise TemplateInvalid(t.name, "block-chain")
-    for edge in prime_intervals(lat):
-        theta = _con(lat, edge.lower, edge.upper)
-        if is_I_congruence(lat, theta) and theta not in (tp, tq):
+    edges = prime_intervals(lat)
+    thetas = [_con(lat, edge.lower, edge.upper) for edge in edges]
+    isolating = _isolating(lat, np.array([x.labels for x in thetas]).reshape(len(thetas), lat.n))
+    for edge, theta, i in zip(edges, thetas, isolating):
+        if i and theta not in (tp, tq):
             raise TemplateInvalid(t.name, "prime-interval-dichotomy", f"{edge}")
     if lattice_iso(quotient(lat, tq), c2_times_c3()) is None:
         raise TemplateInvalid(t.name, "quotient-shape")
 
 
-def _copy_fault(big: FiniteLattice, names, small: Poset) -> str | None:
-    """Whether the elements ``names`` of ``big``, listed in the element
-    order of ``small``, are a copy of it: None if they are, "order" if
-    their induced order is not ``small``'s, "sublattice" if they are not
-    closed under join and meet."""
-    idx = [big.index(x) for x in names]
-    if not np.array_equal(big.leq[np.ix_(idx, idx)], small.leq):
-        return "order"
-    if not is_closed(big, idx):
-        return "sublattice"
-    return None
+# what _copy_faults reports for a row, by code
+COPY_FAULTS = (None, "order", "sublattice")
+
+
+def _copy_faults(big: FiniteLattice, idx: np.ndarray, small: Poset) -> np.ndarray:
+    """Whether each row of ``idx`` lists a copy of ``small`` in ``big``.
+
+    ``idx`` is an m x |small| matrix of positions in ``big``, each row
+    listing one instance in the element order of ``small``.  The code of
+    row k indexes ``COPY_FAULTS``: 0 if the elements are a copy, 1
+    ("order") if their induced order is not ``small``'s, 2 ("sublattice")
+    if it is but they are not closed under join and meet.  The induced
+    orders are gathered in chunks of rows, so no temporary exceeds
+    ``_CHUNK`` elements by more than one row.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    m, t = idx.shape
+    distorted = np.empty(m, dtype=bool)
+    step = max(1, _CHUNK // max(t * t, 1))
+    for s in range(0, m, step):
+        block = idx[s:s + step]
+        induced = big.leq[block[:, :, None], block[:, None, :]]
+        distorted[s:s + step] = (induced != small.leq).any(axis=(1, 2))
+    return np.where(distorted, 1, np.where(closed_rows(big, idx), 0, 2))
 
 
 def _amalgam_copies(s: GadgetTemplate, kind: str) -> tuple[dict[str, str], ...]:
@@ -316,7 +364,8 @@ def load_templates(directory=None) -> dict[str, GadgetTemplate]:
     for kind in AMALGAM_COPIES:
         t = out[kind] = double_gadget(s, kind)
         for copy in _amalgam_copies(s, kind):
-            fault = _copy_fault(t.lattice, [copy[ph] for ph in s.poset.elements], s.poset)
+            idx = [[t.lattice.index(copy[ph]) for ph in s.poset.elements]]
+            fault = COPY_FAULTS[_copy_faults(t.lattice, idx, s.poset)[0]]
             if fault is not None:
                 raise TemplateInvalid(kind, f"copy-{fault}")
     out["Cp"] = _chain("Cp", ("o", "a_p", "b_p", "i"))
@@ -428,10 +477,17 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         )
     pos = {e: i for i, e in enumerate(elements)}
     n = len(elements)
+    # the instances of each template, as rows of positions in its element order
+    kinds: dict[GadgetTemplate, list[int]] = {}
+    for k, (_, t, _) in enumerate(placed):
+        kinds.setdefault(t, []).append(k)
+    rows = {t: np.array([[pos[placed[k][2][ph]] for ph in t.poset.elements] for k in ks],
+                        dtype=np.intp)
+            for t, ks in kinds.items()}
     leq = np.zeros((n, n), dtype=bool)
-    for _, t, renamed in placed:
-        idx = [pos[renamed[ph]] for ph in t.poset.elements]
-        leq[np.ix_(idx, idx)] |= t.poset.leq
+    for t, idx in rows.items():
+        below, above = np.nonzero(t.poset.leq)
+        leq[idx[:, below], idx[:, above]] = True
     # the union of instance orders must already be transitively closed:
     # any extra comparability would not be attributable to a template
     closure = leq | _bool_product(leq, leq)
@@ -448,12 +504,14 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     except NotALattice as exc:
         raise AssemblyNotALattice((exc.x, exc.y), str(exc)) from exc
 
-    for inst_id, t, renamed in placed:
-        fault = _copy_fault(lat, [renamed[ph] for ph in t.poset.elements], t.poset)
-        if fault == "order":
-            raise AssemblyNotALattice((inst_id, "order"), "instance order distorted")
-        if fault == "sublattice":
-            raise AssemblyNotALattice((inst_id, "closure"), "instance not a sublattice")
+    faults = np.zeros(len(placed), dtype=np.intp)
+    for t, ks in kinds.items():
+        faults[ks] = _copy_faults(lat, rows[t], t.poset)
+    if faults.any():  # the first faulty instance in placement order
+        k = int(np.flatnonzero(faults)[0])
+        if COPY_FAULTS[faults[k]] == "order":
+            raise AssemblyNotALattice((placed[k][0], "order"), "instance order distorted")
+        raise AssemblyNotALattice((placed[k][0], "closure"), "instance not a sublattice")
 
     anchor = {P.zero: (f"a@{P.zero}", f"a@{P.zero}"), P.one: (f"a@{P.one}", f"a@{P.one}")}
     for p in P.interior:
@@ -492,111 +550,90 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     membership of each parameter in H, plus the anchor pairs of isolated
     members.  It is verified to be transitive with chain blocks of size
     at most three, and to pass the full substitution-property check.
+    This is the one-row call of :func:`beta_family`.
     """
     members = tuple(sorted(set(getattr(H, "members", H))))
     P = result.source
     if not set(members) <= set(P.interior):
         raise NotADownSet(f"{members} is not a subset of the interior")
-    if not is_down_set(P.interior_poset, members):
-        raise NotADownSet(f"{members} is not downward closed in the interior")
-
-    lat = result.lattice
-    pairs: set[tuple[int, int]] = set()
-    hset = set(members)
-    for p in result.source.isolated:
-        if p in hset:
-            pairs.add(result.anchor_index[p])
-    for (p, q), (tp, tq) in result.theta_index_pairs.items():
-        if q in hset:
-            pairs.update(tq)
-        if p in hset:
-            pairs.update(tp)
-
-    labels = np.arange(lat.n)
-    for a, b in pairs:
-        _merge(labels, a, b)
-    # transitivity of the raw union: every two block members must be
-    # directly related by the contributed pairs or be equal
-    related = {frozenset(p) for p in pairs}
-    by_label: dict[int, list[int]] = {}
-    for idx, l in enumerate(labels.tolist()):
-        by_label.setdefault(l, []).append(idx)
-    for block in by_label.values():
-        if len(block) > 3:
-            raise AssemblyNotALattice(
-                tuple(lat.elements[i] for i in block), "down-set congruence block too large")
-        for a, b in itertools.combinations(block, 2):
-            na, nb = lat.elements[a], lat.elements[b]
-            if frozenset((a, b)) not in related:
-                raise AssemblyNotALattice((na, nb), "down-set relation not transitive")
-            if not (lat.leq[a, b] or lat.leq[b, a]):
-                raise AssemblyNotALattice((na, nb), "down-set congruence block not a chain")
-    theta = CongruenceRelation(lat, _canonical(labels))
-    ok, witness = is_congruence(lat, theta.labels)
-    if not ok:
-        raise AssemblyNotALattice(witness, "down-set relation fails substitution")
-    return theta
+    thetas, error = beta_family(result, _membership([members], P.interior))
+    if error is not None:
+        raise error
+    return thetas[0]
 
 
 def _membership(family, elements) -> np.ndarray:
     """One boolean row per member tuple of ``family``, one column per element."""
     pos = {x: k for k, x in enumerate(elements)}
     rows = np.zeros((len(family), len(elements)), dtype=bool)
-    for r, members in enumerate(family):
-        rows[r, [pos[x] for x in members]] = True
+    sizes = [len(members) for members in family]
+    rows[np.repeat(np.arange(len(family)), sizes), [pos[x] for m in family for x in m]] = True
     return rows
 
 
 def phi(result: ConstructionResult) -> IsoCorrespondence:
     """The verified correspondence between Con K and nonempty down sets.
 
-    The backward map sends {0} u H to beta_H, for every down set H of the
-    interior, and the full set to the one congruence.
+    The forward map sends a bound congruence to {0} or to P, and an
+    I-congruence to {0} u its base; it is read from ``result.con_facts``
+    for all congruences at once.  The backward map sends {0} u H to
+    beta_H, for every down set H of the interior, from one
+    :func:`beta_family` call, and the full set to the one congruence.
+    A failure is reported as the first one that a loop over Con K, then
+    over the down sets, would meet.
     """
     lat = result.lattice
     P = result.source
-    con = all_congruences(lat)
+    facts = result.con_facts
+    cons = facts.congruences
     downs = down_sets(P.poset, nonempty_only=True)
-    if len(con) != len(downs):
+    if len(cons) != len(downs):
         raise CorrespondenceBroken(
-            (len(con), len(downs)), "congruence count differs from down-set count")
+            (len(cons), len(downs)), "congruence count differs from down-set count")
+
+    top = facts.one & (lat.n > 1)
+    bad = ~(top | facts.zero | (facts.isolating & facts.base_down))
+    if bad.any():
+        r = int(bad.argmax())
+        if not facts.isolating[r]:
+            raise CorrespondenceBroken(cons[r].blocks(), "congruence neither bound nor isolating")
+        raise CorrespondenceBroken(facts.base_of(r), "base is not a down set")
+    # the forward image of every congruence as a row over the elements of P
+    inner = [P.poset.index(x) for x in P.interior]
+    image = np.zeros((len(cons), P.poset.n), dtype=bool)
+    image[:, inner] = facts.base
+    image[:, P.poset.index(P.zero)] = True
+    image[top | (facts.zero & (lat.n == 1))] = True
+    family = _membership([ds.members for ds in downs], P.elements)
+    image_keys = _row_keys(np.packbits(image, axis=1))
+    family_keys = _row_keys(np.packbits(family, axis=1))
+    image_sorted = np.sort(image_keys)
+    if not np.array_equal(image_sorted, np.sort(family_keys)):
+        raise CorrespondenceBroken(None, "forward image is not the down-set family")
+    if (image_sorted[1:] == image_sorted[:-1]).any():
+        raise CorrespondenceBroken(None, "forward map not injective")
+    order = np.argsort(family_keys)
+    at = order[np.searchsorted(family_keys[order], image_keys)]
+    forward = {theta: downs[k] for theta, k in zip(cons, at.tolist())}
 
     full = DownSet(tuple(sorted(P.elements)))
-    zero_ds = DownSet((P.zero,))
-    forward: dict[CongruenceRelation, DownSet] = {}
-    for theta in con.congruences:
-        if theta.is_one() and lat.n > 1:
-            forward[theta] = full
-        elif theta.is_zero():
-            forward[theta] = zero_ds if lat.n > 1 else full
-        else:
-            if not is_I_congruence(lat, theta):
-                raise CorrespondenceBroken(theta.blocks(), "congruence neither bound nor isolating")
-            b = base(result, theta)
-            if not is_down_set(P.interior_poset, b):
-                raise CorrespondenceBroken(b, "base is not a down set")
-            forward[theta] = DownSet(tuple(sorted((P.zero,) + b)))
-    if sorted(forward.values(), key=lambda d: d.members) != sorted(downs, key=lambda d: d.members):
-        raise CorrespondenceBroken(None, "forward image is not the down-set family")
-    if len(set(forward.values())) != len(forward):
-        raise CorrespondenceBroken(None, "forward map not injective")
-
+    kept = [k for k, ds in enumerate(downs) if not (ds == full and lat.n > 1)]
+    thetas, error = beta_family(result, family[kept][:, inner], facts)
+    thetas = iter(thetas)
     backward: dict[DownSet, CongruenceRelation] = {}
-    interior = set(P.interior)
     for ds in downs:
         if ds == full and lat.n > 1:
-            backward[ds] = con.one
-        else:
-            h = tuple(x for x in ds.members if x in interior)
-            theta = beta_H(result, h) if not result.degenerate else zero_congruence(lat)
-            backward[ds] = theta
-            if forward[theta] != ds:
-                raise CorrespondenceBroken(ds.members, "round trip broke")
-    cons = list(forward)
-    rows = _membership([forward[t].members for t in cons], P.elements)
+            backward[ds] = cons[-1]
+            continue
+        theta = next(thetas, None)
+        if theta is None:
+            raise error
+        backward[ds] = theta
+        if forward[theta] != ds:
+            raise CorrespondenceBroken(ds.members, "round trip broke")
     # the forward image is all nonempty down sets of P, so covers certify
     # the order; the pairwise oracle runs only to name the first mismatch
-    bad = None if cover_certificate(cons, rows) else order_mismatch(cons, rows)
+    bad = None if cover_certificate(cons, image) else order_mismatch(cons, image)
     if bad is not None:
         t1, t2 = (cons[k] for k in bad)
         raise CorrespondenceBroken(
@@ -636,8 +673,10 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     """Assemble K for P and run every structural check, reporting per stage.
 
     Every stage reads the one congruence analysis of K
-    (``FiniteLattice.con_analysis``).  :func:`phi` runs once, and the
-    down-set stage takes beta_H of each down set from its backward map.
+    (``FiniteLattice.con_analysis``), and the per-congruence stages read
+    its label matrix once, through ``result.con_facts``.  :func:`phi`
+    runs once, and the down-set stage takes beta_H of each down set from
+    its backward map, which one :func:`beta_family` call filled.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -660,7 +699,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     if not stage("assembly", s_assemble):
         return VerificationReport(name, tuple(stages), 0, 0)
     lat = result.lattice
-    con = all_congruences(lat)
+    facts = result.con_facts
+    cons = facts.congruences
 
     if result.degenerate:
         def s_degenerate():
@@ -672,35 +712,36 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_diamond():
         a0, a1 = result.anchor[P.zero][0], result.anchor[P.one][0]
-        for x in lat.elements:
-            if x in (lat.bottom, lat.top):
-                continue
-            five = {x, a0, a1, lat.bottom, lat.top}
-            if x in (a0, a1):
-                p = P.interior[0]
-                five = {result.anchor[p][0], a0, a1, lat.bottom, lat.top}
-            if len(five) != 5 or not is_01_sublattice(lat, five):
-                raise VerificationFailed("diamond-cover", witness=x)
-            # a 0-1 sublattice of five elements whose three middle elements are
-            # pairwise incomparable is M3: the join of two of them lies in the
-            # set, above both, and is neither of them nor the third, so it is
-            # the top; dually their meet is the bottom
-            mid = [lat.index(y) for y in five - {lat.bottom, lat.top}]
-            if any(lat.leq[u, v] for u in mid for v in mid if u != v):
-                raise VerificationFailed("diamond-cover", witness=x)
+        bounds = {lat.bottom, lat.top}
+        xs = [x for x in lat.elements if x not in bounds]
+        mids = [{result.anchor[P.interior[0]][0] if x in (a0, a1) else x, a0, a1} for x in xs]
+        whole = np.array([len(m) == 3 and not m & bounds for m in mids], dtype=bool)
+        mid = np.array([sorted(lat.index(y) for y in m) for m, w in zip(mids, whole) if w],
+                       dtype=np.intp).reshape(-1, 3)
+        ends = np.array([lat.index(lat.bottom), lat.index(lat.top)], dtype=np.intp)
+        five = np.hstack([mid, np.broadcast_to(ends, (len(mid), 2))])
+        # a 0-1 sublattice of five elements whose three middle elements are
+        # pairwise incomparable is M3: the join of two of them lies in the
+        # set, above both, and is neither of them nor the third, so it is
+        # the top; dually their meet is the bottom
+        comparable = lat.leq[mid[:, :, None], mid[:, None, :]] & ~np.eye(3, dtype=bool)
+        ok = whole.copy()
+        ok[whole] = closed_rows(lat, five) & ~comparable.any(axis=(1, 2))
+        if not ok.all():
+            raise VerificationFailed("diamond-cover", witness=xs[int(ok.argmin())])
         return f"{lat.n - 2} interior elements"
 
     def s_dichotomy():
-        for theta in con.congruences:
-            if not (theta.is_zero() or theta.is_one() or is_I_congruence(lat, theta)):
-                raise VerificationFailed("congruence-dichotomy", witness=theta.blocks())
-        return f"{len(con)} congruences"
+        bad = ~(facts.zero | facts.one | facts.isolating)
+        if bad.any():
+            raise VerificationFailed("congruence-dichotomy",
+                                     witness=cons[int(bad.argmax())].blocks())
+        return f"{len(cons)} congruences"
 
     def s_base():
-        for theta in con.congruences:
-            if is_I_congruence(lat, theta):
-                if not is_down_set(P.interior_poset, base(result, theta)):
-                    raise VerificationFailed("base-down-set", witness=base(result, theta))
+        bad = facts.isolating & ~facts.base_down
+        if bad.any():
+            raise VerificationFailed("base-down-set", witness=facts.base_of(int(bad.argmax())))
         return ""
 
     # phi runs once: both correspondence stages report its result or its
@@ -712,34 +753,36 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_beta():
         # the backward map holds beta_H of each down set H at {0} u H; when
-        # phi failed, beta_H runs here instead
+        # phi failed, the beta kernel runs here instead
         family = down_sets(P.interior_poset)
-        seen = {}
-        for ds in family:
-            if mapping is None:
-                theta = beta_H(result, ds.members)
-            else:
-                theta = mapping.backward[DownSet(tuple(sorted((P.zero,) + ds.members)))]
-            if not ds.members:
-                if not theta.is_zero():
-                    raise VerificationFailed("downset-congruence", witness="empty")
-            elif not is_I_congruence(lat, theta):
-                raise VerificationFailed("downset-congruence", witness=ds.members)
-            seen[ds.members] = theta
-        downs, thetas = list(seen), list(seen.values())
+        downs = [ds.members for ds in family]
         rows = _membership(downs, P.interior)
+        if mapping is None:
+            thetas, error = beta_family(result, rows, facts)
+        else:
+            thetas = tuple(mapping.backward[DownSet(tuple(sorted((P.zero,) + h)))] for h in downs)
+            error = None
+        labels = np.array([t.labels for t in thetas], dtype=np.intp).reshape(len(thetas), lat.n)
+        empty = ~rows[:len(thetas)].any(axis=1)
+        ok = np.where(empty, _block_counts(labels) == lat.n, _isolating(lat, labels))
+        if not ok.all():
+            k = int(ok.argmin())
+            raise VerificationFailed("downset-congruence",
+                                     witness="empty" if empty[k] else downs[k])
+        if error is not None:
+            raise error
         # family holds every down set of the interior, so covers certify the order
         bad = None if cover_certificate(thetas, rows) else order_mismatch(thetas, rows)
         if bad is not None:
             raise VerificationFailed("downset-congruence", witness=tuple(downs[k] for k in bad))
-        if len({t.labels for t in seen.values()}) != len(seen):
+        if len({t.labels for t in thetas}) != len(thetas):
             raise VerificationFailed("downset-congruence", witness="not injective")
         return f"{len(family)} down sets"
 
     def s_phi():
         if phi_error is not None:
             raise phi_error
-        return f"|Con K| = {len(con)}"
+        return f"|Con K| = {len(cons)}"
 
     def s_princ_corr():
         po = princ_order(lat)

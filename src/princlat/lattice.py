@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotACongruence, NotALattice
-from .order import Poset, _freeze, order_iso, validate_poset
+from .order import _CHUNK, Poset, _freeze, order_iso, validate_poset
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +147,33 @@ def prime_intervals(lat: FiniteLattice) -> list[IntervalEdge]:
     return [IntervalEdge(els[i], els[j]) for i, j in lat.poset.covers()]
 
 
+def closed_rows(lat: FiniteLattice, idx: np.ndarray) -> np.ndarray:
+    """For each row of the m x t position matrix ``idx``, whether its
+    elements are closed under join and meet.
+
+    Each row's joins and meets are looked up in a presence row of its
+    own; rows go in chunks, so no temporary exceeds ``_CHUNK`` elements
+    by more than one row.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    m, t = idx.shape
+    out = np.empty(m, dtype=bool)
+    step = max(1, _CHUNK // max(lat.n, t * t, 1))
+    for s in range(0, m, step):
+        block = idx[s:s + step]
+        present = np.zeros((len(block), lat.n), dtype=bool)
+        present[np.arange(len(block))[:, None], block] = True
+        ok = np.ones(len(block), dtype=bool)
+        for table in (lat.join, lat.meet):
+            hit = table[block[:, :, None], block[:, None, :]].reshape(len(block), t * t)
+            ok &= np.take_along_axis(present, hit, axis=1).all(axis=1)
+        out[s:s + step] = ok
+    return out
+
+
 def is_closed(lat: FiniteLattice, idx) -> bool:
     """True iff the element positions ``idx`` are closed under join and meet."""
-    present = np.zeros(lat.n, dtype=bool)
-    present[idx] = True
-    sub = np.ix_(idx, idx)
-    return bool(present[lat.join[sub]].all() and present[lat.meet[sub]].all())
+    return bool(closed_rows(lat, np.asarray(idx, dtype=np.intp).reshape(1, -1))[0])
 
 
 def is_01_sublattice(lat: FiniteLattice, subset) -> bool:

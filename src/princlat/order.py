@@ -22,6 +22,9 @@ from .errors import (
     UnknownElement,
 )
 
+# elements per temporary array of a kernel that works in chunks of rows
+_CHUNK = 1 << 14
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -261,12 +264,21 @@ def principal_down_set(p: Poset, x: str) -> DownSet:
     return DownSet(tuple(sorted(members)))
 
 
+def down_set_rows(p: Poset, rows) -> np.ndarray:
+    """For each boolean row over the elements of ``p``, whether it is a down set.
+
+    A row is closed downward iff everything below a member is a member;
+    "below a member" is the boolean product of the rows with the order.
+    """
+    rows = np.asarray(rows, dtype=bool)
+    below = rows @ p.leq.T
+    return ~(below & ~rows).any(axis=1)
+
+
 def is_down_set(p: Poset, members) -> bool:
-    idx = [p.index(m) for m in members]
-    mask = np.zeros(p.n, dtype=bool)
-    mask[idx] = True
-    # closed downward: anything below a member is a member
-    return bool((~(p.leq[:, mask].any(axis=1)) | mask).all())
+    row = np.zeros((1, p.n), dtype=bool)
+    row[0, [p.index(m) for m in members]] = True
+    return bool(down_set_rows(p, row)[0])
 
 
 def containment_order(family: list[DownSet]) -> Poset:

@@ -70,6 +70,7 @@ from princlat.order import (
 
 from conftest import random_lattices
 from gadget_space import gadgets, grid_lattices
+from test_construction import assert_beta_family_matches, assert_facts_match_the_scalar_loop
 from test_congruence import (
     closure_masks,
     congruences_by_brute_force,
@@ -159,6 +160,15 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             for variant in (swapped, repeated):
                 assert cover_certificate(variant, rows) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()
+
+
+def test_batched_kernels_match_the_scalar_loops_on_the_corpus(corpus):
+    # the forward facts (flags, base rows, down-set flags) and the beta kernel
+    # over every down set of the interior, against their scalar references
+    for P, result, _, _ in corpus:
+        assert_facts_match_the_scalar_loop(result)
+        if not result.degenerate:
+            assert_beta_family_matches(result)
 
 
 def test_criterion_3_gadget_suite(templates):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from princlat.congruence import (
     CongruenceRelation,
+    _isolating,
     all_congruences,
     congruence_leq,
     cover_certificate,
@@ -511,3 +512,23 @@ def test_is_congruence_matches_a_scalar_loop(seed):
             partitions.append(tuple(moved))
         for labels in partitions:
             assert is_congruence(lat, labels) == scalar_is_congruence(lat, labels)
+
+
+# ------------------------------------------- I-congruence flags of a label matrix
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_isolating_rows_match_a_scalar_count(seed):
+    # congruences and arbitrary partitions, with labels that need not be canonical
+    rng = random.Random(seed)
+    for lat in random_lattices(seed, 2, max_size=10):
+        partitions = [t.labels for t in all_congruences(lat).congruences]
+        for _ in range(10):
+            blocks = rng.randrange(1, lat.n + 1)
+            partitions.append(tuple(rng.randrange(blocks) * 3 for _ in range(lat.n)))
+        want = []
+        for lab in partitions:
+            ends = [lab[lat.index(b)] for b in (lat.bottom, lat.top)]
+            want.append(len(set(lab)) != lat.n and all(lab.count(e) == 1 for e in ends))
+        assert _isolating(lat, np.array(partitions)).tolist() == want
+        assert [is_I_congruence(lat, CongruenceRelation(lat, lab)) for lab in partitions] == want

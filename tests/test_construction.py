@@ -1,12 +1,19 @@
+import dataclasses
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
+    _canonical,
+    _merge,
     all_congruences,
     base,
     congruence_leq,
@@ -15,23 +22,33 @@ from princlat.congruence import (
     principal_congruence,
 )
 from princlat.construction import (
+    AMALGAM_COPIES,
+    COPY_FAULTS,
+    GadgetTemplate,
+    _copy_faults,
+    _membership,
     assemble_K,
     beta_H,
     default_template_dir,
+    double_gadget,
     load_templates,
     phi,
     verify_theorem,
 )
 from princlat.errors import (
+    AssemblyNotALattice,
     CorrespondenceBroken,
     NotADownSet,
     NotICongruence,
+    TemplateInvalid,
     VerificationFailed,
 )
-from princlat.lattice import length
-from princlat.order import down_sets, order_iso, principal_down_set
+from princlat.kernels import beta_family, beta_labels
+from princlat.lattice import chain, length
+from princlat.order import down_sets, order_iso, principal_down_set, validate_poset
 
 from conftest import bounded
+from test_congruence import scalar_is_congruence
 
 
 def test_degenerate_sizes(templates, poset_zoo):
@@ -81,6 +98,15 @@ def test_membership_tracks_gadgets(templates, poset_zoo):
 def test_beta_empty_is_zero(templates, poset_zoo):
     r = assemble_K(poset_zoo["4-chain"], templates)
     assert beta_H(r, ()).is_zero()
+
+
+def test_beta_of_a_degenerate_result_is_zero(templates, poset_zoo):
+    # no interior: the only down set is empty and adds no pair
+    for name in ("1-chain", "2-chain"):
+        r = assemble_K(poset_zoo[name], templates)
+        assert beta_H(r, ()).is_zero()
+        thetas, error = beta_family(r, np.zeros((1, 0), dtype=bool))
+        assert error is None and [t.labels for t in thetas] == [tuple(range(r.lattice.n))]
 
 
 def test_beta_isolated_singleton(templates, poset_zoo):
@@ -235,23 +261,29 @@ def _stage_details(report):
     return {name: (ok, detail) for name, ok, detail in report.stages}
 
 
-def test_verify_theorem_runs_phi_once_and_beta_once_per_down_set(
+def test_verify_theorem_runs_phi_once_and_the_beta_kernel_once(
         templates, poset_zoo, monkeypatch):
+    # one forward-facts build, one beta_family call over every down set of
+    # the interior, and no one-row beta_H call
     import princlat.construction as construction
 
-    calls = {"phi": 0, "beta_H": 0, "congruence_leq": 0}
+    calls = {"phi": 0, "con_facts": 0, "beta_family": 0, "beta_H": 0, "congruence_leq": 0}
+    rows = []
     for fname in calls:
         original = getattr(construction, fname)
 
         def counting(*args, _fname=fname, _original=original):
             calls[_fname] += 1
+            if _fname == "beta_family":
+                rows.append(len(args[1]))
             return _original(*args)
 
         monkeypatch.setattr(construction, fname, counting)
     P = poset_zoo["V"]
     assert verify_theorem(P, templates, "V").passed
-    assert calls == {"phi": 1, "beta_H": len(down_sets(P.interior_poset)),
+    assert calls == {"phi": 1, "con_facts": 1, "beta_family": 1, "beta_H": 0,
                      "congruence_leq": 0}
+    assert rows == [len(down_sets(P.interior_poset))]
 
 
 def test_downset_congruence_reports_the_first_order_mismatch(
@@ -260,15 +292,20 @@ def test_downset_congruence_reports_the_first_order_mismatch(
 
     P = poset_zoo["4-chain"]
     r = assemble_K(P, templates)
-    original = construction.beta_H
+    original = construction.beta_family
     swap = {("p",): ("p", "q"), ("p", "q"): ("p",)}
 
-    def swapped(result, H):
-        return original(result, swap.get(tuple(H), tuple(H)))
+    def swapped(result, members, known=None):
+        # beta of H is computed for swap[H]: the rows are exchanged on the way in
+        rows = np.array(members, dtype=bool)
+        for k, row in enumerate(rows.tolist()):
+            h = tuple(x for x, m in zip(P.interior, row) if m)
+            rows[k] = _membership([swap.get(h, h)], P.interior)[0]
+        return original(result, rows, known)
 
-    monkeypatch.setattr(construction, "beta_H", swapped)
+    monkeypatch.setattr(construction, "beta_family", swapped)
     family = [ds.members for ds in down_sets(P.interior_poset)]
-    betas = [swapped(r, h) for h in family]
+    betas, _ = swapped(r, _membership(family, P.interior))
     expect = next(
         (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
         if (set(m1) <= set(m2)) != congruence_leq(t1, t2))
@@ -290,20 +327,33 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     def swapped(theta):
         return CongruenceRelation(theta.lattice, swap.get(theta.labels, theta.labels))
 
-    # swapping the two congruences in both base and beta_H keeps the round
-    # trip intact and breaks only the order
-    original_base, original_beta = construction.base, construction.beta_H
-    monkeypatch.setattr(construction, "base",
-                        lambda result, theta: original_base(result, swapped(theta)))
-    monkeypatch.setattr(construction, "beta_H",
-                        lambda result, H: swapped(original_beta(result, H)))
+    # swapping the two congruences in both the forward facts (their base
+    # rows) and the beta kernel keeps the round trip intact and breaks only
+    # the order
+    original_facts, original_family = construction.con_facts, construction.beta_family
+
+    def swapped_facts(result):
+        facts = original_facts(result)
+        perm = np.arange(len(facts.congruences))
+        k = [facts.congruences.index(t) for t in (lo, hi)]
+        perm[k] = perm[k[::-1]]
+        return dataclasses.replace(facts, **{
+            name: getattr(facts, name)[perm]
+            for name in ("zero", "one", "isolating", "base", "base_down")})
+
+    def swapped_family(result, members, known=None):
+        thetas, error = original_family(result, members, known)
+        return tuple(swapped(t) for t in thetas), error
+
+    monkeypatch.setattr(construction, "con_facts", swapped_facts)
+    monkeypatch.setattr(construction, "beta_family", swapped_family)
     image = {t: forward[swapped(t)].members for t in forward}
     expect = next(
         (image[t1], image[t2]) for t1 in forward for t2 in forward
         if congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
     assert expect == (("0", "p", "q"), ("0", "p"))
     with pytest.raises(CorrespondenceBroken) as exc:
-        phi(r)
+        phi(assemble_K(P, templates))  # a fresh result: r has its facts cached
     assert exc.value.witness == expect
     assert str(exc.value) == str(CorrespondenceBroken(expect, "order not preserved"))
     stages = _stage_details(verify_theorem(P, templates, "4-chain"))
@@ -329,3 +379,355 @@ def test_verify_con_and_valuation_never_build_the_con_order_matrix(
     with redirect_stdout(io.StringIO()):
         for cmd in ("con", "valuation"):
             assert main([cmd, "--lattice", str(lattice)]) == 0
+
+
+# ------------------------------------------- batched kernels against scalar loops
+
+def scalar_beta(lat, contributions, row):
+    """The scalar reference for one row of ``beta_labels``, on explicit
+    contributions: merge the contributed pairs, check the blocks one by
+    one, then the substitution property.  Returns (canonical labels,
+    None) or (None, error)."""
+    pairs = set()
+    for contributed, member in zip(contributions, row):
+        if member:
+            pairs.update(contributed)
+    labels = np.arange(lat.n)
+    for a, b in pairs:
+        _merge(labels, a, b)
+    related = {frozenset(p) for p in pairs}
+    by_label = {}
+    for idx, l in enumerate(labels.tolist()):
+        by_label.setdefault(l, []).append(idx)
+    for block in by_label.values():
+        if len(block) > 3:
+            return None, AssemblyNotALattice(
+                tuple(lat.elements[i] for i in block), "down-set congruence block too large")
+        for a, b in itertools.combinations(block, 2):
+            na, nb = lat.elements[a], lat.elements[b]
+            if frozenset((a, b)) not in related:
+                return None, AssemblyNotALattice((na, nb), "down-set relation not transitive")
+            if not (lat.leq[a, b] or lat.leq[b, a]):
+                return None, AssemblyNotALattice((na, nb), "down-set congruence block not a chain")
+    labels = _canonical(labels)
+    ok, witness = scalar_is_congruence(lat, labels)
+    if not ok:
+        return None, AssemblyNotALattice(witness, "down-set relation fails substitution")
+    return labels, None
+
+
+def scalar_beta_rows(lat, contributions, rows):
+    """Row by row until the first failure: (label tuples, error or None)."""
+    out = []
+    for row in rows:
+        labels, error = scalar_beta(lat, contributions, row)
+        if error is not None:
+            return out, error
+        out.append(labels)
+    return out, None
+
+
+def assert_same_beta(lat, contributions, rows):
+    labels, error = beta_labels(lat, contributions, rows)
+    want, want_error = scalar_beta_rows(lat, contributions, rows)
+    assert [tuple(r) for r in labels.tolist()] == want
+    assert type(error) is type(want_error)
+    if error is not None:
+        assert str(error) == str(want_error) and error.witness == want_error.witness
+    return error
+
+
+def scalar_forward_facts(result):
+    """The congruence-by-congruence reference for ``con_facts``: per
+    congruence of K, (zero, one, isolating, anchor-collapse row over the
+    interior, whether that row is a down set)."""
+    lat, P = result.lattice, result.source
+    out = []
+    for theta in all_congruences(lat).congruences:
+        lab = theta.labels
+        blocks = len(set(lab))
+        isolating = blocks != lat.n and all(
+            lab.count(lab[lat.index(bound)]) == 1 for bound in (lat.bottom, lat.top))
+        row = tuple(lab[lat.index(result.anchor[p][0])] == lab[lat.index(result.anchor[p][1])]
+                    for p in P.interior)
+        members = {p for p, m in zip(P.interior, row) if m}
+        down = all(q in members for p in members for q in P.interior if P.poset.le(q, p))
+        out.append((blocks == lat.n, blocks == 1, isolating, row, down))
+    return out
+
+
+def assert_facts_match_the_scalar_loop(result):
+    facts = result.con_facts
+    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), bool(d)) for z, o, i, b, d in zip(
+        facts.zero, facts.one, facts.isolating, facts.base, facts.base_down)]
+    assert got == scalar_forward_facts(result)
+    for r, theta in enumerate(facts.congruences):
+        if facts.isolating[r]:
+            assert facts.base_of(r) == base(result, theta)
+
+
+def assert_beta_family_matches(result):
+    P = result.source
+    family = [ds.members for ds in down_sets(P.interior_poset)]
+    rows = _membership(family, P.interior)
+    assert_same_beta(result.lattice, result.contributions, rows)
+    facts = result.con_facts
+    thetas, error = beta_family(result, rows, facts)
+    assert error is None
+    # matched to the congruence objects of Con K, not copies of them
+    ids = {id(t) for t in facts.congruences}
+    assert all(id(t) in ids for t in thetas)
+    assert [t.labels for t in thetas] == [beta_H(result, h).labels for h in family]
+
+
+def test_batched_kernels_match_the_scalar_loops_on_the_zoo(templates, poset_zoo):
+    for name, P in poset_zoo.items():
+        result = assemble_K(P, templates)
+        assert_facts_match_the_scalar_loop(result)
+        if not result.degenerate:
+            assert_beta_family_matches(result)
+
+
+def corrupted(lat, contributions, rng):
+    """The contributions with one corruption: a pair dropped from every
+    member, an incomparable pair added, four elements merged, or a new
+    comparable pair added (which usually breaks substitution)."""
+    out = [list(c) for c in contributions]
+    kind = rng.choice(("drop", "incomparable", "merge four", "comparable"))
+    i = rng.randrange(len(out))
+    all_pairs = sorted({frozenset(p) for c in out for p in c}, key=sorted)
+    if kind == "drop" and all_pairs:
+        gone = rng.choice(all_pairs)
+        out = [[p for p in c if frozenset(p) != gone] for c in out]
+    elif kind == "incomparable":
+        pairs = [(a, b) for a in range(lat.n) for b in range(a + 1, lat.n)
+                 if not (lat.leq[a, b] or lat.leq[b, a])]
+        if pairs:
+            out[i].append(rng.choice(pairs))
+    elif kind == "merge four":
+        four = rng.sample(range(lat.n), min(4, lat.n))
+        out[i] += list(itertools.combinations(four, 2))
+    else:
+        pairs = [(a, b) for a in range(lat.n) for b in range(lat.n) if a != b and lat.leq[a, b]]
+        out[i].append(rng.choice(pairs))
+    return kind, tuple(tuple(c) for c in out)
+
+
+@pytest.fixture(scope="module")
+def assembled_zoo(templates, poset_zoo):
+    return [assemble_K(P, templates) for P in poset_zoo.values() if len(P.interior) > 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_beta_kernel_matches_the_scalar_body_on_corrupted_contributions(assembled_zoo, rng):
+    # any membership rows, not only down sets: the kernel reads contributed
+    # pairs only; several rows may fail, and the first one must be named
+    result = rng.choice(assembled_zoo)
+    lat = result.lattice
+    kind, contributions = corrupted(lat, result.contributions, rng)
+    width = len(contributions)
+    rows = np.array([[rng.random() < 0.5 for _ in range(width)]
+                     for _ in range(rng.randrange(1, 12))], dtype=bool).reshape(-1, width)
+    error = assert_same_beta(lat, contributions, rows)
+    event(f"{kind}: {str(error).split(': ')[-1] if error else 'passes'}")
+
+
+def test_each_corruption_reaches_its_failure(templates, poset_zoo):
+    result = assemble_K(poset_zoo["4-chain"], templates)
+    lat = result.lattice
+    ix = lat.index
+    whole = np.ones((1, 2), dtype=bool)
+    base_pairs = result.contributions
+    # theta_q of the one gadget has a three-element chain block; dropping
+    # one of its pairs leaves the block connected but not transitive
+    blocks = [b for b in beta_H(result, ("p", "q")).blocks() if len(b) == 3]
+    assert blocks
+    x, y, _ = (ix(v) for v in blocks[0])
+    gone = frozenset((x, y))
+    cases = {
+        "not transitive": tuple(tuple(p for p in c if frozenset(p) != gone) for c in base_pairs),
+        "block not a chain": (base_pairs[0] + ((ix("a@0"), ix("a@1")),), base_pairs[1]),
+        "block too large": (base_pairs[0] + tuple(itertools.combinations(
+            (ix("o"), ix("a@0"), ix("a@1"), ix("i")), 2)), base_pairs[1]),
+        "fails substitution": (base_pairs[0] + ((ix("o"), ix("a@0")),), base_pairs[1]),
+    }
+    for text, contributions in cases.items():
+        error = assert_same_beta(lat, contributions, whole)
+        assert isinstance(error, AssemblyNotALattice) and str(error).endswith(text), (text, error)
+    # on a four-element chain, all six pairs make the one congruence: every
+    # pair is related and substitution holds, so only the size check fails
+    four = chain(4)
+    error = assert_same_beta(four, (tuple(itertools.combinations(range(4), 2)),), [[True]])
+    assert str(error).endswith("down-set congruence block too large")
+
+
+def test_beta_kernel_chunks_do_not_change_the_result(templates, poset_zoo, monkeypatch):
+    # with one row (and one substitution entry) per chunk, the rows before
+    # a failure in a later chunk and its error are the same
+    import princlat.kernels as kernels
+
+    result = assemble_K(poset_zoo["hat"], templates)
+    lat = result.lattice
+    rows = _membership([ds.members for ds in down_sets(result.source.interior_poset)],
+                       result.source.interior)
+    extra = ((lat.index("o"), lat.index(result.anchor["r"][0])),)
+    contributions = result.contributions[:-1] + (result.contributions[-1] + extra,)
+    wide = [beta_labels(lat, c, rows) for c in (result.contributions, contributions)]
+    assert wide[1][1] is not None and 0 < len(wide[1][0]) < len(rows)
+    monkeypatch.setattr(kernels, "_CHUNK", 1)
+    for (labels, error), c in zip(wide, (result.contributions, contributions)):
+        narrow, narrow_error = beta_labels(lat, c, rows)
+        assert np.array_equal(narrow, labels)
+        assert str(narrow_error) == str(error)
+
+
+def test_beta_h_reports_the_first_failing_row_of_the_family(templates, poset_zoo):
+    # a non-down set after a valid row: beta_family names it, rows before
+    # it are kept, and beta_H raises the same text for it alone
+    result = assemble_K(poset_zoo["4-chain"], templates)
+    rows = _membership([("p",), ("q",), ()], result.source.interior)
+    thetas, error = beta_family(result, rows)
+    assert len(thetas) == 1 and isinstance(error, NotADownSet)
+    with pytest.raises(NotADownSet) as exc:
+        beta_H(result, ("q",))
+    assert str(exc.value) == str(error) == "('q',) is not downward closed in the interior"
+
+
+def scalar_copy_fault(big, idx, small):
+    """The one-instance reference for ``_copy_faults``."""
+    if not np.array_equal(big.leq[np.ix_(idx, idx)], small.leq):
+        return "order"
+    present = np.zeros(big.n, dtype=bool)
+    present[idx] = True
+    sub = np.ix_(idx, idx)
+    if not (present[big.join[sub]].all() and present[big.meet[sub]].all()):
+        return "sublattice"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_copy_faults_match_a_scalar_check(templates, assembled_zoo, rng):
+    # the S instances of an assembled K, some with one element replaced
+    result = rng.choice([r for r in assembled_zoo if r.s_instances] or assembled_zoo)
+    lat = result.lattice
+    s = templates["S"]
+    if not result.s_instances:
+        return
+    rows = []
+    for naming in result.s_instances.values():
+        row = [lat.index(naming[s.role_map[ph]]) for ph in s.poset.elements]
+        if rng.random() < 0.6:
+            row[rng.randrange(len(row))] = rng.randrange(lat.n)
+        rows.append(row)
+    codes = _copy_faults(lat, np.array(rows), s.poset)
+    faults = [COPY_FAULTS[c] for c in codes.tolist()]
+    assert faults == [scalar_copy_fault(lat, row, s.poset) for row in rows]
+    for fault in faults:
+        event(str(fault))
+
+
+def test_copy_faults_name_each_fault(templates, poset_zoo):
+    # bottom and two atoms of B2's K are ordered like a V but their join is
+    # missing; a chain through the atom is a copy; a reversed chain is not
+    lat = assemble_K(poset_zoo["B2"], templates).lattice
+    ix = lat.index
+    vee = validate_poset(["o", "x", "y"], [("o", "x"), ("o", "y")])
+    chain3 = validate_poset(["o", "x", "i"], [("o", "x"), ("x", "i")])
+    assert COPY_FAULTS[_copy_faults(lat, [[ix("o"), ix("a@p"), ix("a@q")]], vee)[0]] == "sublattice"
+    up, down = [ix("o"), ix("a@p"), ix("i")], [ix("i"), ix("a@p"), ix("o")]
+    codes = _copy_faults(lat, [up, down], chain3)
+    assert [COPY_FAULTS[c] for c in codes.tolist()] == [None, "order"]
+
+
+def test_assembly_reports_the_first_faulty_instance(templates, poset_zoo, monkeypatch):
+    # faults injected in several instances of two templates: the one named
+    # is the first in placement order, with its own fault
+    import princlat.construction as construction
+
+    P = poset_zoo["V"]
+    placement = [inst for inst, _, _ in construction._instances(P)]
+    original = construction._copy_faults
+    for faulty, expect in (({"frame": 1, "SV": 2}, (placement.index("frame@0"), "order")),
+                           ({"S": 2, "frame": 1}, (1, "closure"))):
+        def injected(big, idx, small, _faulty=faulty):
+            codes = original(big, idx, small)
+            name = next((t.name for t in templates.values() if t.poset is small), None)
+            if name in _faulty:
+                codes[-1 if name == "S" else 0:] = _faulty[name]
+            return codes
+
+        monkeypatch.setattr(construction, "_copy_faults", injected)
+        with pytest.raises(AssemblyNotALattice) as exc:
+            assemble_K(P, templates)
+        assert exc.value.witness == (placement[expect[0]], expect[1])
+
+
+def scalar_forward_error(result):
+    """The first error a congruence-by-congruence forward map raises, or None."""
+    lat = result.lattice
+    for theta, (zero, one, isolating, row, down) in zip(
+            all_congruences(lat).congruences, scalar_forward_facts(result)):
+        if (one and lat.n > 1) or zero:
+            continue
+        if not isolating:
+            return CorrespondenceBroken(theta.blocks(), "congruence neither bound nor isolating")
+        if not down:
+            names = tuple(sorted(p for p, m in zip(result.source.interior, row) if m))
+            return CorrespondenceBroken(names, "base is not a down set")
+    return None
+
+
+@pytest.fixture(scope="module")
+def scrambled(templates, poset_zoo):
+    """Results assembled from S with two roles swapped, for every pair of
+    roles whose double gadgets still glue, on four interior shapes."""
+    s = templates["S"]
+    out = []
+    for a, b in itertools.combinations(sorted(s.role_map), 2):
+        roles = dict(s.role_map)
+        roles[a], roles[b] = roles[b], roles[a]
+        t = GadgetTemplate("S", s.poset, roles, s.lattice)
+        try:
+            trial = dict(templates, S=t, **{k: double_gadget(t, k) for k in AMALGAM_COPIES})
+        except TemplateInvalid:
+            continue
+        for name in ("4-chain", "B2", "V", "hat"):
+            try:
+                out.append((trial, assemble_K(poset_zoo[name], trial)))
+            except AssemblyNotALattice:
+                continue
+    return out
+
+
+def test_batched_kernels_match_the_scalar_loops_on_scrambled_gadgets(scrambled):
+    # gadgets that break the construction reach the forward errors, and
+    # beta rows that fail each check, with real contributions
+    seen = set()
+    for trial, result in scrambled:
+        P = result.source
+        assert_facts_match_the_scalar_loop(result)
+        rows = _membership([ds.members for ds in down_sets(P.interior_poset)], P.interior)
+        error = assert_same_beta(result.lattice, result.contributions, rows)
+        want = scalar_forward_error(result)
+        try:
+            phi(result)
+            got = None
+        except CorrespondenceBroken as exc:
+            got = exc
+        except AssemblyNotALattice:
+            got = want = None  # a beta failure, compared above
+        if want is not None:
+            assert (str(got), got.witness) == (str(want), want.witness)
+            seen.add(str(want).split(": ")[-1])
+        if error is not None:
+            seen.add(str(error).split(": ")[-1])
+        stages = _stage_details(verify_theorem(P, trial, "scrambled"))
+        bad_base = [r for r in scalar_forward_facts(result) if r[2] and not r[4]]
+        if bad_base:
+            names = tuple(sorted(p for p, m in zip(P.interior, bad_base[0][3]) if m))
+            failure = VerificationFailed("base-down-set", witness=names)
+            assert stages["base-down-set"] == (False, f"VerificationFailed: {failure}")
+    assert {"base is not a down set", "down-set congruence block too large",
+            "down-set relation fails substitution"} <= seen

@@ -12,7 +12,9 @@ from princlat.lattice import (
     as_lattice,
     c2_times_c3,
     chain,
+    closed_rows,
     is_01_sublattice,
+    is_closed,
     lattice_from_covers,
     lattice_iso,
     length,
@@ -181,3 +183,17 @@ def test_random_posets_cover_lattices_and_non_lattices():
     kinds = {pair_scan_bound_table(random_poset(rng, bounded).leq, upper)[0] is None
              for bounded in (True, False) for upper in (True, False) for _ in range(20)}
     assert kinds == {True, False}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_closed_rows_match_a_pair_scan(seed):
+    # random subsets of one size, in one matrix, against a scan of all pairs
+    rng = random.Random(seed)
+    for lat in random_lattices(seed, 2, max_size=10):
+        t = rng.randrange(1, lat.n + 1)
+        rows = [rng.sample(range(lat.n), t) for _ in range(12)]
+        want = [all(lat.join[x, y] in row and lat.meet[x, y] in row for x in row for y in row)
+                for row in rows]
+        assert closed_rows(lat, np.array(rows)).tolist() == want
+        assert [is_closed(lat, row) for row in rows] == want

@@ -11,7 +11,9 @@ from princlat.order import (
     _bool_product,
     _transitive_closure,
     containment_order,
+    down_set_rows,
     down_sets,
+    is_down_set,
     order_iso,
     principal_down_set,
     to_bounded,
@@ -203,3 +205,18 @@ def test_bool_product_and_closure_match_matmul(n):
     while not np.array_equal(closure | (closure @ closure), closure):
         closure |= closure @ closure
     assert np.array_equal(_transitive_closure(a), closure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(), st.randoms(use_true_random=False))
+def test_down_set_rows_match_a_scalar_check(p, rng):
+    # every down set passes; random rows pass iff no member has a non-member below it
+    family = down_sets(p)
+    rows = np.array([[x in d.members for x in p.elements] for d in family], dtype=bool)
+    assert down_set_rows(p, rows).all()
+    rows = np.array([[rng.random() < 0.5 for _ in range(p.n)] for _ in range(8)], dtype=bool)
+    want = [all(row[j] for i in range(p.n) if row[i] for j in range(p.n) if p.leq[j, i])
+            for row in rows.tolist()]
+    assert down_set_rows(p, rows).tolist() == want
+    assert [is_down_set(p, [x for x, m in zip(p.elements, row) if m])
+            for row in rows.tolist()] == want
