@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NotICongruence, ValuationDiverged
 from .lattice import FiniteLattice
-from .order import Poset, _freeze, _transitive_closure
+from .order import _CHUNK, Poset, _freeze, _member_names, _row_keys, _transitive_closure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -192,22 +192,37 @@ def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> Congruence
     return CongruenceRelation(a.lattice, _canonical(labels))
 
 
+def _label_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype holding the labels of an n-element lattice."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def _block_firsts(labels: np.ndarray) -> np.ndarray:
     """``first[r, i]``: the first element of i's block under row r of a label matrix.
 
-    A stable sort of each row lists every block's elements together and
-    in index order, so the first slot of a block holds its first element.
+    ``labels`` may also be a stack of label matrices, k x rows x n, read
+    as one key of k words per entry.  A stable sort of each row lists
+    every block's elements together and in index order, so the first slot
+    of a block holds its first element.
     """
-    rows = np.arange(labels.shape[0])[:, None]
-    order = np.argsort(labels, axis=1, kind="stable")
-    grouped = labels[rows, order]
-    starts = np.ones(labels.shape, dtype=bool)
-    starts[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
-    slot = np.where(starts, np.arange(labels.shape[1]), 0)
+    keys = labels[None] if labels.ndim == 2 else labels
+    rows = np.arange(keys.shape[1])[:, None]
+    order = np.lexsort(keys, axis=-1)
+    grouped = keys[:, rows, order]
+    starts = np.ones(order.shape, dtype=bool)
+    starts[:, 1:] = (grouped[:, :, 1:] != grouped[:, :, :-1]).any(axis=0)
+    slot = np.where(starts, np.arange(order.shape[1]), 0)
     np.maximum.accumulate(slot, axis=1, out=slot)  # the block's first slot, for each slot
     first = np.empty_like(order)
     first[rows, order] = order[rows, slot]
     return first
+
+
+def _numbered(first: np.ndarray) -> np.ndarray:
+    """Canonical label rows from :func:`_block_firsts`: blocks numbered by
+    first occurrence, counting the first elements up to each one."""
+    firsts = np.cumsum(first == np.arange(first.shape[1]), axis=1) - 1
+    return np.take_along_axis(firsts, first, axis=1)
 
 
 def is_congruence(lat: FiniteLattice, labels) -> tuple[bool, tuple[str, str, str] | None]:
@@ -267,14 +282,22 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
+def _mask_bytes(masks, width: int) -> np.ndarray:
+    """The inverse of :func:`_row_masks`: one row of packed bytes per int
+    mask of ``width`` bits, bit i of the mask at bit i % 8 of byte i // 8."""
+    size = (width + 7) // 8
+    data = b"".join(m.to_bytes(size, "little") for m in masks)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+
+
 def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
     """Read-only ``leq[x, y]`` iff ``masks[x]`` is a subset of ``masks[y]``.
 
     Filled a row at a time, so no temporary is larger than len(masks) x
     width booleans.
     """
-    member = np.array([[(m >> k) & 1 for k in range(width)] for m in masks],
-                      dtype=bool).reshape(len(masks), width)
+    member = np.unpackbits(_mask_bytes(masks, width), axis=1, count=width,
+                           bitorder="little").view(bool)
     outside = ~member
     leq = np.empty((len(masks), len(masks)), dtype=bool)
     for x, row in enumerate(member):
@@ -283,18 +306,18 @@ def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
     return leq
 
 
-def order_mismatch(thetas, members) -> tuple[int, int] | None:
+def order_mismatch(labels, members) -> tuple[int, int] | None:
     """The first pair (a, b), row-major, where refinement and containment disagree.
 
-    "``thetas[a]`` refines ``thetas[b]``" is read from the label vectors
+    ``labels`` has one label vector per row, ``members`` one boolean row
+    per label row.  "Row a refines row b" is read from the label vectors
     alone, not from the lattice's ``ConAnalysis``: it holds iff every
     element has, under b, the label of the first element of its a-block.
-    ``members`` is a boolean matrix with one row per congruence; row a is
-    contained in row b iff it has no True outside it.  Filled a row at a
-    time: no temporary is larger than len(thetas) x |L| or len(thetas) x
-    width.
+    Row a of ``members`` is contained in row b iff it has no True outside
+    it.  Filled a row at a time: no temporary is larger than len(labels)
+    x |L| or len(labels) x width.
     """
-    labels = np.array([t.labels for t in thetas])
+    labels = np.asarray(labels)
     members = np.asarray(members, dtype=bool)
     outside = ~members
     first = _block_firsts(labels)
@@ -307,7 +330,7 @@ def order_mismatch(thetas, members) -> tuple[int, int] | None:
     return None
 
 
-def cover_certificate(thetas, members) -> bool:
+def cover_certificate(labels, members) -> bool:
     """Whether refinement and containment agree on all pairs, checked on covers only.
 
     Takes the input of :func:`order_mismatch` and returns True iff it
@@ -331,27 +354,41 @@ def cover_certificate(thetas, members) -> bool:
 
     Refinement is read from the label vectors, as in order_mismatch: a
     refines b iff every element has, under b, the label of the first
-    element of its a-block (only the elements that are not first need
-    comparing).  The checks run one column p at a time, so no temporary is
-    larger than len(thetas) x |L| small ints; down p is the smallest row
-    holding p.
+    element of its a-block; only the entries that are not first in their
+    block need comparing, and they are listed once.  Rows are put in the
+    order of their packed membership keys.  Setting a bit that a key lacks
+    keeps that order, so for each column p the keys of the cover partners
+    H u {p} come sorted, and one ``searchsorted`` finds them all.  The
+    checks run one column at a time, so no temporary is larger than the
+    label matrix; down p is the smallest row holding p.
     """
-    labels = np.array([t.labels for t in thetas])
     members = np.asarray(members, dtype=bool)
-    first = _block_firsts(labels)  # first[r, i]: first element of i's block under thetas[r]
-    keys = _row_masks(members)
-    row_of = {key: r for r, key in enumerate(keys)}
+    packed = np.packbits(members, axis=1, bitorder="little")
+    by_key = np.argsort(_row_keys(packed))
+    packed, members, labels = packed[by_key], members[by_key], np.asarray(labels)[by_key]
+    keys = _row_keys(packed)
+    first = _block_firsts(labels)  # first[r, i]: first element of i's block under row r
+    cols = np.arange(labels.shape[1])
+    row, col = np.nonzero(first != cols)  # the entries that are not first in their block
+    lead = first[row, col]
     sizes = members.sum(axis=1)
+    partner = np.empty(len(labels), dtype=np.intp)
     for p in range(members.shape[1]):
         has = members[:, p]
         lo = np.flatnonzero(~has)
-        hi = np.array([row_of.get(keys[r] | 1 << p, -1) for r in lo.tolist()], dtype=np.intp)
-        lo, hi = lo[hi >= 0], hi[hi >= 0]
-        up = labels[hi]
-        if not (up[np.arange(len(hi))[:, None], first[lo]] == up).all():  # (i)
+        grown = packed[lo]
+        grown[:, p >> 3] |= 1 << (p & 7)
+        want = _row_keys(grown)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        partner.fill(-1)
+        partner[lo] = np.where(keys[at] == want, at, -1)
+        up = partner[row]
+        out = up >= 0
+        up = up[out]
+        if (labels[up, col[out]] != labels[up, lead[out]]).any():  # (i)
             return False
         down = np.flatnonzero(has)[sizes[has].argmin()]
-        moved = np.flatnonzero(first[down] != np.arange(labels.shape[1]))  # not first in block
+        moved = np.flatnonzero(first[down] != cols)
         if not np.array_equal((labels[:, first[down, moved]] == labels[:, moved]).all(axis=1),
                               has):  # (ii)
             return False
@@ -427,9 +464,12 @@ class ConAnalysis:
     boolean matrix.  The label-vector closure (:func:`principal_congruence`)
     runs only as the reference the tests compare cm against.
 
+    Con L and Princ L are also kept as label matrices, one canonical label
+    vector per mask, built for all masks at once (``_ordered``).
+
     Built once per lattice (``FiniteLattice.con_analysis``); the public
-    functions below are views of it.  It holds ints, tuples and the
-    lattice's poset, never the lattice itself: a reference back would
+    functions below are views of it.  It holds ints, tuples, arrays and
+    the lattice's poset, never the lattice itself: a reference back would
     make a cycle that keeps every analysed lattice alive until the
     cyclic garbage collector runs.
     """
@@ -452,17 +492,12 @@ class ConAnalysis:
             np.bitwise_or.reduce(packed[lat.join[j]] & ~packed[lat.join[lo]], axis=0, out=dep[k])
         dep = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
         self.cm = _row_masks(_transitive_closure(dep))  # row k: {j : j D* k}
-        self._labels: dict[int, tuple[int, ...]] = {}
         self._principal: dict[int, int] = {}
 
     def labels(self, mask: int) -> tuple[int, ...]:
-        """The canonical label vector of a congruence mask (see above)."""
-        labels = self._labels.get(mask)
-        if labels is None:
-            ids: dict[int, int] = {}
-            labels = tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
-            self._labels[mask] = labels
-        return labels
+        """The canonical label vector of one congruence mask (see above)."""
+        ids: dict[int, int] = {}
+        return tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
 
     def principal(self, a: int, b: int) -> int:
         """Mask of con(a, b) for a <= b, memoised on J(b) minus J(a)."""
@@ -477,29 +512,51 @@ class ConAnalysis:
             self._principal[diff] = mask
         return mask
 
-    def _sorted(self, masks) -> tuple[int, ...]:
-        """Masks in ConOrder order: more blocks first, then by label vector."""
-        def key(m):
-            labels = self.labels(m)
-            return -len(set(labels)), labels
-        return tuple(sorted(masks, key=key))
+    def _ordered(self, masks) -> tuple[tuple[int, ...], np.ndarray]:
+        """``masks`` in ConOrder order, more blocks first and then by label
+        vector, with their read-only label matrix in that order.
+
+        Row r, column x of the matrix is first r(x) = J(x) minus M, read
+        as a key of 64-bit words, then numbered by first occurrence along
+        the row; rows go in chunks of ``_CHUNK`` words, and one lexsort
+        orders them.
+        """
+        masks = tuple(masks)
+        n = len(self.jbelow)
+        words = max(1, -(-len(self.joinirr) // 64))
+        jkeys = _mask_bytes(self.jbelow, 64 * words).view(np.uint64)
+        held = _mask_bytes(masks, 64 * words).view(np.uint64)
+        labels = np.empty((len(masks), n), dtype=_label_dtype(n))
+        step = max(1, _CHUNK // (n * words))
+        for s in range(0, len(masks), step):
+            rest = jkeys & ~held[s:s + step, None, :]  # rest[r, x]: r(x) under masks[s + r]
+            labels[s:s + step] = _numbered(_block_firsts(np.moveaxis(rest, 2, 0)))
+        blocks = labels.max(axis=1).astype(np.intp) + 1
+        order = np.lexsort(tuple(labels.T[::-1]) + (-blocks,))
+        return tuple(masks[i] for i in order.tolist()), _freeze(labels[order])
 
     @cached_property
-    def con_masks(self) -> tuple[int, ...]:
-        """Every congruence mask, in ConOrder order: the OR-closure of the cm[k]."""
-        gens = sorted(set(self.cm))
+    def _con(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """Every congruence mask and its label row, in ConOrder order.
+
+        Con L is the OR-closure of the cm[k], grown one generator at a time;
+        a set closed under OR that already holds a generator is closed
+        under it too.
+        """
         known = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in gens:
-                    u = m | g
-                    if u not in known:
-                        known.add(u)
-                        new.append(u)
-            frontier = new
-        return self._sorted(known)
+        for g in sorted(set(self.cm)):
+            if g not in known:
+                known |= {m | g for m in known}
+        return self._ordered(known)
+
+    @property
+    def con_masks(self) -> tuple[int, ...]:
+        return self._con[0]
+
+    @property
+    def con_labels(self) -> np.ndarray:
+        """The label vectors of ``con_masks``, one read-only row each."""
+        return self._con[1]
 
     @cached_property
     def con_leq(self) -> np.ndarray:
@@ -518,8 +575,17 @@ class ConAnalysis:
         return found
 
     @cached_property
+    def _princ(self) -> tuple[tuple[int, ...], np.ndarray]:
+        return self._ordered(self.princ_witnesses)
+
+    @property
     def princ_masks(self) -> tuple[int, ...]:
-        return self._sorted(self.princ_witnesses)
+        return self._princ[0]
+
+    @property
+    def princ_labels(self) -> np.ndarray:
+        """The label vectors of ``princ_masks``, one read-only row each."""
+        return self._princ[1]
 
     @cached_property
     def princ_leq(self) -> np.ndarray:
@@ -560,15 +626,14 @@ class ConAnalysis:
         return values
 
 
-def _relations(lat: FiniteLattice, masks) -> tuple[CongruenceRelation, ...]:
-    an = lat.con_analysis
-    return tuple(CongruenceRelation(lat, an.labels(m)) for m in masks)
+def _relations(lat: FiniteLattice, labels: np.ndarray) -> tuple[CongruenceRelation, ...]:
+    """One relation per row of a label matrix."""
+    return tuple(CongruenceRelation(lat, tuple(row)) for row in labels.tolist())
 
 
 def all_congruences(lat: FiniteLattice) -> ConOrder:
     """Every congruence, ordered by block count; the refinement order is lazy."""
-    an = lat.con_analysis
-    return ConOrder(lat, _relations(lat, an.con_masks))
+    return ConOrder(lat, _relations(lat, lat.con_analysis.con_labels))
 
 
 def principal_congruences_with_witnesses(
@@ -592,7 +657,7 @@ def principal_congruences_with_witnesses(
 def princ_order(lat: FiniteLattice) -> PrincOrder:
     """Deduplicated principal congruences ordered by refinement."""
     an = lat.con_analysis
-    return PrincOrder(lat, _relations(lat, an.princ_masks),
+    return PrincOrder(lat, _relations(lat, an.princ_labels),
                       tuple(an.princ_witnesses[m] for m in an.princ_masks), an.princ_leq)
 
 
@@ -624,11 +689,6 @@ def _base_rows(result: "ConstructionResult", labels: np.ndarray) -> np.ndarray:
     return labels[:, a] == labels[:, b]
 
 
-def _base_names(interior: tuple[str, ...], row: np.ndarray) -> tuple[str, ...]:
-    """A row of :func:`_base_rows` as :func:`base` returns it: sorted names."""
-    return tuple(sorted(interior[i] for i in np.flatnonzero(row).tolist()))
-
-
 def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, ...]:
     """Interior elements whose anchor pair is collapsed by beta.
 
@@ -637,7 +697,7 @@ def base(result: "ConstructionResult", beta: CongruenceRelation) -> tuple[str, .
     """
     if not is_I_congruence(result.lattice, beta):
         raise NotICongruence("base is defined for I-congruences only")
-    return _base_names(result.source.interior, _base_rows(result, np.array([beta.labels]))[0])
+    return _member_names(result.source.interior, _base_rows(result, np.array([beta.labels]))[0])
 
 
 def valuation(lat: FiniteLattice) -> Valuation:

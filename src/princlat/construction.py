@@ -57,7 +57,7 @@ from .errors import (
     TemplateInvalid,
     VerificationFailed,
 )
-from .kernels import ConFacts, _row_keys, beta_family, con_facts
+from .kernels import ConFacts, beta_family, con_facts
 from .lattice import (
     FiniteLattice,
     as_lattice,
@@ -74,8 +74,11 @@ from .order import (
     DownSet,
     Poset,
     _bool_product,
+    _down_set_list,
     _freeze,
-    down_sets,
+    _member_names,
+    _row_keys,
+    down_set_matrix,
     order_iso,
     principal_down_set,
     validate_poset,
@@ -178,10 +181,15 @@ class ConstructionResult:
 
 @dataclass(frozen=True)
 class IsoCorrespondence:
-    """Mutually inverse order isomorphisms Con K <-> nonempty down sets."""
+    """Mutually inverse order isomorphisms Con K <-> nonempty down sets.
+
+    ``betas`` holds the label vector of beta_H for every down set H of
+    the interior, one row each, in ``down_set_matrix`` order.
+    """
 
     forward: dict[CongruenceRelation, DownSet]
     backward: dict[DownSet, CongruenceRelation]
+    betas: np.ndarray = field(compare=False)
 
 
 def default_template_dir() -> Path:
@@ -579,6 +587,13 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
     for all congruences at once.  The backward map sends {0} u H to
     beta_H, for every down set H of the interior, from one
     :func:`beta_family` call, and the full set to the one congruence.
+    The down sets of P are the rows of one membership matrix.  Every one
+    but P itself is {0} u H for a down set H of the interior, and they
+    come in the order of the H: of two down sets of one size, the one
+    holding the least element of their symmetric difference comes first,
+    and adding 0 to both changes neither that element nor the order of
+    sizes.  So ``betas``, the beta rows in this order, are in the
+    ``down_set_matrix`` order of the interior.
     A failure is reported as the first one that a loop over Con K, then
     over the down sets, would meet.
     """
@@ -586,10 +601,10 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
     P = result.source
     facts = result.con_facts
     cons = facts.congruences
-    downs = down_sets(P.poset, nonempty_only=True)
-    if len(cons) != len(downs):
+    family = down_set_matrix(P.poset)[1:]  # the nonempty down sets of P
+    if len(cons) != len(family):
         raise CorrespondenceBroken(
-            (len(cons), len(downs)), "congruence count differs from down-set count")
+            (len(cons), len(family)), "congruence count differs from down-set count")
 
     top = facts.one & (lat.n > 1)
     bad = ~(top | facts.zero | (facts.isolating & facts.base_down))
@@ -604,7 +619,6 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
     image[:, inner] = facts.base
     image[:, P.poset.index(P.zero)] = True
     image[top | (facts.zero & (lat.n == 1))] = True
-    family = _membership([ds.members for ds in downs], P.elements)
     image_keys = _row_keys(np.packbits(image, axis=1))
     family_keys = _row_keys(np.packbits(family, axis=1))
     image_sorted = np.sort(image_keys)
@@ -613,32 +627,32 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
     if (image_sorted[1:] == image_sorted[:-1]).any():
         raise CorrespondenceBroken(None, "forward map not injective")
     order = np.argsort(family_keys)
-    at = order[np.searchsorted(family_keys[order], image_keys)]
-    forward = {theta: downs[k] for theta, k in zip(cons, at.tolist())}
+    at = order[np.searchsorted(family_keys[order], image_keys)]  # family row of each image
+    downs = _down_set_list(P.poset, family)
+    forward = dict(zip(cons, (downs[k] for k in at.tolist())))
 
-    full = DownSet(tuple(sorted(P.elements)))
-    kept = [k for k, ds in enumerate(downs) if not (ds == full and lat.n > 1)]
-    thetas, error = beta_family(result, family[kept][:, inner], facts)
-    thetas = iter(thetas)
-    backward: dict[DownSet, CongruenceRelation] = {}
-    for ds in downs:
-        if ds == full and lat.n > 1:
-            backward[ds] = cons[-1]
-            continue
-        theta = next(thetas, None)
-        if theta is None:
-            raise error
-        backward[ds] = theta
-        if forward[theta] != ds:
-            raise CorrespondenceBroken(ds.members, "round trip broke")
+    # beta_H of {0} u H must be the congruence whose image it is; the full
+    # set P, the last row, maps back to the one congruence
+    owner = np.empty_like(at)
+    owner[at] = np.arange(len(at))
+    kept = len(family) - (lat.n > 1)
+    thetas, error = beta_family(result, family[:kept][:, inner], facts)
+    expected = [cons[r] for r in owner[:len(thetas)].tolist()]
+    if list(thetas) != expected:
+        k = next(k for k, (t, e) in enumerate(zip(thetas, expected)) if t != e)
+        raise CorrespondenceBroken(downs[k].members, "round trip broke")
+    if error is not None:
+        raise error
+    backward = dict(zip(downs, thetas))
+    if lat.n > 1:
+        backward[downs[-1]] = cons[-1]
     # the forward image is all nonempty down sets of P, so covers certify
     # the order; the pairwise oracle runs only to name the first mismatch
-    bad = None if cover_certificate(cons, image) else order_mismatch(cons, image)
+    bad = None if cover_certificate(facts.labels, image) else order_mismatch(facts.labels, image)
     if bad is not None:
-        t1, t2 = (cons[k] for k in bad)
-        raise CorrespondenceBroken(
-            (forward[t1].members, forward[t2].members), "order not preserved")
-    return IsoCorrespondence(forward, backward)
+        a, b = (downs[k].members for k in at[list(bad)].tolist())
+        raise CorrespondenceBroken((a, b), "order not preserved")
+    return IsoCorrespondence(forward, backward, facts.labels[owner[:kept]])
 
 
 @dataclass(frozen=True)
@@ -675,8 +689,9 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     Every stage reads the one congruence analysis of K
     (``FiniteLattice.con_analysis``), and the per-congruence stages read
     its label matrix once, through ``result.con_facts``.  :func:`phi`
-    runs once, and the down-set stage takes beta_H of each down set from
-    its backward map, which one :func:`beta_family` call filled.
+    runs once, and the down-set stage reads the beta rows of the down
+    sets of the interior from its ``betas``, which one
+    :func:`beta_family` call filled.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -745,39 +760,37 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return ""
 
     # phi runs once: both correspondence stages report its result or its
-    # exception, and the down-set stage reads beta_H from its backward map
+    # exception, and the down-set stage reads beta_H from its betas
     try:
         mapping, phi_error = phi(result), None
     except Exception as exc:  # noqa: BLE001 - reported by the stages below
         mapping, phi_error = None, exc
 
     def s_beta():
-        # the backward map holds beta_H of each down set H at {0} u H; when
+        # phi's betas hold beta_H of each down set H of the interior; when
         # phi failed, the beta kernel runs here instead
-        family = down_sets(P.interior_poset)
-        downs = [ds.members for ds in family]
-        rows = _membership(downs, P.interior)
+        rows = down_set_matrix(P.interior_poset)
         if mapping is None:
             thetas, error = beta_family(result, rows, facts)
+            labels = np.array([t.labels for t in thetas], dtype=np.intp)
+            labels = labels.reshape(len(thetas), lat.n)
         else:
-            thetas = tuple(mapping.backward[DownSet(tuple(sorted((P.zero,) + h)))] for h in downs)
-            error = None
-        labels = np.array([t.labels for t in thetas], dtype=np.intp).reshape(len(thetas), lat.n)
-        empty = ~rows[:len(thetas)].any(axis=1)
+            labels, error = mapping.betas, None
+        empty = ~rows[:len(labels)].any(axis=1)
         ok = np.where(empty, _block_counts(labels) == lat.n, _isolating(lat, labels))
         if not ok.all():
             k = int(ok.argmin())
-            raise VerificationFailed("downset-congruence",
-                                     witness="empty" if empty[k] else downs[k])
+            witness = "empty" if empty[k] else _member_names(P.interior, rows[k])
+            raise VerificationFailed("downset-congruence", witness=witness)
         if error is not None:
             raise error
-        # family holds every down set of the interior, so covers certify the order
-        bad = None if cover_certificate(thetas, rows) else order_mismatch(thetas, rows)
+        # rows are every down set of the interior, so covers certify the
+        # order; an order embedding is injective
+        bad = None if cover_certificate(labels, rows) else order_mismatch(labels, rows)
         if bad is not None:
-            raise VerificationFailed("downset-congruence", witness=tuple(downs[k] for k in bad))
-        if len({t.labels for t in thetas}) != len(thetas):
-            raise VerificationFailed("downset-congruence", witness="not injective")
-        return f"{len(family)} down sets"
+            witness = tuple(_member_names(P.interior, rows[k]) for k in bad)
+            raise VerificationFailed("downset-congruence", witness=witness)
+        return f"{len(rows)} down sets"
 
     def s_phi():
         if phi_error is not None:

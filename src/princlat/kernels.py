@@ -21,30 +21,20 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
-    _base_names,
     _base_rows,
     _block_counts,
     _isolating,
+    _label_dtype,
+    _numbered,
     all_congruences,
     is_congruence,
 )
 from .errors import AssemblyNotALattice, NotADownSet, PrinclatError
 from .lattice import FiniteLattice
-from .order import _CHUNK, down_set_rows
+from .order import _CHUNK, _member_names, _row_keys, down_set_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
-
-
-def _label_dtype(n: int) -> np.dtype:
-    """The narrowest unsigned dtype holding the labels of an n-element lattice."""
-    return np.min_scalar_type(max(n - 1, 0))
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque fixed-width key per row, equal iff the rows are equal."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +62,7 @@ class ConFacts:
 
     def base_of(self, r: int) -> tuple[str, ...]:
         """``congruence.base`` of congruence r."""
-        return _base_names(self.interior, self.base[r])
+        return _member_names(self.interior, self.base[r])
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,10 +80,11 @@ class ConFacts:
 
 
 def con_facts(result: ConstructionResult) -> ConFacts:
-    """The :class:`ConFacts` of an assembled lattice, from one label matrix."""
+    """The :class:`ConFacts` of an assembled lattice, from the label matrix
+    of its congruence analysis."""
     lat = result.lattice
     cons = all_congruences(lat).congruences
-    labels = np.array([t.labels for t in cons], dtype=_label_dtype(lat.n))
+    labels = lat.con_analysis.con_labels
     blocks = _block_counts(labels)
     rows = _base_rows(result, labels)
     return ConFacts(result.source.interior, cons, labels, blocks == lat.n, blocks == 1,
@@ -171,7 +162,7 @@ def beta_labels(lat: FiniteLattice, contributions,
         bad = (sizes > 3).any(axis=1) | (
             (sizes * (sizes - 1) // 2).sum(axis=1) != active.sum(axis=1))
         bad |= _substitution_faults(lat, lab, ~first & ~bad[:, None])
-        canon = np.take_along_axis(np.cumsum(first, axis=1) - 1, lab, axis=1)
+        canon = _numbered(lab)
         if bad.any():
             r = int(bad.argmax())
             out[s:s + r] = canon[:r]
@@ -243,7 +234,7 @@ def beta_family(result: ConstructionResult, members, known: ConFacts | None = No
     stop = int(np.argmin(down)) if not down.all() else len(rows)
     labels, error = beta_labels(lat, result.contributions, rows[:stop])
     if error is None and stop < len(rows):
-        names = tuple(sorted(P.interior[i] for i in np.flatnonzero(rows[stop]).tolist()))
+        names = _member_names(P.interior, rows[stop])
         error = NotADownSet(f"{names} is not downward closed in the interior")
     found = known.find(labels) if known is not None else np.full(len(labels), -1)
     cons = known.congruences if known is not None else ()

@@ -75,7 +75,7 @@ class IntervalEdge:
 def _bound_table(leq: np.ndarray, upper: bool):
     """Least upper (or greatest lower) bound table; None and a witness on failure.
 
-    Built a row at a time.  Let U(x, y) be the common upper bounds of x
+    Built in chunks of rows x.  Let U(x, y) be the common upper bounds of x
     and y and c the one with the fewest elements below it (the first of
     U(x, y) when elements are sorted by down-set size).  Every element
     above c is in U(x, y), so U(x, y) has a least element iff U(x, y) is
@@ -96,17 +96,17 @@ def _bound_table(leq: np.ndarray, upper: bool):
     by_size = np.ascontiguousarray(a[:, order])  # by_size[y, i]: y <= order[i]
     up_size = np.count_nonzero(a, axis=1)
     count = np.uint16 if n < 1 << 16 else np.intp  # narrow sums are about 2x faster
-    rows = np.arange(n)
     table = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        common = by_size[x] & by_size
-        first = common.argmax(axis=1)
-        cand = order[first]
-        ok = common[rows, first] & (common.sum(axis=1, dtype=count) == up_size[cand])
+    step = max(1, _CHUNK // max(n * n, 1))  # rows x per chunk of n x n entries
+    for s in range(0, n, step):
+        common = by_size[s:s + step, None, :] & by_size  # common[x - s, y, i]
+        cand = order[common.argmax(axis=2)]
+        # an empty U(x, y) fails too: up(cand) holds at least cand
+        ok = common.sum(axis=2, dtype=count) == up_size[cand]
         if not ok.all():
-            y = int(np.flatnonzero(~ok)[0])
-            return None, (x, y, _minimal_bounds(a, x, y))
-        table[x] = cand
+            x, y = divmod(int(np.flatnonzero(~ok)[0]), n)  # row-major: x first, then y
+            return None, (s + x, y, _minimal_bounds(a, s + x, y))
+        table[s:s + step] = cand
     return table, None
 
 

@@ -9,6 +9,7 @@ computed here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,17 @@ _CHUNK = 1 << 14
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque fixed-width key per row, equal iff the rows are equal."""
+    rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), np.uint8))
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _member_names(elements, row) -> tuple[str, ...]:
+    """The elements a boolean row marks, as a sorted name tuple."""
+    return tuple(sorted(itertools.compress(elements, row)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,27 +246,38 @@ def to_bounded(p: Poset) -> BoundedPoset:
     return BoundedPoset(p, p.elements[zi], p.elements[oi], interior, tuple(isolated))
 
 
-def down_sets(p: Poset, nonempty_only: bool = False) -> list[DownSet]:
-    """All down sets of ``p``, deterministically ordered.
+def down_set_matrix(p: Poset) -> np.ndarray:
+    """Every down set of ``p`` as a read-only boolean row over its elements,
+    ordered by (size, member indices).
 
     Enumeration runs along a linear extension, keeping the down sets of
     the prefix seen so far: the next element extends exactly those that
-    hold everything strictly below it, so each down set is produced once.
-    It is a loop, not a recursive closure, whose reference cycle would
-    keep every set alive until the cyclic garbage collector runs.  Output
-    is ordered by (size, member indices).
+    hold everything strictly below it, so each down set is produced once,
+    one vectorised selection per element.  Of two down sets of one size,
+    the one holding the least element of their symmetric difference has
+    the smaller member indices, so one lexsort, by size and then column by
+    column with members first, gives the order.
     """
     strict = p.leq & ~np.eye(p.n, dtype=bool)
-    order = sorted(range(p.n), key=lambda i: (int(strict[:, i].sum()), i))
-    found: list[frozenset[int]] = [frozenset()]
-    for x in order:
-        below = frozenset(np.nonzero(strict[:, x])[0].tolist())
-        found += [s | {x} for s in found if below <= s]
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    out = [DownSet(tuple(sorted((p.elements[i] for i in s)))) for s in found]
-    if nonempty_only:
-        out = [d for d in out if d.members]
-    return out
+    rows = np.zeros((1, p.n), dtype=bool)
+    for x in np.argsort(strict.sum(axis=0), kind="stable"):
+        grown = rows[rows[:, strict[:, x]].all(axis=1)]
+        grown[:, x] = True
+        rows = np.vstack([rows, grown])
+    order = np.lexsort(tuple(~rows.T[::-1]) + (rows.sum(axis=1),))
+    return _freeze(rows[order])
+
+
+def _down_set_list(p: Poset, rows: np.ndarray) -> list[DownSet]:
+    """Rows of :func:`down_set_matrix` as :class:`DownSet` name tuples."""
+    return [DownSet(_member_names(p.elements, row)) for row in rows.tolist()]
+
+
+def down_sets(p: Poset, nonempty_only: bool = False) -> list[DownSet]:
+    """All down sets of ``p``, in the order of :func:`down_set_matrix`:
+    by (size, member indices).  The empty one comes first."""
+    rows = down_set_matrix(p)
+    return _down_set_list(p, rows[1:] if nonempty_only else rows)
 
 
 def principal_down_set(p: Poset, x: str) -> DownSet:
@@ -267,12 +290,13 @@ def principal_down_set(p: Poset, x: str) -> DownSet:
 def down_set_rows(p: Poset, rows) -> np.ndarray:
     """For each boolean row over the elements of ``p``, whether it is a down set.
 
-    A row is closed downward iff everything below a member is a member;
-    "below a member" is the boolean product of the rows with the order.
+    A row is closed downward iff the lower end of every cover whose upper
+    end is a member is a member: everything below a member is reached from
+    it by a chain of covers.
     """
     rows = np.asarray(rows, dtype=bool)
-    below = rows @ p.leq.T
-    return ~(below & ~rows).any(axis=1)
+    lo, hi = np.array(p.covers(), dtype=np.intp).reshape(-1, 2).T
+    return ~(rows[:, hi] & ~rows[:, lo]).any(axis=1)
 
 
 def is_down_set(p: Poset, members) -> bool:

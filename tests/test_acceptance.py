@@ -61,6 +61,7 @@ from princlat.lattice import (
     sublattice,
 )
 from princlat.order import (
+    down_set_matrix,
     down_sets,
     is_down_set,
     order_iso,
@@ -137,26 +138,31 @@ def test_dependency_masks_match_closures_on_the_corpus(corpus):
 
 
 def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_zoo):
-    # the inputs of phi's order check and of the downset-congruence stage, as
-    # verify builds them, then with two congruences swapped or one repeated
+    # the label matrices of phi's order check and of the downset-congruence
+    # stage, as verify builds them, then with two rows swapped or one
+    # repeated; phi's beta rows are the scalar beta_H of each down set of the
+    # interior, in down-set order
     rng = random.Random(20260201)
     samples = [(P, result) for P, result, _, _ in corpus]
     samples += [(P, assemble_K(P, templates)) for P in poset_zoo.values()]
     for P, result in samples:
-        forward = phi(result).forward
-        cons = list(forward)
-        inputs = [(cons, _membership([forward[t].members for t in cons], P.elements))]
+        corr = phi(result)
+        assert corr.backward == {ds: theta for theta, ds in corr.forward.items()}
+        facts = result.con_facts
+        image = _membership([corr.forward[t].members for t in facts.congruences], P.elements)
+        inputs = [(facts.labels, image)]
         if not result.degenerate:
             family = [ds.members for ds in down_sets(P.interior_poset)]
-            inputs.append(([beta_H(result, h) for h in family], _membership(family, P.interior)))
-        for thetas, rows in inputs:
-            assert cover_certificate(thetas, rows), P.poset.cover_names()
-            if len(thetas) < 2:
+            assert corr.betas.tolist() == [list(beta_H(result, h).labels) for h in family]
+            inputs.append((corr.betas, down_set_matrix(P.interior_poset)))
+        for labels, rows in inputs:
+            assert cover_certificate(labels, rows), P.poset.cover_names()
+            if len(labels) < 2:
                 continue
-            a, b = rng.sample(range(len(thetas)), 2)
-            swapped, repeated = list(thetas), list(thetas)
-            swapped[a], swapped[b] = thetas[b], thetas[a]
-            repeated[a] = thetas[b]
+            a, b = rng.sample(range(len(labels)), 2)
+            swapped, repeated = labels.copy(), labels.copy()
+            swapped[[a, b]] = labels[[b, a]]
+            repeated[a] = labels[b]
             for variant in (swapped, repeated):
                 assert cover_certificate(variant, rows) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()

@@ -24,10 +24,11 @@ from princlat.congruence import (
     valuation,
     zero_congruence,
 )
+from princlat.construction import assemble_K
 from princlat.lattice import as_lattice, chain, lattice_from_covers, m3
-from princlat.order import down_sets, validate_poset
+from princlat.order import down_set_matrix, down_sets, validate_poset
 
-from conftest import random_lattices
+from conftest import bounded, random_lattices
 
 
 # ---------------------------------------------------------------- oracles
@@ -73,6 +74,11 @@ def _canon(labels):
 def intersect_labels(a, b):
     pair = list(zip(a, b))
     return _canon([pair.index(p) for p in pair])
+
+
+def label_matrix(thetas):
+    """The label vectors of ``thetas`` as the rows of one matrix."""
+    return np.array([t.labels for t in thetas])
 
 
 # ------------------------------------------------------- principal closure
@@ -397,6 +403,54 @@ def test_one_analysis_per_lattice(monkeypatch):
         calls.clear()
 
 
+# --------------------------------------------- Con order against the scalar sort
+
+def or_closure(gens):
+    """Every OR of a subset of ``gens``, breadth first."""
+    known, frontier = {0}, [0]
+    while frontier:
+        frontier = [m | g for m in frontier for g in gens if m | g not in known]
+        known.update(frontier)
+    return known
+
+
+def assert_con_order_matches_the_scalar_sort(lat):
+    # Con L is the OR-closure of the dependency masks; Con L and Princ L are
+    # sorted by block count (most first), then by label vector, and each
+    # label row is the scalar label vector of its mask
+    an = lat.con_analysis
+    assert set(an.con_masks) == or_closure(an.cm)
+    for masks, labels in ((an.con_masks, an.con_labels), (an.princ_masks, an.princ_labels)):
+        scalar = sorted(set(masks), key=lambda m: (-len(set(an.labels(m))), an.labels(m)))
+        assert list(masks) == scalar
+        assert labels.tolist() == [list(an.labels(m)) for m in scalar]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_con_order_matches_the_scalar_sort(seed):
+    for lat in random_lattices(seed, 3, max_size=12):
+        assert_con_order_matches_the_scalar_sort(lat)
+
+
+def test_con_order_matches_the_scalar_sort_on_assembled_lattices(
+        templates, poset_zoo, monkeypatch):
+    # K of the 8-element interior chain has more than 64 join-irreducibles,
+    # so each r(x) is a key of two 64-bit words; with a one-word chunk
+    # budget every mask goes in a chunk of its own
+    import princlat.congruence as congruence
+
+    names = ["0"] + [f"x{i}" for i in range(8)] + ["1"]
+    chain8 = bounded(names, list(zip(names, names[1:])))
+    for P in [*poset_zoo.values(), chain8]:
+        assert_con_order_matches_the_scalar_sort(assemble_K(P, templates).lattice)
+    wide = assemble_K(chain8, templates).lattice
+    assert len(wide.con_analysis.joinirr) > 64
+    monkeypatch.setattr(congruence, "_CHUNK", 1)
+    for P in (poset_zoo["B2"], chain8):
+        assert_con_order_matches_the_scalar_sort(assemble_K(P, templates).lattice)
+
+
 # ------------------------------------ row-wise order check against a double loop
 
 def first_order_mismatch(thetas, members):
@@ -416,10 +470,11 @@ def test_order_mismatch_matches_a_scalar_double_loop(seed, rng):
         # row a holds the congruences below thetas[a], so containment of
         # rows is refinement
         members = np.array([[congruence_leq(t, s) for t in thetas] for s in thetas])
-        assert order_mismatch(thetas, members) is None
+        assert order_mismatch(label_matrix(thetas), members) is None
         a, k = rng.randrange(len(thetas)), rng.randrange(len(thetas))
         members[a, k] = not members[a, k]
-        assert order_mismatch(thetas, members) == first_order_mismatch(thetas, members)
+        want = first_order_mismatch(thetas, members)
+        assert order_mismatch(label_matrix(thetas), members) == want
 
 
 # ------------------------------------------- cover certificate on synthetic orders
@@ -433,7 +488,7 @@ def synthetic_family(rng):
     refinement can only be read from the partition.  The family is all
     down sets or all nonempty ones.
     """
-    k = rng.randrange(0, 7)
+    k = rng.randrange(0, 11)
     names = [f"x{i}" for i in range(k)]
     covers = [(names[i], names[j]) for i in range(k) for j in range(i + 1, k)
               if rng.random() < 0.4]
@@ -473,11 +528,28 @@ def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng):
     # already lie in one block above; event() counts each kind under
     # --hypothesis-show-statistics
     thetas, rows = synthetic_family(rng)
-    assert cover_certificate(thetas, rows) and order_mismatch(thetas, rows) is None
+    labels = label_matrix(thetas)
+    assert cover_certificate(labels, rows) and order_mismatch(labels, rows) is None
     kind, thetas = perturbed(thetas, rng)
-    broken = order_mismatch(thetas, rows) is not None
+    labels = label_matrix(thetas)
+    broken = order_mismatch(labels, rows) is not None
     event(f"{kind}: {'mismatch' if broken else 'embedding'}")
-    assert cover_certificate(thetas, rows) == (not broken)
+    assert cover_certificate(labels, rows) == (not broken)
+
+
+def test_cover_certificate_finds_cover_partners_past_the_first_byte():
+    # on an antichain of ten, theta_H has the block {0} u {1 + i : i in H};
+    # the broken family also merges points 11 and 12 when H holds x0 and x8
+    # but not x9.  Only the covers H < H u {x9} then break the order, and x9
+    # is in the second byte of a packed row
+    p = validate_poset([f"x{i}" for i in range(10)], [])
+    rows = down_set_matrix(p)
+    for broken in (False, True):
+        labels = np.tile(np.arange(13), (len(rows), 1))
+        labels[:, 1:11][rows] = 0
+        labels[rows[:, 0] & rows[:, 8] & ~rows[:, 9] & broken, 12] = 11
+        assert cover_certificate(labels, rows) == (not broken)
+        assert (order_mismatch(labels, rows) is None) == (not broken)
 
 
 # ------------------------------------ vectorised substitution check against the loop

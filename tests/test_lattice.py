@@ -178,6 +178,23 @@ def test_bound_tables_match_a_pair_scan(seed, bounded):
             assert np.array_equal(table, want_table)
 
 
+@pytest.mark.parametrize("chunk", [1, 300])
+def test_bound_table_chunks_do_not_change_the_result(chunk, monkeypatch):
+    # a chunk budget of one row, and of a few rows on these sizes, so that
+    # failures and witnesses fall in later chunks
+    import princlat.lattice as lattice
+
+    monkeypatch.setattr(lattice, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(80):
+        p = random_poset(rng, rng.random() < 0.5)
+        for upper in (True, False):
+            table, witness = _bound_table(p.leq, upper)
+            want_table, want_witness = pair_scan_bound_table(p.leq, upper)
+            assert witness == want_witness
+            assert (table is None) if want_table is None else np.array_equal(table, want_table)
+
+
 def test_random_posets_cover_lattices_and_non_lattices():
     rng = random.Random(0)
     kinds = {pair_scan_bound_table(random_poset(rng, bounded).leq, upper)[0] is None

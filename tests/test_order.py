@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from princlat.order import (
     _bool_product,
     _transitive_closure,
     containment_order,
+    down_set_matrix,
     down_set_rows,
     down_sets,
     is_down_set,
@@ -153,8 +155,8 @@ def test_order_iso_leaves_no_reference_cycles():
 
 
 @st.composite
-def small_posets(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def small_posets(draw, max_size=6):
+    n = draw(st.integers(min_value=1, max_value=max_size))
     names = [f"e{i}" for i in range(n)]
     covers = []
     for i in range(n):
@@ -220,3 +222,16 @@ def test_down_set_rows_match_a_scalar_check(p, rng):
     assert down_set_rows(p, rows).tolist() == want
     assert [is_down_set(p, [x for x, m in zip(p.elements, row) if m])
             for row in rows.tolist()] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_size=11))
+def test_down_set_matrix_matches_a_subset_filter(p):
+    # every subset, filtered by down_set_rows and sorted by (size, member
+    # indices); the DownSet view lists the same sets by name
+    subsets = np.array(list(itertools.product([False, True], repeat=p.n)), dtype=bool)
+    want = sorted(subsets[down_set_rows(p, subsets)].tolist(),
+                  key=lambda row: (sum(row), [i for i, m in enumerate(row) if m]))
+    assert down_set_matrix(p).tolist() == want
+    assert [d.members for d in down_sets(p)] == [
+        tuple(sorted(x for x, m in zip(p.elements, row) if m)) for row in want]
