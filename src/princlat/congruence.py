@@ -247,14 +247,6 @@ def is_congruence(lat: FiniteLattice, labels) -> tuple[bool, tuple[str, str, str
     return False, (lat.elements[x], lat.elements[int(first[x])], lat.elements[z])
 
 
-def zero_congruence(lat: FiniteLattice) -> CongruenceRelation:
-    return CongruenceRelation(lat, tuple(range(lat.n)))
-
-
-def one_congruence(lat: FiniteLattice) -> CongruenceRelation:
-    return CongruenceRelation(lat, (0,) * lat.n)
-
-
 def congruence_leq(a: CongruenceRelation, b: CongruenceRelation) -> bool:
     """Refinement: every a-block lies inside a b-block."""
     la, lb = a.labels, b.labels

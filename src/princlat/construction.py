@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -40,10 +40,8 @@ from .congruence import (
     _block_counts,
     _isolating,
     all_congruences,
-    base,
     congruence_leq,
     cover_certificate,
-    is_I_congruence,
     order_mismatch,
     princ_order,
 )
@@ -54,6 +52,7 @@ from .errors import (
     InvalidInput,
     NotADownSet,
     NotALattice,
+    PrinclatError,
     TemplateInvalid,
     VerificationFailed,
 )
@@ -74,11 +73,11 @@ from .order import (
     DownSet,
     Poset,
     _bool_product,
-    _down_set_list,
     _freeze,
     _member_names,
     _row_keys,
     down_set_matrix,
+    down_sets,
     order_iso,
     principal_down_set,
     validate_poset,
@@ -178,18 +177,20 @@ class ConstructionResult:
         """Con K as a label matrix with the flags verify reads; built once."""
         return con_facts(self)
 
+    @cached_property
+    def betas(self) -> tuple[np.ndarray, PrinclatError | None]:
+        """:func:`beta_family` of every down set of the interior, in
+        ``down_set_matrix`` order: the label rows up to the first row that
+        fails, and that row's error; built once."""
+        return beta_family(self, down_set_matrix(self.source.interior_poset))
+
 
 @dataclass(frozen=True)
 class IsoCorrespondence:
-    """Mutually inverse order isomorphisms Con K <-> nonempty down sets.
-
-    ``betas`` holds the label vector of beta_H for every down set H of
-    the interior, one row each, in ``down_set_matrix`` order.
-    """
+    """Mutually inverse order isomorphisms Con K <-> nonempty down sets."""
 
     forward: dict[CongruenceRelation, DownSet]
     backward: dict[DownSet, CongruenceRelation]
-    betas: np.ndarray = field(compare=False)
 
 
 def default_template_dir() -> Path:
@@ -558,16 +559,16 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     membership of each parameter in H, plus the anchor pairs of isolated
     members.  It is verified to be transitive with chain blocks of size
     at most three, and to pass the full substitution-property check.
-    This is the one-row call of :func:`beta_family`.
+    This wraps the one row of a :func:`beta_family` call.
     """
     members = tuple(sorted(set(getattr(H, "members", H))))
     P = result.source
     if not set(members) <= set(P.interior):
         raise NotADownSet(f"{members} is not a subset of the interior")
-    thetas, error = beta_family(result, _membership([members], P.interior))
+    labels, error = beta_family(result, _membership([members], P.interior))
     if error is not None:
         raise error
-    return thetas[0]
+    return CongruenceRelation(result.lattice, tuple(labels[0].tolist()))
 
 
 def _membership(family, elements) -> np.ndarray:
@@ -579,44 +580,51 @@ def _membership(family, elements) -> np.ndarray:
     return rows
 
 
-def phi(result: ConstructionResult) -> IsoCorrespondence:
-    """The verified correspondence between Con K and nonempty down sets.
+def _blocks(lat: FiniteLattice, labels: np.ndarray) -> list[tuple[str, ...]]:
+    """The blocks of one label row, named as a failure witness."""
+    return CongruenceRelation(lat, tuple(labels.tolist())).blocks()
 
-    The forward map sends a bound congruence to {0} or to P, and an
-    I-congruence to {0} u its base; it is read from ``result.con_facts``
-    for all congruences at once.  The backward map sends {0} u H to
-    beta_H, for every down set H of the interior, from one
-    :func:`beta_family` call, and the full set to the one congruence.
-    The down sets of P are the rows of one membership matrix.  Every one
-    but P itself is {0} u H for a down set H of the interior, and they
-    come in the order of the H: of two down sets of one size, the one
-    holding the least element of their symmetric difference comes first,
-    and adding 0 to both changes neither that element nor the order of
-    sizes.  So ``betas``, the beta rows in this order, are in the
-    ``down_set_matrix`` order of the interior.
+
+def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]:
+    """Check that phi is an order isomorphism from Con K onto the nonempty
+    down sets of P, on matrices alone.
+
+    Returns the nonempty down sets of P, as the rows of
+    ``down_set_matrix`` after the empty one, and for each row of
+    ``result.con_facts`` (congruence r of ``all_congruences``) the row of
+    its image.  The forward map sends a bound congruence to {0} or to P,
+    and an I-congruence to {0} u its base; it is read from the facts for
+    all congruences at once.  The backward map sends {0} u H to beta_H,
+    for every down set H of the interior, and the full set to the one
+    congruence; the beta label rows are ``result.betas``.  Every down
+    set of P but P itself is {0} u H for a down set H of the interior,
+    and they come in the order of the H: of two down sets of one size,
+    the one holding the least element of their symmetric difference
+    comes first, and adding 0 to both changes neither that element nor
+    the order of sizes.  So the beta rows are in family order, and the
+    round trip compares them with the facts' label rows of the owners.
     A failure is reported as the first one that a loop over Con K, then
     over the down sets, would meet.
     """
     lat = result.lattice
     P = result.source
     facts = result.con_facts
-    cons = facts.congruences
     family = down_set_matrix(P.poset)[1:]  # the nonempty down sets of P
-    if len(cons) != len(family):
+    if len(facts.labels) != len(family):
         raise CorrespondenceBroken(
-            (len(cons), len(family)), "congruence count differs from down-set count")
+            (len(facts.labels), len(family)), "congruence count differs from down-set count")
 
     top = facts.one & (lat.n > 1)
     bad = ~(top | facts.zero | (facts.isolating & facts.base_down))
     if bad.any():
         r = int(bad.argmax())
         if not facts.isolating[r]:
-            raise CorrespondenceBroken(cons[r].blocks(), "congruence neither bound nor isolating")
+            raise CorrespondenceBroken(_blocks(lat, facts.labels[r]),
+                                       "congruence neither bound nor isolating")
         raise CorrespondenceBroken(facts.base_of(r), "base is not a down set")
     # the forward image of every congruence as a row over the elements of P
-    inner = [P.poset.index(x) for x in P.interior]
-    image = np.zeros((len(cons), P.poset.n), dtype=bool)
-    image[:, inner] = facts.base
+    image = np.zeros((len(facts.labels), P.poset.n), dtype=bool)
+    image[:, [P.poset.index(x) for x in P.interior]] = facts.base
     image[:, P.poset.index(P.zero)] = True
     image[top | (facts.zero & (lat.n == 1))] = True
     image_keys = _row_keys(np.packbits(image, axis=1))
@@ -628,31 +636,40 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
         raise CorrespondenceBroken(None, "forward map not injective")
     order = np.argsort(family_keys)
     at = order[np.searchsorted(family_keys[order], image_keys)]  # family row of each image
-    downs = _down_set_list(P.poset, family)
-    forward = dict(zip(cons, (downs[k] for k in at.tolist())))
 
     # beta_H of {0} u H must be the congruence whose image it is; the full
     # set P, the last row, maps back to the one congruence
     owner = np.empty_like(at)
     owner[at] = np.arange(len(at))
-    kept = len(family) - (lat.n > 1)
-    thetas, error = beta_family(result, family[:kept][:, inner], facts)
-    expected = [cons[r] for r in owner[:len(thetas)].tolist()]
-    if list(thetas) != expected:
-        k = next(k for k, (t, e) in enumerate(zip(thetas, expected)) if t != e)
-        raise CorrespondenceBroken(downs[k].members, "round trip broke")
+    betas, error = result.betas
+    broken = np.flatnonzero((betas != facts.labels[owner[:len(betas)]]).any(axis=1))
+    if broken.size:
+        raise CorrespondenceBroken(_member_names(P.elements, family[broken[0]]),
+                                   "round trip broke")
     if error is not None:
         raise error
-    backward = dict(zip(downs, thetas))
-    if lat.n > 1:
-        backward[downs[-1]] = cons[-1]
     # the forward image is all nonempty down sets of P, so covers certify
     # the order; the pairwise oracle runs only to name the first mismatch
     bad = None if cover_certificate(facts.labels, image) else order_mismatch(facts.labels, image)
     if bad is not None:
-        a, b = (downs[k].members for k in at[list(bad)].tolist())
+        a, b = (_member_names(P.elements, family[k]) for k in at[list(bad)].tolist())
         raise CorrespondenceBroken((a, b), "order not preserved")
-    return IsoCorrespondence(forward, backward, facts.labels[owner[:kept]])
+    return family, at
+
+
+def phi(result: ConstructionResult) -> IsoCorrespondence:
+    """The verified correspondence between Con K and nonempty down sets.
+
+    The checks are :func:`_correspondence`'s, on label and membership
+    matrices; this public form then builds one :class:`CongruenceRelation`
+    (``all_congruences``) and one :class:`DownSet` (``down_sets``) per
+    congruence.
+    """
+    _, at = _correspondence(result)
+    downs = down_sets(result.source.poset, nonempty_only=True)
+    forward = dict(zip(all_congruences(result.lattice).congruences,
+                       (downs[k] for k in at.tolist())))
+    return IsoCorrespondence(forward, {ds: theta for theta, ds in forward.items()})
 
 
 @dataclass(frozen=True)
@@ -688,10 +705,12 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     Every stage reads the one congruence analysis of K
     (``FiniteLattice.con_analysis``), and the per-congruence stages read
-    its label matrix once, through ``result.con_facts``.  :func:`phi`
-    runs once, and the down-set stage reads the beta rows of the down
-    sets of the interior from its ``betas``, which one
-    :func:`beta_family` call filled.
+    its label matrix once, through ``result.con_facts``.  The beta rows
+    of the down sets of the interior come from one :func:`beta_family`
+    call (``result.betas``), which both the down-set stage and
+    :func:`_correspondence` read; the correspondence is checked once.
+    No stage builds a congruence or down-set object per congruence or
+    per down set: those are built only for a failure witness.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -715,7 +734,6 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return VerificationReport(name, tuple(stages), 0, 0)
     lat = result.lattice
     facts = result.con_facts
-    cons = facts.congruences
 
     if result.degenerate:
         def s_degenerate():
@@ -750,8 +768,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         bad = ~(facts.zero | facts.one | facts.isolating)
         if bad.any():
             raise VerificationFailed("congruence-dichotomy",
-                                     witness=cons[int(bad.argmax())].blocks())
-        return f"{len(cons)} congruences"
+                                     witness=_blocks(lat, facts.labels[int(bad.argmax())]))
+        return f"{len(facts.labels)} congruences"
 
     def s_base():
         bad = facts.isolating & ~facts.base_down
@@ -759,23 +777,17 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             raise VerificationFailed("base-down-set", witness=facts.base_of(int(bad.argmax())))
         return ""
 
-    # phi runs once: both correspondence stages report its result or its
-    # exception, and the down-set stage reads beta_H from its betas
+    # the correspondence is checked once: both correspondence stages
+    # report its result or its exception
     try:
-        mapping, phi_error = phi(result), None
+        family, image_row = _correspondence(result)
+        corr_error = None
     except Exception as exc:  # noqa: BLE001 - reported by the stages below
-        mapping, phi_error = None, exc
+        corr_error = exc
 
     def s_beta():
-        # phi's betas hold beta_H of each down set H of the interior; when
-        # phi failed, the beta kernel runs here instead
         rows = down_set_matrix(P.interior_poset)
-        if mapping is None:
-            thetas, error = beta_family(result, rows, facts)
-            labels = np.array([t.labels for t in thetas], dtype=np.intp)
-            labels = labels.reshape(len(thetas), lat.n)
-        else:
-            labels, error = mapping.betas, None
+        labels, error = result.betas
         empty = ~rows[:len(labels)].any(axis=1)
         ok = np.where(empty, _block_counts(labels) == lat.n, _isolating(lat, labels))
         if not ok.all():
@@ -793,32 +805,34 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"{len(rows)} down sets"
 
     def s_phi():
-        if phi_error is not None:
-            raise phi_error
-        return f"|Con K| = {len(cons)}"
+        if corr_error is not None:
+            raise corr_error
+        return f"|Con K| = {len(facts.labels)}"
 
     def s_princ_corr():
-        po = princ_order(lat)
+        an = lat.con_analysis
         principal_downs = {
             tuple(sorted(principal_down_set(P.poset, p).members)) for p in P.elements
         }
-        if phi_error is not None:
-            raise phi_error
-        image = set()
-        for theta in po.congruences:
-            ds = mapping.forward[theta]
-            image.add(tuple(sorted(ds.members)))
+        if corr_error is not None:
+            raise corr_error
+        # the Con K row of every principal congruence, and its image
+        rows = facts.find(an.princ_labels)
+        image = {_member_names(P.elements, family[k]) for k in image_row[rows].tolist()}
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
+        # each anchor congruence con(a_p, b_p) is principal: read its row
+        row_of = dict(zip(an.princ_masks, rows.tolist()))
         for p in P.interior:
-            a, b = result.anchor[p]
-            theta = _con(lat, a, b)
-            if not is_I_congruence(lat, theta):
+            a, b = result.anchor_index[p]
+            r = row_of[an.principal(int(lat.meet[a, b]), int(lat.join[a, b]))]
+            if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)
             expect = tuple(sorted(set(principal_down_set(P.poset, p).members) - {P.zero}))
-            if base(result, theta) != expect:
-                raise VerificationFailed("principal-correspondence", witness=(p, base(result, theta)))
-        return f"{len(po)} principal congruences"
+            if facts.base_of(r) != expect:
+                raise VerificationFailed("principal-correspondence",
+                                         witness=(p, facts.base_of(r)))
+        return f"{len(rows)} principal congruences"
 
     def s_princ_iso():
         po = princ_order(lat)

@@ -2,10 +2,13 @@
 
 ``verify`` checks the correspondence between Con K and the down sets of
 the interior.  The functions here do that work for all congruences, or
-all down sets, at once: :func:`con_facts` reads the flags and bases of
-Con K from one |Con K| x |K| label matrix, and :func:`beta_family`
-computes beta_H for every row of a down-set membership matrix with one
-kernel, :func:`beta_labels`.  Work runs in chunks of rows of at most
+all down sets, at once, and return matrices, never one object per row:
+:func:`con_facts` reads the flags and bases of Con K from one
+|Con K| x |K| label matrix, and :func:`beta_family` computes the label
+row of beta_H for every row of a down-set membership matrix with one
+kernel, :func:`beta_labels`.  Congruence and down-set objects are built
+only by the public API (``phi``, ``beta_H``, ``all_congruences``, ...)
+and for failure witnesses.  Work runs in chunks of rows of at most
 ``order._CHUNK`` elements.  A failure is named by examining only the
 first failing row, in the order a scalar loop would have met it.
 """
@@ -20,13 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .congruence import (
-    CongruenceRelation,
     _base_rows,
     _block_counts,
     _isolating,
     _label_dtype,
     _numbered,
-    all_congruences,
     is_congruence,
 )
 from .errors import AssemblyNotALattice, NotADownSet, PrinclatError
@@ -41,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class ConFacts:
     """Con K as one label matrix, and what phi's forward map and the
     per-congruence stages of verify read of it; row r is congruence r of
-    ``all_congruences``.
+    ``all_congruences``, which verify never builds: a stage finds a
+    congruence's row by its label vector (:meth:`find`) and reads the
+    flags of that row.
 
     ``zero``, ``one`` and ``isolating`` flag the bound and the
     I-congruences; ``base[r]`` marks the interior elements (in
@@ -52,7 +55,6 @@ class ConFacts:
     """
 
     interior: tuple[str, ...]
-    congruences: tuple[CongruenceRelation, ...]
     labels: np.ndarray
     zero: np.ndarray
     one: np.ndarray
@@ -83,11 +85,10 @@ def con_facts(result: ConstructionResult) -> ConFacts:
     """The :class:`ConFacts` of an assembled lattice, from the label matrix
     of its congruence analysis."""
     lat = result.lattice
-    cons = all_congruences(lat).congruences
     labels = lat.con_analysis.con_labels
     blocks = _block_counts(labels)
     rows = _base_rows(result, labels)
-    return ConFacts(result.source.interior, cons, labels, blocks == lat.n, blocks == 1,
+    return ConFacts(result.source.interior, labels, blocks == lat.n, blocks == 1,
                     _isolating(lat, labels), rows,
                     down_set_rows(result.source.interior_poset, rows))
 
@@ -214,30 +215,22 @@ def _beta_fault(lat: FiniteLattice, related, labels: np.ndarray) -> AssemblyNotA
     return AssemblyNotALattice(witness, "down-set relation fails substitution")
 
 
-def beta_family(result: ConstructionResult, members, known: ConFacts | None = None,
-                ) -> tuple[tuple[CongruenceRelation, ...], PrinclatError | None]:
-    """beta_H of every row of ``members``, a boolean matrix with one column
-    per interior element (``source.interior`` order), in row order up to
-    the first row that fails, and the error that row raises (None when
-    every row passes).
+def beta_family(result: ConstructionResult, members) -> tuple[np.ndarray, PrinclatError | None]:
+    """The label rows of beta_H for the rows of ``members``, a boolean
+    matrix with one column per interior element (``source.interior``
+    order), in row order up to the first row that fails, and the error
+    that row raises (None when every row passes).
 
     Rows that are not down sets of the interior raise
     :class:`NotADownSet`; the others run through :func:`beta_labels`
-    with the result's ``contributions``.  With ``known`` (the Con K facts)
-    each label row is matched to the existing congruence object, so no
-    new one is made per row; a row that matches none gets a new one.
+    with the result's ``contributions``.
     """
     P = result.source
-    lat = result.lattice
     rows = np.asarray(members, dtype=bool)
     down = down_set_rows(P.interior_poset, rows)
     stop = int(np.argmin(down)) if not down.all() else len(rows)
-    labels, error = beta_labels(lat, result.contributions, rows[:stop])
+    labels, error = beta_labels(result.lattice, result.contributions, rows[:stop])
     if error is None and stop < len(rows):
         names = _member_names(P.interior, rows[stop])
         error = NotADownSet(f"{names} is not downward closed in the interior")
-    found = known.find(labels) if known is not None else np.full(len(labels), -1)
-    cons = known.congruences if known is not None else ()
-    thetas = tuple(cons[k] if k >= 0 else CongruenceRelation(lat, tuple(labels[r].tolist()))
-                   for r, k in enumerate(found.tolist()))
-    return thetas, error
+    return labels, error

@@ -48,12 +48,6 @@ class FiniteLattice:
 
         return ConAnalysis(self)
 
-    def join_of(self, x: str, y: str) -> str:
-        return self.elements[self.join[self.index(x), self.index(y)]]
-
-    def meet_of(self, x: str, y: str) -> str:
-        return self.elements[self.meet[self.index(x), self.index(y)]]
-
     def __eq__(self, other):
         return isinstance(other, FiniteLattice) and self.poset == other.poset
 

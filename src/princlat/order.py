@@ -64,9 +64,6 @@ class Poset:
         except KeyError:
             raise UnknownElement(f"unknown element {name!r}") from None
 
-    def le(self, x: str, y: str) -> bool:
-        return bool(self.leq[self.index(x), self.index(y)])
-
     @cached_property
     def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
@@ -268,16 +265,11 @@ def down_set_matrix(p: Poset) -> np.ndarray:
     return _freeze(rows[order])
 
 
-def _down_set_list(p: Poset, rows: np.ndarray) -> list[DownSet]:
-    """Rows of :func:`down_set_matrix` as :class:`DownSet` name tuples."""
-    return [DownSet(_member_names(p.elements, row)) for row in rows.tolist()]
-
-
 def down_sets(p: Poset, nonempty_only: bool = False) -> list[DownSet]:
     """All down sets of ``p``, in the order of :func:`down_set_matrix`:
     by (size, member indices).  The empty one comes first."""
-    rows = down_set_matrix(p)
-    return _down_set_list(p, rows[1:] if nonempty_only else rows)
+    rows = down_set_matrix(p)[int(nonempty_only):]
+    return [DownSet(_member_names(p.elements, row)) for row in rows.tolist()]
 
 
 def principal_down_set(p: Poset, x: str) -> DownSet:
@@ -303,22 +295,6 @@ def is_down_set(p: Poset, members) -> bool:
     row = np.zeros((1, p.n), dtype=bool)
     row[0, [p.index(m) for m in members]] = True
     return bool(down_set_rows(p, row)[0])
-
-
-def containment_order(family: list[DownSet]) -> Poset:
-    """The family of down sets as a poset under containment.
-
-    Element names are comma-joined member lists (deterministic given the
-    family order); an empty down set is named ``{}``.
-    """
-    names = tuple(",".join(d.members) if d.members else "{}" for d in family)
-    n = len(family)
-    leq = np.zeros((n, n), dtype=bool)
-    sets = [set(d.members) for d in family]
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = sets[i] <= sets[j]
-    return Poset(names, _freeze(leq))
 
 
 def order_iso(p: Poset, q: Poset) -> dict[str, str] | None:

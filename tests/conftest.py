@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from princlat.congruence import CongruenceRelation
 from princlat.construction import load_templates
 from princlat.lattice import as_lattice
 from princlat.order import to_bounded, validate_poset
@@ -14,6 +15,29 @@ def templates():
 
 def bounded(elements, covers):
     return to_bounded(validate_poset(elements, covers))
+
+
+def le(p, x, y):
+    """Whether x <= y in poset p, by name."""
+    return bool(p.leq[p.index(x), p.index(y)])
+
+
+def join_of(lat, x, y):
+    """The join of two named elements, read from the join table."""
+    return lat.elements[lat.join[lat.index(x), lat.index(y)]]
+
+
+def meet_of(lat, x, y):
+    """The meet of two named elements, read from the meet table."""
+    return lat.elements[lat.meet[lat.index(x), lat.index(y)]]
+
+
+def zero_congruence(lat):
+    return CongruenceRelation(lat, tuple(range(lat.n)))
+
+
+def one_congruence(lat):
+    return CongruenceRelation(lat, (0,) * lat.n)
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from princlat.cli import main as cli_main
@@ -140,8 +141,9 @@ def test_dependency_masks_match_closures_on_the_corpus(corpus):
 def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_zoo):
     # the label matrices of phi's order check and of the downset-congruence
     # stage, as verify builds them, then with two rows swapped or one
-    # repeated; phi's beta rows are the scalar beta_H of each down set of the
-    # interior, in down-set order
+    # repeated; the result's beta rows are the scalar beta_H of each down set
+    # of the interior, in down-set order, which is the order of the nonempty
+    # down sets of P other than P
     rng = random.Random(20260201)
     samples = [(P, result) for P, result, _, _ in corpus]
     samples += [(P, assemble_K(P, templates)) for P in poset_zoo.values()]
@@ -149,12 +151,18 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
         corr = phi(result)
         assert corr.backward == {ds: theta for theta, ds in corr.forward.items()}
         facts = result.con_facts
-        image = _membership([corr.forward[t].members for t in facts.congruences], P.elements)
+        cons = all_congruences(result.lattice).congruences
+        image = _membership([corr.forward[t].members for t in cons], P.elements)
         inputs = [(facts.labels, image)]
         if not result.degenerate:
             family = [ds.members for ds in down_sets(P.interior_poset)]
-            assert corr.betas.tolist() == [list(beta_H(result, h).labels) for h in family]
-            inputs.append((corr.betas, down_set_matrix(P.interior_poset)))
+            betas, error = result.betas
+            assert error is None
+            assert betas.tolist() == [list(beta_H(result, h).labels) for h in family]
+            rows = down_set_matrix(P.interior_poset)
+            inner = [P.poset.index(x) for x in P.interior]
+            assert np.array_equal(down_set_matrix(P.poset)[1:-1][:, inner], rows)
+            inputs.append((betas, rows))
         for labels, rows in inputs:
             assert cover_certificate(labels, rows), P.poset.cover_names()
             if len(labels) < 2:

@@ -17,18 +17,16 @@ from princlat.congruence import (
     is_congruence,
     is_I_congruence,
     join_congruences,
-    one_congruence,
     order_mismatch,
     princ_order,
     principal_congruence,
     valuation,
-    zero_congruence,
 )
 from princlat.construction import assemble_K
 from princlat.lattice import as_lattice, chain, lattice_from_covers, m3
 from princlat.order import down_set_matrix, down_sets, validate_poset
 
-from conftest import bounded, random_lattices
+from conftest import bounded, one_congruence, random_lattices, zero_congruence
 
 
 # ---------------------------------------------------------------- oracles

@@ -45,9 +45,16 @@ from princlat.errors import (
 )
 from princlat.kernels import beta_family, beta_labels
 from princlat.lattice import chain, length
-from princlat.order import down_sets, order_iso, principal_down_set, validate_poset
+from princlat.order import (
+    DownSet,
+    down_set_matrix,
+    down_sets,
+    order_iso,
+    principal_down_set,
+    validate_poset,
+)
 
-from conftest import bounded
+from conftest import bounded, join_of, le, meet_of, zero_congruence
 from test_congruence import scalar_is_congruence
 
 
@@ -85,8 +92,8 @@ def test_anchor_pairs_are_complementary_atoms(templates, poset_zoo):
     for y in lat.elements:
         if y in (lat.bottom, lat.top, a0):
             continue
-        assert lat.join_of(a0, y) == lat.top
-        assert lat.meet_of(a0, y) == lat.bottom
+        assert join_of(lat, a0, y) == lat.top
+        assert meet_of(lat, a0, y) == lat.bottom
 
 
 def test_membership_tracks_gadgets(templates, poset_zoo):
@@ -105,8 +112,9 @@ def test_beta_of_a_degenerate_result_is_zero(templates, poset_zoo):
     for name in ("1-chain", "2-chain"):
         r = assemble_K(poset_zoo[name], templates)
         assert beta_H(r, ()).is_zero()
-        thetas, error = beta_family(r, np.zeros((1, 0), dtype=bool))
-        assert error is None and [t.labels for t in thetas] == [tuple(range(r.lattice.n))]
+        labels, error = beta_family(r, np.zeros((1, 0), dtype=bool))
+        assert error is None and labels.tolist() == [list(range(r.lattice.n))]
+        assert r.betas[1] is None and np.array_equal(r.betas[0], labels)
 
 
 def test_beta_isolated_singleton(templates, poset_zoo):
@@ -141,8 +149,6 @@ def test_base_of_upper_generator_pulls_lower_in(templates, poset_zoo):
 
 def test_base_requires_isolating(templates, poset_zoo):
     r = assemble_K(poset_zoo["4-chain"], templates)
-    from princlat.congruence import zero_congruence
-
     with pytest.raises(NotICongruence):
         base(r, zero_congruence(r.lattice))
 
@@ -160,10 +166,18 @@ def test_phi_counts_and_images(templates, poset_zoo):
 
 
 def test_phi_round_trip(templates, poset_zoo):
-    r = assemble_K(poset_zoo["V"], templates)
-    corr = phi(r)
-    for theta, ds in corr.forward.items():
-        assert corr.backward[ds] == theta
+    # on every shape, the 1- and 2-chain included: backward is the inverse of
+    # forward, and forward's images are exactly the nonempty down sets of P
+    for name, P in poset_zoo.items():
+        r = assemble_K(P, templates)
+        corr = phi(r)
+        downs = down_sets(P.poset, nonempty_only=True)
+        assert list(corr.forward) == list(all_congruences(r.lattice).congruences), name
+        assert sorted(ds.members for ds in corr.forward.values()) == sorted(
+            ds.members for ds in downs), name
+        assert len(corr.backward) == len(downs), name
+        for theta, ds in corr.forward.items():
+            assert corr.backward[ds] == theta, name
 
 
 def test_verify_theorem_all_shapes(templates, poset_zoo):
@@ -261,13 +275,28 @@ def _stage_details(report):
     return {name: (ok, detail) for name, ok, detail in report.stages}
 
 
-def test_verify_theorem_runs_phi_once_and_the_beta_kernel_once(
+def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         templates, poset_zoo, monkeypatch):
-    # one forward-facts build, one beta_family call over every down set of
-    # the interior, and no one-row beta_H call
+    # verify reads Con K and the beta rows as matrices: it passes on every
+    # shape with the object-building API refusing to run; it builds the
+    # forward facts once, checks the correspondence once, runs the beta
+    # kernel once over every down set of the interior and never calls the
+    # one-row beta_H; the congruence and down-set objects it does build are
+    # O(|P|), not one per congruence (the 6-antichain has |Con K| = 65)
     import princlat.construction as construction
+    import princlat.kernels as kernels
+    import princlat.order as order
 
-    calls = {"phi": 0, "con_facts": 0, "beta_family": 0, "beta_H": 0, "congruence_leq": 0}
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object per congruence or down set was built")
+
+    monkeypatch.setattr(construction, "phi", refuse)
+    for module in (construction, kernels):
+        monkeypatch.setattr(module, "all_congruences", refuse, raising=False)
+    for module in (order, construction):
+        monkeypatch.setattr(module, "down_sets", refuse, raising=False)
+    calls = {"con_facts": 0, "_correspondence": 0, "beta_family": 0, "beta_H": 0,
+             "congruence_leq": 0}
     rows = []
     for fname in calls:
         original = getattr(construction, fname)
@@ -279,11 +308,28 @@ def test_verify_theorem_runs_phi_once_and_the_beta_kernel_once(
             return _original(*args)
 
         monkeypatch.setattr(construction, fname, counting)
-    P = poset_zoo["V"]
-    assert verify_theorem(P, templates, "V").passed
-    assert calls == {"phi": 1, "con_facts": 1, "beta_family": 1, "beta_H": 0,
-                     "congruence_leq": 0}
-    assert rows == [len(down_sets(P.interior_poset))]
+    built = []
+    for cls in (CongruenceRelation, DownSet):
+        def counting_init(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    antichain = [f"x{i}" for i in range(6)]
+    shapes = dict(poset_zoo, antichain6=bounded(
+        ["0", "1"] + antichain, [("0", x) for x in antichain] + [(x, "1") for x in antichain]))
+    for name, P in shapes.items():
+        calls.update(dict.fromkeys(calls, 0))
+        rows.clear()
+        built.clear()
+        report = verify_theorem(P, templates, name)
+        assert report.passed, report.lines()
+        runs = 0 if len(P.elements) <= 2 else 1
+        assert calls == {"con_facts": 1, "_correspondence": runs, "beta_family": runs,
+                         "beta_H": 0, "congruence_leq": 0}, name
+        assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
+        assert built.count(CongruenceRelation) <= len(P.elements) + 2, name
+        assert built.count(DownSet) <= 2 * len(P.elements), name
 
 
 def test_downset_congruence_reports_the_first_order_mismatch(
@@ -295,17 +341,18 @@ def test_downset_congruence_reports_the_first_order_mismatch(
     original = construction.beta_family
     swap = {("p",): ("p", "q"), ("p", "q"): ("p",)}
 
-    def swapped(result, members, known=None):
+    def swapped(result, members):
         # beta of H is computed for swap[H]: the rows are exchanged on the way in
         rows = np.array(members, dtype=bool)
         for k, row in enumerate(rows.tolist()):
             h = tuple(x for x, m in zip(P.interior, row) if m)
             rows[k] = _membership([swap.get(h, h)], P.interior)[0]
-        return original(result, rows, known)
+        return original(result, rows)
 
     monkeypatch.setattr(construction, "beta_family", swapped)
     family = [ds.members for ds in down_sets(P.interior_poset)]
-    betas, _ = swapped(r, _membership(family, P.interior))
+    labels, _ = swapped(r, _membership(family, P.interior))
+    betas = [CongruenceRelation(r.lattice, tuple(row)) for row in labels.tolist()]
     expect = next(
         (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
         if (set(m1) <= set(m2)) != congruence_leq(t1, t2))
@@ -334,16 +381,17 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
 
     def swapped_facts(result):
         facts = original_facts(result)
-        perm = np.arange(len(facts.congruences))
-        k = [facts.congruences.index(t) for t in (lo, hi)]
+        perm = np.arange(len(facts.labels))
+        k = facts.find(np.array([lo.labels, hi.labels], dtype=facts.labels.dtype)).tolist()
         perm[k] = perm[k[::-1]]
         return dataclasses.replace(facts, **{
             name: getattr(facts, name)[perm]
             for name in ("zero", "one", "isolating", "base", "base_down")})
 
-    def swapped_family(result, members, known=None):
-        thetas, error = original_family(result, members, known)
-        return tuple(swapped(t) for t in thetas), error
+    def swapped_family(result, members):
+        labels, error = original_family(result, members)
+        rows = [swap.get(tuple(row), tuple(row)) for row in labels.tolist()]
+        return np.array(rows, dtype=labels.dtype).reshape(labels.shape), error
 
     monkeypatch.setattr(construction, "con_facts", swapped_facts)
     monkeypatch.setattr(construction, "beta_family", swapped_family)
@@ -451,7 +499,7 @@ def scalar_forward_facts(result):
         row = tuple(lab[lat.index(result.anchor[p][0])] == lab[lat.index(result.anchor[p][1])]
                     for p in P.interior)
         members = {p for p, m in zip(P.interior, row) if m}
-        down = all(q in members for p in members for q in P.interior if P.poset.le(q, p))
+        down = all(q in members for p in members for q in P.interior if le(P.poset, q, p))
         out.append((blocks == lat.n, blocks == 1, isolating, row, down))
     return out
 
@@ -461,7 +509,10 @@ def assert_facts_match_the_scalar_loop(result):
     got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), bool(d)) for z, o, i, b, d in zip(
         facts.zero, facts.one, facts.isolating, facts.base, facts.base_down)]
     assert got == scalar_forward_facts(result)
-    for r, theta in enumerate(facts.congruences):
+    cons = all_congruences(result.lattice).congruences
+    assert facts.labels.tolist() == [list(theta.labels) for theta in cons]
+    assert facts.find(facts.labels).tolist() == list(range(len(cons)))
+    for r, theta in enumerate(cons):
         if facts.isolating[r]:
             assert facts.base_of(r) == base(result, theta)
 
@@ -471,13 +522,12 @@ def assert_beta_family_matches(result):
     family = [ds.members for ds in down_sets(P.interior_poset)]
     rows = _membership(family, P.interior)
     assert_same_beta(result.lattice, result.contributions, rows)
-    facts = result.con_facts
-    thetas, error = beta_family(result, rows, facts)
+    labels, error = beta_family(result, rows)
     assert error is None
-    # matched to the congruence objects of Con K, not copies of them
-    ids = {id(t) for t in facts.congruences}
-    assert all(id(t) in ids for t in thetas)
-    assert [t.labels for t in thetas] == [beta_H(result, h).labels for h in family]
+    # every row is a congruence of K, and the result caches the same rows
+    assert (result.con_facts.find(labels) >= 0).all()
+    assert result.betas[1] is None and np.array_equal(result.betas[0], labels)
+    assert [tuple(t) for t in labels.tolist()] == [beta_H(result, h).labels for h in family]
 
 
 def test_batched_kernels_match_the_scalar_loops_on_the_zoo(templates, poset_zoo):
@@ -587,8 +637,8 @@ def test_beta_h_reports_the_first_failing_row_of_the_family(templates, poset_zoo
     # it are kept, and beta_H raises the same text for it alone
     result = assemble_K(poset_zoo["4-chain"], templates)
     rows = _membership([("p",), ("q",), ()], result.source.interior)
-    thetas, error = beta_family(result, rows)
-    assert len(thetas) == 1 and isinstance(error, NotADownSet)
+    labels, error = beta_family(result, rows)
+    assert len(labels) == 1 and isinstance(error, NotADownSet)
     with pytest.raises(NotADownSet) as exc:
         beta_H(result, ("q",))
     assert str(exc.value) == str(error) == "('q',) is not downward closed in the interior"

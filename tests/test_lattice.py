@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from princlat.congruence import one_congruence, principal_congruence, zero_congruence
+from princlat.congruence import principal_congruence
 from princlat.errors import NotACongruence, NotALattice
 from princlat.lattice import (
     _bound_table,
@@ -25,13 +25,13 @@ from princlat.lattice import (
 )
 from princlat.order import validate_poset
 
-from conftest import random_lattices
+from conftest import join_of, meet_of, one_congruence, random_lattices, zero_congruence
 
 
 def test_b2_is_a_lattice():
     lat = lattice_from_covers(["0", "p", "q", "1"],
                               [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")])
-    assert lat.join_of("p", "q") == "1" and lat.meet_of("p", "q") == "0"
+    assert join_of(lat, "p", "q") == "1" and meet_of(lat, "p", "q") == "0"
 
 
 def test_two_maximal_elements_fail():
@@ -55,7 +55,7 @@ def test_m3_shape():
     assert lat.n == 5
     assert length(lat) == 2
     assert len(prime_intervals(lat)) == 6
-    assert lat.join_of("x", "y") == "i" and lat.meet_of("x", "y") == "o"
+    assert join_of(lat, "x", "y") == "i" and meet_of(lat, "x", "y") == "o"
 
 
 def test_chain_lengths():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from princlat.errors import CycleDetected, DuplicateElement, NoOne, NoZero, UnknownElement
 from princlat.lattice import as_lattice, m3
 from princlat.order import (
+    Poset,
     _bool_product,
+    _freeze,
     _transitive_closure,
-    containment_order,
     down_set_matrix,
     down_set_rows,
     down_sets,
@@ -22,15 +23,33 @@ from princlat.order import (
     validate_poset,
 )
 
+from conftest import join_of, le, meet_of
+
+
+def containment_order(family):
+    """The family of down sets as a poset under containment.
+
+    Element names are comma-joined member lists (deterministic given the
+    family order); an empty down set is named ``{}``.
+    """
+    names = tuple(",".join(d.members) if d.members else "{}" for d in family)
+    n = len(family)
+    leq = np.zeros((n, n), dtype=bool)
+    sets = [set(d.members) for d in family]
+    for i in range(n):
+        for j in range(n):
+            leq[i, j] = sets[i] <= sets[j]
+    return Poset(names, _freeze(leq))
+
 
 def test_singleton():
     p = validate_poset(["a"], [])
-    assert p.n == 1 and p.le("a", "a")
+    assert p.n == 1 and le(p, "a", "a")
 
 
 def test_transitive_closure_forced():
     p = validate_poset(["0", "m", "1"], [("0", "m"), ("m", "1")])
-    assert p.le("0", "1")
+    assert le(p, "0", "1")
     assert p.cover_names() == [("0", "m"), ("m", "1")]
 
 
@@ -107,8 +126,8 @@ def test_down_set_family_is_a_lattice_under_containment():
     sets = {lat.poset.elements[i]: set(ds[i].members) for i in range(len(ds))}
     for x in lat.elements:
         for y in lat.elements:
-            assert sets[lat.join_of(x, y)] == sets[x] | sets[y]
-            assert sets[lat.meet_of(x, y)] == sets[x] & sets[y]
+            assert sets[join_of(lat, x, y)] == sets[x] | sets[y]
+            assert sets[meet_of(lat, x, y)] == sets[x] & sets[y]
 
 
 def test_principal_down_set():
@@ -125,7 +144,7 @@ def test_principal_down_set_containment_mirrors_order():
     for x in p.elements:
         for y in p.elements:
             sub = set(principal_down_set(p, x).members) <= set(principal_down_set(p, y).members)
-            assert sub == p.le(x, y)
+            assert sub == le(p, x, y)
 
 
 def test_order_iso_identity_and_negative():
@@ -180,7 +199,7 @@ def test_order_iso_survives_relabeling(p, rng):
     assert iso is not None
     for i in range(p.n):
         for j in range(p.n):
-            assert p.leq[i, j] == relabeled.le(iso[p.elements[i]], iso[p.elements[j]])
+            assert p.leq[i, j] == le(relabeled, iso[p.elements[i]], iso[p.elements[j]])
 
 
 @settings(max_examples=60, deadline=None)
