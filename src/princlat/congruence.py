@@ -203,18 +203,26 @@ def _block_firsts(labels: np.ndarray) -> np.ndarray:
     ``labels`` may also be a stack of label matrices, k x rows x n, read
     as one key of k words per entry.  A stable sort of each row lists
     every block's elements together and in index order, so the first slot
-    of a block holds its first element.
+    of a block holds its first element.  Rows go in chunks of ``_CHUNK``
+    entries, and ``first`` is in ``_label_dtype(n)``: no temporary is
+    larger than a chunk, and the result is no wider than the labels of an
+    n-element lattice.
     """
     keys = labels[None] if labels.ndim == 2 else labels
-    rows = np.arange(keys.shape[1])[:, None]
-    order = np.lexsort(keys, axis=-1)
-    grouped = keys[:, rows, order]
-    starts = np.ones(order.shape, dtype=bool)
-    starts[:, 1:] = (grouped[:, :, 1:] != grouped[:, :, :-1]).any(axis=0)
-    slot = np.where(starts, np.arange(order.shape[1]), 0)
-    np.maximum.accumulate(slot, axis=1, out=slot)  # the block's first slot, for each slot
-    first = np.empty_like(order)
-    first[rows, order] = order[rows, slot]
+    words, m, n = keys.shape
+    first = np.empty((m, n), dtype=_label_dtype(n))
+    step = max(1, _CHUNK // max(words * n, 1))
+    cols = np.arange(n)
+    for s in range(0, m, step):
+        chunk = keys[:, s:s + step]
+        rows = np.arange(chunk.shape[1])[:, None]
+        order = np.lexsort(chunk, axis=-1)
+        grouped = chunk[:, rows, order]
+        starts = np.ones(order.shape, dtype=bool)
+        starts[:, 1:] = (grouped[:, :, 1:] != grouped[:, :, :-1]).any(axis=0)
+        slot = np.where(starts, cols, 0)
+        np.maximum.accumulate(slot, axis=1, out=slot)  # the block's first slot, for each slot
+        first[s + rows, order] = order[rows, slot]
     return first
 
 

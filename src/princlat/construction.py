@@ -120,7 +120,15 @@ class GadgetTemplate:
 
 @dataclass(frozen=True, eq=False)
 class ConstructionResult:
-    """The assembled lattice plus the bookkeeping needed downstream."""
+    """The assembled lattice plus the bookkeeping needed downstream.
+
+    The analyses that verify reads are cached here, each built once on
+    first use: Con K as a label matrix with its flags (``con_facts``), the
+    down sets of the interior (``interior_down_sets``), their beta rows
+    (``betas``), and the one verdict on the order of H -> beta_H
+    (``betas_embed``) that decides both the down-set stage and phi's
+    order.
+    """
 
     lattice: FiniteLattice
     source: BoundedPoset
@@ -178,11 +186,27 @@ class ConstructionResult:
         return con_facts(self)
 
     @cached_property
+    def interior_down_sets(self) -> np.ndarray:
+        """Every down set of the interior, as the rows of
+        ``down_set_matrix``; enumerated once."""
+        return down_set_matrix(self.source.interior_poset)
+
+    @cached_property
     def betas(self) -> tuple[np.ndarray, PrinclatError | None]:
-        """:func:`beta_family` of every down set of the interior, in
-        ``down_set_matrix`` order: the label rows up to the first row that
-        fails, and that row's error; built once."""
-        return beta_family(self, down_set_matrix(self.source.interior_poset))
+        """:func:`beta_family` of every row of ``interior_down_sets``: the
+        label rows up to the first row that fails, and that row's error;
+        built once."""
+        return beta_family(self, self.interior_down_sets)
+
+    @cached_property
+    def betas_embed(self) -> bool:
+        """Whether H -> beta_H is an order embedding of the down sets of
+        the interior: one :func:`cover_certificate` over the beta rows and
+        ``interior_down_sets``, run only when ``betas`` reports no error
+        (False otherwise).  The down-set stage reads it, and so does
+        :func:`_correspondence`, where it decides the order of phi."""
+        labels, error = self.betas
+        return error is None and cover_certificate(labels, self.interior_down_sets)
 
 
 @dataclass(frozen=True)
@@ -603,8 +627,26 @@ def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]
     comes first, and adding 0 to both changes neither that element nor
     the order of sizes.  So the beta rows are in family order, and the
     round trip compares them with the facts' label rows of the owners.
-    A failure is reported as the first one that a loop over Con K, then
-    over the down sets, would meet.
+
+    The order is then decided by ``result.betas_embed``, the one cover
+    certificate over the beta rows.  Proof that phi preserves and
+    reflects the order iff H -> beta_H does, once the round trip holds.
+    The forward image is injective and is the whole family, so phi is a
+    bijection.  If K has one element, Con K is one row and there is no
+    pair to decide.  Otherwise the one congruence (the only row with
+    ``one``) maps to P, the last row of the family.  Every other Con K row
+    is the owner of {0} u H for a down set H of the interior, and equals
+    beta_H.  So the Con K rows other than the one congruence are exactly
+    the beta rows, and their images are the {0} u H.  For two such rows,
+    {0} u H is contained in {0} u H' iff H is in H', so the pair agrees
+    under phi iff it agrees under H -> beta_H.  A pair that holds the one
+    congruence always agrees: every row refines it and every image lies
+    in P, and it refines only itself (the rows are distinct congruences)
+    while P lies in no other image (the images are distinct).  Only when
+    the certificate fails does the pairwise check run on Con K's rows and
+    their images, to name that pair as phi's witness.  A failure is
+    reported as the first one that a loop over Con K, then over the down
+    sets, would meet.
     """
     lat = result.lattice
     P = result.source
@@ -648,9 +690,9 @@ def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]
                                    "round trip broke")
     if error is not None:
         raise error
-    # the forward image is all nonempty down sets of P, so covers certify
-    # the order; the pairwise oracle runs only to name the first mismatch
-    bad = None if cover_certificate(facts.labels, image) else order_mismatch(facts.labels, image)
+    # with the round trip intact, phi's order is H -> beta_H's (see above);
+    # the pairwise oracle runs only to name the first mismatch
+    bad = None if result.betas_embed else order_mismatch(facts.labels, image)
     if bad is not None:
         a, b = (_member_names(P.elements, family[k]) for k in at[list(bad)].tolist())
         raise CorrespondenceBroken((a, b), "order not preserved")
@@ -705,12 +747,15 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     Every stage reads the one congruence analysis of K
     (``FiniteLattice.con_analysis``), and the per-congruence stages read
-    its label matrix once, through ``result.con_facts``.  The beta rows
-    of the down sets of the interior come from one :func:`beta_family`
-    call (``result.betas``), which both the down-set stage and
-    :func:`_correspondence` read; the correspondence is checked once.
-    No stage builds a congruence or down-set object per congruence or
-    per down set: those are built only for a failure witness.
+    its label matrix once, through ``result.con_facts``.  The down sets of
+    the interior are enumerated once (``result.interior_down_sets``), and
+    their beta rows come from one :func:`beta_family` call
+    (``result.betas``).  The order is decided once, by one cover
+    certificate over those rows (``result.betas_embed``), which the
+    down-set stage and :func:`_correspondence` both read; the
+    correspondence is checked once.  No stage builds a congruence or
+    down-set object per congruence or per down set: those are built only
+    for a failure witness.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -734,6 +779,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return VerificationReport(name, tuple(stages), 0, 0)
     lat = result.lattice
     facts = result.con_facts
+    ln = length(lat)
 
     if result.degenerate:
         def s_degenerate():
@@ -741,7 +787,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
                 raise VerificationFailed("degenerate", detail="principal order differs")
             return f"|P|={len(P.elements)}"
         stage("degenerate-realization", s_degenerate)
-        return VerificationReport(name, tuple(stages), lat.n, length(lat))
+        return VerificationReport(name, tuple(stages), lat.n, ln)
 
     def s_diamond():
         a0, a1 = result.anchor[P.zero][0], result.anchor[P.one][0]
@@ -786,7 +832,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         corr_error = exc
 
     def s_beta():
-        rows = down_set_matrix(P.interior_poset)
+        rows = result.interior_down_sets
         labels, error = result.betas
         empty = ~rows[:len(labels)].any(axis=1)
         ok = np.where(empty, _block_counts(labels) == lat.n, _isolating(lat, labels))
@@ -796,9 +842,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             raise VerificationFailed("downset-congruence", witness=witness)
         if error is not None:
             raise error
-        # rows are every down set of the interior, so covers certify the
-        # order; an order embedding is injective
-        bad = None if cover_certificate(labels, rows) else order_mismatch(labels, rows)
+        # an order embedding is injective
+        bad = None if result.betas_embed else order_mismatch(labels, rows)
         if bad is not None:
             witness = tuple(_member_names(P.interior, rows[k]) for k in bad)
             raise VerificationFailed("downset-congruence", witness=witness)
@@ -811,9 +856,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_princ_corr():
         an = lat.con_analysis
-        principal_downs = {
-            tuple(sorted(principal_down_set(P.poset, p).members)) for p in P.elements
-        }
+        down = {p: tuple(sorted(principal_down_set(P.poset, p).members)) for p in P.elements}
+        principal_downs = set(down.values())
         if corr_error is not None:
             raise corr_error
         # the Con K row of every principal congruence, and its image
@@ -828,7 +872,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             r = row_of[an.principal(int(lat.meet[a, b]), int(lat.join[a, b]))]
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)
-            expect = tuple(sorted(set(principal_down_set(P.poset, p).members) - {P.zero}))
+            expect = tuple(x for x in down[p] if x != P.zero)
             if facts.base_of(r) != expect:
                 raise VerificationFailed("principal-correspondence",
                                          witness=(p, facts.base_of(r)))
@@ -841,7 +885,6 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"|Princ K| = {len(po)}"
 
     def s_length():
-        ln = length(lat)
         comps = P.comparabilities()
         if not comps:
             want = 3 if P.interior else None
@@ -861,5 +904,5 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     stage("principal-correspondence", s_princ_corr)
     stage("principal-order-isomorphism", s_princ_iso)
     stage("length-bound", s_length)
-    return VerificationReport(name, tuple(stages), lat.n, length(lat))
+    return VerificationReport(name, tuple(stages), lat.n, ln)
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from princlat.congruence import (
     CongruenceRelation,
+    _block_firsts,
     _isolating,
+    _label_dtype,
     all_congruences,
     congruence_leq,
     cover_certificate,
@@ -473,6 +475,43 @@ def test_order_mismatch_matches_a_scalar_double_loop(seed, rng):
         members[a, k] = not members[a, k]
         want = first_order_mismatch(thetas, members)
         assert order_mismatch(label_matrix(thetas), members) == want
+
+
+# ------------------------------------------------ block firsts in chunks of rows
+
+def scalar_block_firsts(keys):
+    """``first[r, i]`` by a loop: the least j whose key under row r is i's,
+    for a stack of label matrices (words x rows x n)."""
+    words, m, n = keys.shape
+    first = np.empty((m, n), dtype=int)
+    for r in range(m):
+        seen = {}
+        for i in range(n):
+            first[r, i] = seen.setdefault(tuple(keys[:, r, i].tolist()), i)
+    return first
+
+
+def test_block_firsts_chunks_do_not_change_the_result(monkeypatch):
+    # one row per chunk, and five rows per chunk over 37 rows (the last
+    # chunk holds two), give the unchunked result, which is the scalar
+    # loop's, in the label dtype of an n-element lattice; n = 300 needs
+    # uint16.  Stacked 3-D input reads one key of several words per entry
+    import princlat.congruence as congruence
+
+    rng = np.random.default_rng(20260201)
+    for shape, values in (((37, 7), 3), ((37, 300), 100), ((3, 37, 5), 2), ((2, 37, 12), 3)):
+        labels = rng.integers(0, values, size=shape, dtype=np.uint64)
+        keys = labels[None] if labels.ndim == 2 else labels
+        words, _, n = keys.shape
+        monkeypatch.setattr(congruence, "_CHUNK", 1 << 40)
+        whole = _block_firsts(labels)
+        assert whole.dtype == _label_dtype(n), shape
+        assert np.array_equal(whole, scalar_block_firsts(keys)), shape
+        for chunk in (1, 5 * words * n):
+            monkeypatch.setattr(congruence, "_CHUNK", chunk)
+            first = _block_firsts(labels)
+            assert first.dtype == _label_dtype(n), (shape, chunk)
+            assert np.array_equal(first, whole), (shape, chunk)
 
 
 # ------------------------------------------- cover certificate on synthetic orders

@@ -279,8 +279,9 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         templates, poset_zoo, monkeypatch):
     # verify reads Con K and the beta rows as matrices: it passes on every
     # shape with the object-building API refusing to run; it builds the
-    # forward facts once, checks the correspondence once, runs the beta
-    # kernel once over every down set of the interior and never calls the
+    # forward facts once, checks the correspondence once, enumerates the
+    # down sets of the interior once, runs the beta kernel once over them,
+    # decides the order with one cover certificate and never calls the
     # one-row beta_H; the congruence and down-set objects it does build are
     # O(|P|), not one per congruence (the 6-antichain has |Con K| = 65)
     import princlat.construction as construction
@@ -296,7 +297,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     for module in (order, construction):
         monkeypatch.setattr(module, "down_sets", refuse, raising=False)
     calls = {"con_facts": 0, "_correspondence": 0, "beta_family": 0, "beta_H": 0,
-             "congruence_leq": 0}
+             "congruence_leq": 0, "cover_certificate": 0}
     rows = []
     for fname in calls:
         original = getattr(construction, fname)
@@ -308,6 +309,15 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
             return _original(*args)
 
         monkeypatch.setattr(construction, fname, counting)
+    enumerated = []
+    original_matrix = construction.down_set_matrix
+
+    def counting_matrix(p):
+        enumerated.append(p)
+        return original_matrix(p)
+
+    for module in (order, construction):
+        monkeypatch.setattr(module, "down_set_matrix", counting_matrix)
     built = []
     for cls in (CongruenceRelation, DownSet):
         def counting_init(self, *args, _init=cls.__init__):
@@ -321,13 +331,15 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     for name, P in shapes.items():
         calls.update(dict.fromkeys(calls, 0))
         rows.clear()
+        enumerated.clear()
         built.clear()
         report = verify_theorem(P, templates, name)
         assert report.passed, report.lines()
         runs = 0 if len(P.elements) <= 2 else 1
         assert calls == {"con_facts": 1, "_correspondence": runs, "beta_family": runs,
-                         "beta_H": 0, "congruence_leq": 0}, name
+                         "beta_H": 0, "congruence_leq": 0, "cover_certificate": runs}, name
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
+        assert sum(p is P.interior_poset for p in enumerated) == runs, name
         assert built.count(CongruenceRelation) <= len(P.elements) + 2, name
         assert built.count(DownSet) <= 2 * len(P.elements), name
 
