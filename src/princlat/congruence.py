@@ -354,13 +354,14 @@ def cover_certificate(labels, members) -> bool:
 
     Refinement is read from the label vectors, as in order_mismatch: a
     refines b iff every element has, under b, the label of the first
-    element of its a-block; only the entries that are not first in their
-    block need comparing, and they are listed once.  Rows are put in the
-    order of their packed membership keys.  Setting a bit that a key lacks
-    keeps that order, so for each column p the keys of the cover partners
-    H u {p} come sorted, and one ``searchsorted`` finds them all.  The
-    checks run one column at a time, so no temporary is larger than the
-    label matrix; down p is the smallest row holding p.
+    element of its a-block.  Rows are put in the order of their packed
+    membership keys.  Setting a bit that a key lacks keeps that order, so
+    for each column p the keys of the cover partners H u {p} come sorted,
+    and one ``searchsorted`` finds them all.  The checks run one column
+    at a time, and (i) walks the rows that have a partner in chunks of
+    ``_CHUNK`` entries, so no temporary is larger than the label matrix
+    and none of (i)'s is larger than a chunk; down p is the smallest row
+    holding p.
     """
     members = np.asarray(members, dtype=bool)
     packed = np.packbits(members, axis=1, bitorder="little")
@@ -369,8 +370,7 @@ def cover_certificate(labels, members) -> bool:
     keys = _row_keys(packed)
     first = _block_firsts(labels)  # first[r, i]: first element of i's block under row r
     cols = np.arange(labels.shape[1])
-    row, col = np.nonzero(first != cols)  # the entries that are not first in their block
-    lead = first[row, col]
+    step = max(1, _CHUNK // max(labels.shape[1], 1))
     sizes = members.sum(axis=1)
     partner = np.empty(len(labels), dtype=np.intp)
     for p in range(members.shape[1]):
@@ -382,11 +382,12 @@ def cover_certificate(labels, members) -> bool:
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         partner.fill(-1)
         partner[lo] = np.where(keys[at] == want, at, -1)
-        up = partner[row]
-        out = up >= 0
-        up = up[out]
-        if (labels[up, col[out]] != labels[up, lead[out]]).any():  # (i)
-            return False
+        rows = np.flatnonzero(partner >= 0)
+        for s in range(0, len(rows), step):  # (i)
+            r = rows[s:s + step]
+            up = labels[partner[r]]
+            if (np.take_along_axis(up, first[r], axis=1) != up).any():
+                return False
         down = np.flatnonzero(has)[sizes[has].argmin()]
         moved = np.flatnonzero(first[down] != cols)
         if not np.array_equal((labels[:, first[down, moved]] == labels[:, moved]).all(axis=1),

@@ -107,12 +107,6 @@ class GadgetTemplate:
     role_map: dict[str, str]
     lattice: FiniteLattice
 
-    def placeholder(self, role: str) -> str:
-        for ph, r in self.role_map.items():
-            if r == role:
-                return ph
-        raise KeyError(role)
-
     def role_pairs(self, pairs) -> list[tuple[str, str]]:
         """Translate placeholder pairs to role pairs."""
         return [(self.role_map[a], self.role_map[b]) for a, b in pairs]
@@ -274,7 +268,11 @@ def gadget_battery(t: GadgetTemplate) -> None:
     Raises :class:`TemplateInvalid` naming the first check that fails.  It
     pins nothing of the gadget's shape (element count, bounds, length,
     number of prime intervals), which :func:`_check_gadget` checks first,
-    so ``scripts/derive_gadget.py`` can search for gadgets with it.
+    so the shape of S is derived with it: ``battery_gadgets`` in
+    ``tests/gadget_space.py`` tries every role assignment on every
+    lattice that the battery's quotient and block conditions allow, and
+    ``scripts/derive_gadget.py`` and ``scripts/make_templates.py`` read
+    its result.
     """
     lat = t.lattice
     r = {role: ph for ph, role in t.role_map.items()}
@@ -589,19 +587,10 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     P = result.source
     if not set(members) <= set(P.interior):
         raise NotADownSet(f"{members} is not a subset of the interior")
-    labels, error = beta_family(result, _membership([members], P.interior))
+    labels, error = beta_family(result, np.array([[x in members for x in P.interior]]))
     if error is not None:
         raise error
     return CongruenceRelation(result.lattice, tuple(labels[0].tolist()))
-
-
-def _membership(family, elements) -> np.ndarray:
-    """One boolean row per member tuple of ``family``, one column per element."""
-    pos = {x: k for k, x in enumerate(elements)}
-    rows = np.zeros((len(family), len(elements)), dtype=bool)
-    sizes = [len(members) for members in family]
-    rows[np.repeat(np.arange(len(family)), sizes), [pos[x] for m in family for x in m]] = True
-    return rows
 
 
 def _blocks(lat: FiniteLattice, labels: np.ndarray) -> list[tuple[str, ...]]:
@@ -627,6 +616,11 @@ def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]
     comes first, and adding 0 to both changes neither that element nor
     the order of sizes.  So the beta rows are in family order, and the
     round trip compares them with the facts' label rows of the owners.
+
+    The forward image is checked to be the family as a multiset of
+    packed row keys, and no injectivity check follows: the family's rows
+    are distinct down sets, so equal sorted keys leave no image key
+    repeated.
 
     The order is then decided by ``result.betas_embed``, the one cover
     certificate over the beta rows.  Proof that phi preserves and
@@ -671,11 +665,8 @@ def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]
     image[top | (facts.zero & (lat.n == 1))] = True
     image_keys = _row_keys(np.packbits(image, axis=1))
     family_keys = _row_keys(np.packbits(family, axis=1))
-    image_sorted = np.sort(image_keys)
-    if not np.array_equal(image_sorted, np.sort(family_keys)):
+    if not np.array_equal(np.sort(image_keys), np.sort(family_keys)):
         raise CorrespondenceBroken(None, "forward image is not the down-set family")
-    if (image_sorted[1:] == image_sorted[:-1]).any():
-        raise CorrespondenceBroken(None, "forward map not injective")
     order = np.argsort(family_keys)
     at = order[np.searchsorted(family_keys[order], image_keys)]  # family row of each image
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from princlat.congruence import CongruenceRelation
@@ -30,6 +31,15 @@ def join_of(lat, x, y):
 def meet_of(lat, x, y):
     """The meet of two named elements, read from the meet table."""
     return lat.elements[lat.meet[lat.index(x), lat.index(y)]]
+
+
+def membership(family, elements):
+    """One boolean row per member tuple of ``family``, one column per element."""
+    pos = {x: k for k, x in enumerate(elements)}
+    rows = np.zeros((len(family), len(elements)), dtype=bool)
+    for r, members in enumerate(family):
+        rows[r, [pos[x] for x in members]] = True
+    return rows
 
 
 def zero_congruence(lat):

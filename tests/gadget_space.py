@@ -1,4 +1,11 @@
-"""Every comparability gadget that the acceptance criteria allow.
+"""Every comparability gadget that the acceptance criteria allow, and the
+one derivation of the shipped gadget S.
+
+This is the repository's only enumeration of the gadget space.  One
+:func:`grid_lattices` pass feeds both :func:`gadgets` (criteria 3 and 5,
+for the acceptance suite) and :func:`battery_gadgets` (the load-time
+battery, for ``scripts/derive_gadget.py`` and
+``scripts/make_templates.py``, which put this directory on ``sys.path``).
 
 Criterion 3 asks of the gadget S, on eleven elements with bounds o and i:
 
@@ -41,6 +48,13 @@ grid covers is crossed at least once.  With the four middle blocks
 holding nine elements, S has at least 5 + 7 = 12 prime intervals, and
 exactly 12 only with chain blocks (of any length up to six) and one
 crossing per grid cover: ``grid_lattices(max_block=6, max_crossings=1)``.
+
+What the battery derives.  :func:`battery_gadgets` tries 1,728 role
+assignments on the 12 criterion-3 lattices and 4 pass, all on the
+shipped lattice: S itself, and S with (a_p, b_p) flipped (f and g then
+swap too), with (a_q, b_q) flipped, or with both.  Exactly one has both
+anchor pairs lower element first, and its covers are those of
+``S.json``; every one has 15 cover edges and length 5.
 """
 
 from __future__ import annotations
@@ -54,8 +68,8 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
-from princlat.construction import GadgetTemplate
-from princlat.errors import NotALattice
+from princlat.construction import GadgetTemplate, gadget_battery
+from princlat.errors import NotALattice, TemplateInvalid
 from princlat.lattice import as_lattice
 from princlat.order import validate_poset
 
@@ -110,42 +124,105 @@ def grid_lattices(max_block: int = 3, max_crossings: int = 3):
                 yield lat, CongruenceRelation(lat, labels)
 
 
-def _labellings(lat, theta):
-    """Role pairs (a_p, b_p), (a_q, b_q), (d, e) meeting criterion 3 in lat,
-    each pair lower element first."""
-    icons = [t for t in all_congruences(lat).congruences if is_I_congruence(lat, t)]
-    if len(icons) != 2 or theta not in icons:
-        return
-    (lower,) = [t for t in icons if t != theta]
-    pairs = [(x, y) for b in theta.blocks() for x, y in itertools.permutations(b, 2)
-             if lat.leq[lat.index(x), lat.index(y)]]
+def _criterion_3(lattices):
+    """(lat, theta, lower) for each (lat, theta) of :func:`grid_lattices`
+    whose only isolating congruences are theta and one other, lower."""
+    for lat, theta in lattices:
+        icons = [t for t in all_congruences(lat).congruences if is_I_congruence(lat, t)]
+        if len(icons) == 2 and theta in icons:
+            (lower,) = [t for t in icons if t != theta]
+            yield lat, theta, lower
+
+
+def _generating_pairs(lat, theta, lower):
+    """The ordered pairs of distinct elements in one block of theta that
+    generate lower, and those that generate theta."""
+    pairs = [pair for b in theta.blocks() for pair in itertools.permutations(b, 2)]
     generated = {pair: principal_congruence(lat, *pair) for pair in pairs}
-    p_pairs = [pair for pair in pairs if generated[pair] == lower]
-    q_pairs = [pair for pair in pairs if generated[pair] == theta]
-    for p, q in itertools.product(p_pairs, q_pairs):
-        if set(p) & set(q):
-            continue
-        de = next((pair for pair in p_pairs if not set(pair) & (set(p) | set(q))), None)
-        if de is not None:
-            yield p, q, de
+    return ([pair for pair in pairs if generated[pair] == lower],
+            [pair for pair in pairs if generated[pair] == theta])
 
 
-def gadgets() -> list[GadgetTemplate]:
-    """Every labelled gadget meeting criteria 3 and 5, as an S template.
+def _roles(lat, p, q, de):
+    """The role map of the bounds and the pairs (a_p, b_p), (a_q, b_q),
+    (d, e) of lat, and the three elements left in name order."""
+    roles = {"o": "o", "i": "i", **dict(zip(p + q + de, ("a_p", "b_p", "a_q", "b_q", "d", "e")))}
+    return roles, [x for x in lat.elements if x not in roles]
+
+
+def _template(lat, roles, rest):
+    """The S template of lat with ``roles`` and c, f, g given to ``rest`` in order."""
+    return GadgetTemplate("S", lat.poset, {**roles, **dict(zip(rest, ("c", "f", "g")))}, lat)
+
+
+def gadgets(lattices) -> list[GadgetTemplate]:
+    """Every labelled gadget meeting criteria 3 and 5, as an S template,
+    from the output of :func:`grid_lattices`.
 
     Pairs are labelled lower element first, the orientation of the anchor
     pairs; swapping a_x and b_x in every pair at once only renames the
-    assembled lattice.  The roles c, f, g go to the three remaining
-    elements in name order: no criterion constrains them, and assembly
-    gives every instance its own copy of them.
+    assembled lattice.  (d, e) is the first pair in block order that
+    generates con(a_p, b_p) and avoids both anchor pairs.  The roles c,
+    f, g go to the three remaining elements in name order: no criterion
+    constrains them, and assembly gives every instance its own copy of
+    them.
     """
     out = []
-    for lat, theta in grid_lattices():
-        for (ap, bp), (aq, bq), (d, e) in _labellings(lat, theta):
-            roles = {"o": "o", "i": "i", ap: "a_p", bp: "b_p", aq: "a_q", bq: "b_q",
-                     d: "d", e: "e"}
-            rest = [x for x in lat.elements if x not in roles]
-            roles.update(zip(rest, ("c", "f", "g")))
-            out.append(GadgetTemplate("S", lat.poset, roles, lat))
+    for lat, theta, lower in _criterion_3(lattices):
+        p_pairs, q_pairs = ([(x, y) for x, y in pairs if lat.leq[lat.index(x), lat.index(y)]]
+                            for pairs in _generating_pairs(lat, theta, lower))
+        for p, q in itertools.product(p_pairs, q_pairs):
+            if set(p) & set(q):
+                continue
+            de = next((pair for pair in p_pairs if not set(pair) & (set(p) | set(q))), None)
+            if de is None:
+                continue
+            out.append(_template(lat, *_roles(lat, p, q, de)))
     return out
 
+
+def battery_gadgets(lattices) -> list[GadgetTemplate]:
+    """Every labelled 11-element lattice that passes
+    ``construction.gadget_battery``, as an S template, from the output of
+    :func:`grid_lattices`.
+
+    This is the complete derivation of the gadget S.  The battery asks
+    that S / con(a_q, b_q) be the 2x3 grid, that the blocks of
+    con(a_q, b_q) be chains of at most three elements, and that
+    con(a_p, b_p) < con(a_q, b_q) be the only {o, i}-isolating
+    congruences, so bounds are singleton blocks and the grid, which has
+    no automorphism, fixes theta = con(a_q, b_q) as the congruence of
+    grid positions: up to renaming, every lattice passing it is among the
+    criterion-3 lattices, with lower = con(a_p, b_p).  Each anchor pair
+    and (d, e) then lies in one block of theta and generates its
+    congruence.  Every such assignment is tried: both orientations of
+    each anchor pair, every (d, e) pair disjoint from them, and every
+    order of c, f and g on the three elements left.
+    """
+    out = []
+    for lat, theta, lower in _criterion_3(lattices):
+        p_pairs, q_pairs = _generating_pairs(lat, theta, lower)
+        for p, q, de in itertools.product(p_pairs, q_pairs, p_pairs):
+            if len(set(p + q + de)) < 6:
+                continue
+            roles, rest = _roles(lat, p, q, de)
+            for order in itertools.permutations(rest):
+                t = _template(lat, roles, order)
+                try:
+                    gadget_battery(t)
+                except TemplateInvalid:
+                    continue
+                out.append(t)
+    return out
+
+
+def anchors_lower_first(t: GadgetTemplate) -> bool:
+    """Whether a_p <= b_p and a_q <= b_q in t."""
+    r = {role: x for x, role in t.role_map.items()}
+    return all(t.lattice.leq[t.lattice.index(r[a]), t.lattice.index(r[b])]
+               for a, b in (("a_p", "b_p"), ("a_q", "b_q")))
+
+
+def role_covers(t: GadgetTemplate) -> list[tuple[str, str]]:
+    """The cover pairs of t over role names, sorted."""
+    return sorted(t.role_pairs(t.poset.cover_names()))

@@ -41,7 +41,6 @@ from princlat.congruence import (
 )
 from princlat.construction import (
     AMALGAM_COPIES,
-    _membership,
     assemble_K,
     beta_H,
     double_gadget,
@@ -70,8 +69,14 @@ from princlat.order import (
     validate_poset,
 )
 
-from conftest import random_lattices
-from gadget_space import gadgets, grid_lattices
+from conftest import membership, random_lattices
+from gadget_space import (
+    anchors_lower_first,
+    battery_gadgets,
+    gadgets,
+    grid_lattices,
+    role_covers,
+)
 from test_construction import assert_beta_family_matches, assert_facts_match_the_scalar_loop
 from test_congruence import (
     closure_masks,
@@ -103,9 +108,15 @@ def corpus(templates):
 
 
 @pytest.fixture(scope="module")
-def admissible_gadgets():
+def grid():
+    """The lattices over the 2x3 grid that gadget_space.py enumerates, one pass."""
+    return list(grid_lattices())
+
+
+@pytest.fixture(scope="module")
+def admissible_gadgets(grid):
     """Every labelled gadget meeting criteria 3 and 5, computed once."""
-    return gadgets()
+    return gadgets(grid)
 
 
 def test_criterion_1_theorem_at_desk_scale(templates):
@@ -152,7 +163,7 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
         assert corr.backward == {ds: theta for theta, ds in corr.forward.items()}
         facts = result.con_facts
         cons = all_congruences(result.lattice).congruences
-        image = _membership([corr.forward[t].members for t in cons], P.elements)
+        image = membership([corr.forward[t].members for t in cons], P.elements)
         inputs = [(facts.labels, image)]
         if not result.degenerate:
             family = [ds.members for ds in down_sets(P.interior_poset)]
@@ -237,6 +248,29 @@ def test_criterion_3_prime_interval_count(templates, admissible_gadgets):
     assert 12 not in attainable
     assert twelve and all(len(prime_intervals(l)) == 12 for l in twelve)
     assert 2 not in isolating, "a 12-edge lattice over the grid has two isolating congruences"
+
+
+def test_criterion_3_gadget_is_derived(templates, grid):
+    """The shipped gadget is the one the battery derives.
+
+    ``battery_gadgets`` tries every role assignment on every lattice the
+    criterion-3 enumeration yields against the load-time battery.  Four
+    labelled gadgets pass, all on the shipped lattice: S and S with one or
+    both anchor pairs flipped.  Exactly one has both anchor pairs lower
+    element first, and it is S.json, role for role, so a shipped S with
+    two roles swapped fails here.
+    """
+    shipped = templates["S"]
+    found = battery_gadgets(grid)
+    isomorphic = [t for t in found if lattice_iso(t.lattice, shipped.lattice) is not None]
+    lower = [t for t in found if anchors_lower_first(t)]
+    ok = (len(found) == 4 and len(isomorphic) == 4 and len(lower) == 1
+          and role_covers(lower[0]) == role_covers(shipped))
+    report(3, "gadget derived from the battery", ok)
+    assert len(found) == 4, f"{len(found)} labelled gadgets pass the battery"
+    assert len(isomorphic) == 4, "a derived gadget is not the shipped lattice"
+    assert len(lower) == 1, f"{len(lower)} derived gadgets have lower-first anchor pairs"
+    assert role_covers(lower[0]) == role_covers(shipped)
 
 
 def test_criterion_4_degenerate_cases(templates):

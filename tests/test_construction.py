@@ -26,7 +26,6 @@ from princlat.construction import (
     COPY_FAULTS,
     GadgetTemplate,
     _copy_faults,
-    _membership,
     assemble_K,
     beta_H,
     default_template_dir,
@@ -54,7 +53,7 @@ from princlat.order import (
     validate_poset,
 )
 
-from conftest import bounded, join_of, le, meet_of, zero_congruence
+from conftest import bounded, join_of, le, meet_of, membership, zero_congruence
 from test_congruence import scalar_is_congruence
 
 
@@ -358,12 +357,12 @@ def test_downset_congruence_reports_the_first_order_mismatch(
         rows = np.array(members, dtype=bool)
         for k, row in enumerate(rows.tolist()):
             h = tuple(x for x, m in zip(P.interior, row) if m)
-            rows[k] = _membership([swap.get(h, h)], P.interior)[0]
+            rows[k] = membership([swap.get(h, h)], P.interior)[0]
         return original(result, rows)
 
     monkeypatch.setattr(construction, "beta_family", swapped)
     family = [ds.members for ds in down_sets(P.interior_poset)]
-    labels, _ = swapped(r, _membership(family, P.interior))
+    labels, _ = swapped(r, membership(family, P.interior))
     betas = [CongruenceRelation(r.lattice, tuple(row)) for row in labels.tolist()]
     expect = next(
         (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
@@ -532,7 +531,7 @@ def assert_facts_match_the_scalar_loop(result):
 def assert_beta_family_matches(result):
     P = result.source
     family = [ds.members for ds in down_sets(P.interior_poset)]
-    rows = _membership(family, P.interior)
+    rows = membership(family, P.interior)
     assert_same_beta(result.lattice, result.contributions, rows)
     labels, error = beta_family(result, rows)
     assert error is None
@@ -631,7 +630,7 @@ def test_beta_kernel_chunks_do_not_change_the_result(templates, poset_zoo, monke
 
     result = assemble_K(poset_zoo["hat"], templates)
     lat = result.lattice
-    rows = _membership([ds.members for ds in down_sets(result.source.interior_poset)],
+    rows = membership([ds.members for ds in down_sets(result.source.interior_poset)],
                        result.source.interior)
     extra = ((lat.index("o"), lat.index(result.anchor["r"][0])),)
     contributions = result.contributions[:-1] + (result.contributions[-1] + extra,)
@@ -648,7 +647,7 @@ def test_beta_h_reports_the_first_failing_row_of_the_family(templates, poset_zoo
     # a non-down set after a valid row: beta_family names it, rows before
     # it are kept, and beta_H raises the same text for it alone
     result = assemble_K(poset_zoo["4-chain"], templates)
-    rows = _membership([("p",), ("q",), ()], result.source.interior)
+    rows = membership([("p",), ("q",), ()], result.source.interior)
     labels, error = beta_family(result, rows)
     assert len(labels) == 1 and isinstance(error, NotADownSet)
     with pytest.raises(NotADownSet) as exc:
@@ -770,7 +769,7 @@ def test_batched_kernels_match_the_scalar_loops_on_scrambled_gadgets(scrambled):
     for trial, result in scrambled:
         P = result.source
         assert_facts_match_the_scalar_loop(result)
-        rows = _membership([ds.members for ds in down_sets(P.interior_poset)], P.interior)
+        rows = membership([ds.members for ds in down_sets(P.interior_poset)], P.interior)
         error = assert_same_beta(result.lattice, result.contributions, rows)
         want = scalar_forward_error(result)
         try:

@@ -25,7 +25,9 @@ from princlat.lattice import (
 
 
 def role(t, name):
-    return t.placeholder(name)
+    """The placeholder of t that takes role ``name``."""
+    (ph,) = [ph for ph, r in t.role_map.items() if r == name]
+    return ph
 
 
 def test_all_templates_load(templates):
