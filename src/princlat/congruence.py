@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NotICongruence, ValuationDiverged
 from .lattice import FiniteLattice
-from .order import _CHUNK, Poset, _freeze, _member_names, _row_keys, _transitive_closure
+from .order import _CHUNK, Poset, RowIndex, _freeze, _member_names, _transitive_closure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -354,39 +354,32 @@ def cover_certificate(labels, members) -> bool:
 
     Refinement is read from the label vectors, as in order_mismatch: a
     refines b iff every element has, under b, the label of the first
-    element of its a-block.  Rows are put in the order of their packed
-    membership keys.  Setting a bit that a key lacks keeps that order, so
-    for each column p the keys of the cover partners H u {p} come sorted,
-    and one ``searchsorted`` finds them all.  The checks run one column
-    at a time, and (i) walks the rows that have a partner in chunks of
+    element of its a-block.  One :class:`RowIndex` over the packed
+    membership rows finds the cover partners H u {p} of each column p,
+    and the inputs keep their order.  The checks run one column at a
+    time, and (i) walks the rows that have a partner in chunks of
     ``_CHUNK`` entries, so no temporary is larger than the label matrix
     and none of (i)'s is larger than a chunk; down p is the smallest row
     holding p.
     """
     members = np.asarray(members, dtype=bool)
+    labels = np.asarray(labels)
     packed = np.packbits(members, axis=1, bitorder="little")
-    by_key = np.argsort(_row_keys(packed))
-    packed, members, labels = packed[by_key], members[by_key], np.asarray(labels)[by_key]
-    keys = _row_keys(packed)
+    index = RowIndex(packed)
     first = _block_firsts(labels)  # first[r, i]: first element of i's block under row r
     cols = np.arange(labels.shape[1])
     step = max(1, _CHUNK // max(labels.shape[1], 1))
     sizes = members.sum(axis=1)
-    partner = np.empty(len(labels), dtype=np.intp)
     for p in range(members.shape[1]):
         has = members[:, p]
         lo = np.flatnonzero(~has)
         grown = packed[lo]
         grown[:, p >> 3] |= 1 << (p & 7)
-        want = _row_keys(grown)
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        partner.fill(-1)
-        partner[lo] = np.where(keys[at] == want, at, -1)
-        rows = np.flatnonzero(partner >= 0)
+        found = index.find(grown)
+        rows, partner = lo[found >= 0], found[found >= 0]  # each row H and its H u {p}
         for s in range(0, len(rows), step):  # (i)
-            r = rows[s:s + step]
-            up = labels[partner[r]]
-            if (np.take_along_axis(up, first[r], axis=1) != up).any():
+            up = labels[partner[s:s + step]]
+            if (np.take_along_axis(up, first[rows[s:s + step]], axis=1) != up).any():
                 return False
         down = np.flatnonzero(has)[sizes[has].argmin()]
         moved = np.flatnonzero(first[down] != cols)

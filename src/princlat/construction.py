@@ -56,7 +56,7 @@ from .errors import (
     TemplateInvalid,
     VerificationFailed,
 )
-from .kernels import ConFacts, beta_family, con_facts
+from .kernels import ConFacts, beta_labels, con_facts
 from .lattice import (
     FiniteLattice,
     as_lattice,
@@ -75,9 +75,8 @@ from .order import (
     _bool_product,
     _freeze,
     _member_names,
-    _row_keys,
     down_set_matrix,
-    down_sets,
+    is_down_set,
     order_iso,
     principal_down_set,
     validate_poset,
@@ -117,11 +116,11 @@ class ConstructionResult:
     """The assembled lattice plus the bookkeeping needed downstream.
 
     The analyses that verify reads are cached here, each built once on
-    first use: Con K as a label matrix with its flags (``con_facts``), the
-    down sets of the interior (``interior_down_sets``), their beta rows
+    first use: the down sets of the interior (``interior_down_sets``),
+    whose rows number the bases of Con K and phi's images, Con K as a
+    label matrix with its flags (``con_facts``), the down sets' beta rows
     (``betas``), and the one verdict on the order of H -> beta_H
-    (``betas_embed``) that decides both the down-set stage and phi's
-    order.
+    (``betas_embed``) that decides the down-set stage and phi's order.
     """
 
     lattice: FiniteLattice
@@ -187,10 +186,10 @@ class ConstructionResult:
 
     @cached_property
     def betas(self) -> tuple[np.ndarray, PrinclatError | None]:
-        """:func:`beta_family` of every row of ``interior_down_sets``: the
+        """:func:`beta_labels` of every row of ``interior_down_sets``: the
         label rows up to the first row that fails, and that row's error;
         built once."""
-        return beta_family(self, self.interior_down_sets)
+        return beta_labels(self.lattice, self.contributions, self.interior_down_sets)
 
     @cached_property
     def betas_embed(self) -> bool:
@@ -225,7 +224,7 @@ def _load_one(directory: Path, stem: str) -> GadgetTemplate:
         poset = validate_poset(doc["elements"], [tuple(c) for c in doc["covers"]])
     except Exception as exc:
         raise TemplateInvalid(stem, "poset", str(exc)) from exc
-    if sorted(roles) != sorted(poset.elements):
+    if not isinstance(roles, dict) or sorted(roles) != sorted(poset.elements):
         raise TemplateInvalid(stem, "role-map-domain")
     if len(set(roles.values())) != len(roles):
         raise TemplateInvalid(stem, "role-map-injective")
@@ -581,13 +580,16 @@ def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
     membership of each parameter in H, plus the anchor pairs of isolated
     members.  It is verified to be transitive with chain blocks of size
     at most three, and to pass the full substitution-property check.
-    This wraps the one row of a :func:`beta_family` call.
+    This wraps the one row of a :func:`beta_labels` call.
     """
     members = tuple(sorted(set(getattr(H, "members", H))))
     P = result.source
     if not set(members) <= set(P.interior):
         raise NotADownSet(f"{members} is not a subset of the interior")
-    labels, error = beta_family(result, np.array([[x in members for x in P.interior]]))
+    if not is_down_set(P.interior_poset, members):
+        raise NotADownSet(f"{members} is not downward closed in the interior")
+    row = np.array([[x in members for x in P.interior]], dtype=bool)
+    labels, error = beta_labels(result.lattice, result.contributions, row)
     if error is not None:
         raise error
     return CongruenceRelation(result.lattice, tuple(labels[0].tolist()))
@@ -598,96 +600,92 @@ def _blocks(lat: FiniteLattice, labels: np.ndarray) -> list[tuple[str, ...]]:
     return CongruenceRelation(lat, tuple(labels.tolist())).blocks()
 
 
-def _correspondence(result: ConstructionResult) -> tuple[np.ndarray, np.ndarray]:
+def _down_set_names(result: ConstructionResult, k: int) -> tuple[str, ...]:
+    """The members of down set k of P, numbered as in :func:`_correspondence`."""
+    P = result.source
+    downs = result.interior_down_sets
+    if k == len(downs):
+        return tuple(sorted(P.elements))
+    return tuple(sorted([P.zero, *itertools.compress(P.interior, downs[k].tolist())]))
+
+
+def _correspondence(result: ConstructionResult) -> np.ndarray:
     """Check that phi is an order isomorphism from Con K onto the nonempty
-    down sets of P, on matrices alone.
+    down sets of P, on matrices alone; return the number of the image of
+    each row of ``result.con_facts`` (congruence r of ``all_congruences``).
 
-    Returns the nonempty down sets of P, as the rows of
-    ``down_set_matrix`` after the empty one, and for each row of
-    ``result.con_facts`` (congruence r of ``all_congruences``) the row of
-    its image.  The forward map sends a bound congruence to {0} or to P,
-    and an I-congruence to {0} u its base; it is read from the facts for
-    all congruences at once.  The backward map sends {0} u H to beta_H,
-    for every down set H of the interior, and the full set to the one
-    congruence; the beta label rows are ``result.betas``.  Every down
-    set of P but P itself is {0} u H for a down set H of the interior,
-    and they come in the order of the H: of two down sets of one size,
-    the one holding the least element of their symmetric difference
-    comes first, and adding 0 to both changes neither that element nor
-    the order of sizes.  So the beta rows are in family order, and the
-    round trip compares them with the facts' label rows of the owners.
-
-    The forward image is checked to be the family as a multiset of
-    packed row keys, and no injectivity check follows: the family's rows
-    are distinct down sets, so equal sorted keys leave no image key
-    repeated.
+    Every nonempty down set of P but P is {0} u H for a down set H of the
+    interior, so number k stands for {0} u H_k, with H_k row k of
+    ``result.interior_down_sets``, and one past the last row for P (when
+    P = {0}, {0} u the empty set is P).  The forward map sends the one
+    congruence of a K of more than one element to P and every other
+    congruence to {0} u its base, numbered by ``facts.base_row``; it is a
+    bijection iff its sorted numbers are 0, 1, ....  The backward map
+    sends {0} u H_k to beta_{H_k}, row k of ``result.betas``, and P to the
+    one congruence; the round trip compares each beta row with the label
+    row of its owner.
 
     The order is then decided by ``result.betas_embed``, the one cover
     certificate over the beta rows.  Proof that phi preserves and
     reflects the order iff H -> beta_H does, once the round trip holds.
-    The forward image is injective and is the whole family, so phi is a
-    bijection.  If K has one element, Con K is one row and there is no
-    pair to decide.  Otherwise the one congruence (the only row with
-    ``one``) maps to P, the last row of the family.  Every other Con K row
-    is the owner of {0} u H for a down set H of the interior, and equals
-    beta_H.  So the Con K rows other than the one congruence are exactly
-    the beta rows, and their images are the {0} u H.  For two such rows,
-    {0} u H is contained in {0} u H' iff H is in H', so the pair agrees
-    under phi iff it agrees under H -> beta_H.  A pair that holds the one
-    congruence always agrees: every row refines it and every image lies
-    in P, and it refines only itself (the rows are distinct congruences)
-    while P lies in no other image (the images are distinct).  Only when
-    the certificate fails does the pairwise check run on Con K's rows and
-    their images, to name that pair as phi's witness.  A failure is
-    reported as the first one that a loop over Con K, then over the down
-    sets, would meet.
+    If K has one element, Con K is one row and there is no pair to
+    decide.  Otherwise the one congruence (the only row with ``one``)
+    maps to P.  Every other Con K row is the owner of {0} u H for a down
+    set H of the interior, and equals beta_H.  So the Con K rows other
+    than the one congruence are exactly the beta rows, and their images
+    are the {0} u H.  For two such rows, {0} u H is contained in {0} u H'
+    iff H is in H', so the pair agrees under phi iff it agrees under
+    H -> beta_H.  A pair that holds the one congruence always agrees:
+    every row refines it and every image lies in P, and it refines only
+    itself (the rows are distinct congruences) while P lies in no other
+    image (the images are distinct).  Only when the certificate fails are
+    the images built as rows over P, for the pairwise check on Con K's
+    rows that names phi's witness.  A failure is reported as the first
+    one that a loop over Con K, then over the down sets, would meet.
     """
     lat = result.lattice
     P = result.source
     facts = result.con_facts
-    family = down_set_matrix(P.poset)[1:]  # the nonempty down sets of P
-    if len(facts.labels) != len(family):
+    downs = result.interior_down_sets
+    count = len(downs) + (lat.n > 1)  # the nonempty down sets of P
+    if len(facts.labels) != count:
         raise CorrespondenceBroken(
-            (len(facts.labels), len(family)), "congruence count differs from down-set count")
+            (len(facts.labels), count), "congruence count differs from down-set count")
 
     top = facts.one & (lat.n > 1)
-    bad = ~(top | facts.zero | (facts.isolating & facts.base_down))
+    bad = ~(top | facts.zero | (facts.isolating & (facts.base_row >= 0)))
     if bad.any():
         r = int(bad.argmax())
         if not facts.isolating[r]:
             raise CorrespondenceBroken(_blocks(lat, facts.labels[r]),
                                        "congruence neither bound nor isolating")
         raise CorrespondenceBroken(facts.base_of(r), "base is not a down set")
-    # the forward image of every congruence as a row over the elements of P
-    image = np.zeros((len(facts.labels), P.poset.n), dtype=bool)
-    image[:, [P.poset.index(x) for x in P.interior]] = facts.base
-    image[:, P.poset.index(P.zero)] = True
-    image[top | (facts.zero & (lat.n == 1))] = True
-    image_keys = _row_keys(np.packbits(image, axis=1))
-    family_keys = _row_keys(np.packbits(family, axis=1))
-    if not np.array_equal(np.sort(image_keys), np.sort(family_keys)):
+    forward = np.where(top, len(downs), facts.base_row)
+    if not np.array_equal(np.sort(forward), np.arange(count)):
         raise CorrespondenceBroken(None, "forward image is not the down-set family")
-    order = np.argsort(family_keys)
-    at = order[np.searchsorted(family_keys[order], image_keys)]  # family row of each image
 
-    # beta_H of {0} u H must be the congruence whose image it is; the full
-    # set P, the last row, maps back to the one congruence
-    owner = np.empty_like(at)
-    owner[at] = np.arange(len(at))
+    # beta_H of {0} u H must be the congruence whose image it is; P maps
+    # back to the one congruence
+    owner = np.empty_like(forward)
+    owner[forward] = np.arange(len(forward))
     betas, error = result.betas
     broken = np.flatnonzero((betas != facts.labels[owner[:len(betas)]]).any(axis=1))
     if broken.size:
-        raise CorrespondenceBroken(_member_names(P.elements, family[broken[0]]),
-                                   "round trip broke")
+        raise CorrespondenceBroken(_down_set_names(result, int(broken[0])), "round trip broke")
     if error is not None:
         raise error
     # with the round trip intact, phi's order is H -> beta_H's (see above);
     # the pairwise oracle runs only to name the first mismatch
-    bad = None if result.betas_embed else order_mismatch(facts.labels, image)
-    if bad is not None:
-        a, b = (_member_names(P.elements, family[k]) for k in at[list(bad)].tolist())
-        raise CorrespondenceBroken((a, b), "order not preserved")
-    return family, at
+    if not result.betas_embed:
+        family = np.zeros((count, P.poset.n), dtype=bool)  # down set k as a row over P
+        family[:len(downs), [P.poset.index(x) for x in P.interior]] = downs
+        family[:, P.poset.index(P.zero)] = True
+        family[len(downs):] = True
+        bad = order_mismatch(facts.labels, family[forward])
+        if bad is not None:
+            a, b = (_down_set_names(result, k) for k in forward[list(bad)].tolist())
+            raise CorrespondenceBroken((a, b), "order not preserved")
+    return forward
 
 
 def phi(result: ConstructionResult) -> IsoCorrespondence:
@@ -695,14 +693,13 @@ def phi(result: ConstructionResult) -> IsoCorrespondence:
 
     The checks are :func:`_correspondence`'s, on label and membership
     matrices; this public form then builds one :class:`CongruenceRelation`
-    (``all_congruences``) and one :class:`DownSet` (``down_sets``) per
-    congruence.
+    (``all_congruences``) and one :class:`DownSet` per congruence, the
+    latter from the number of its image.
     """
-    _, at = _correspondence(result)
-    downs = down_sets(result.source.poset, nonempty_only=True)
-    forward = dict(zip(all_congruences(result.lattice).congruences,
-                       (downs[k] for k in at.tolist())))
-    return IsoCorrespondence(forward, {ds: theta for theta, ds in forward.items()})
+    forward = _correspondence(result)
+    images = (DownSet(_down_set_names(result, k)) for k in forward.tolist())
+    pairs = dict(zip(all_congruences(result.lattice).congruences, images))
+    return IsoCorrespondence(pairs, {ds: theta for theta, ds in pairs.items()})
 
 
 @dataclass(frozen=True)
@@ -739,14 +736,15 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     Every stage reads the one congruence analysis of K
     (``FiniteLattice.con_analysis``), and the per-congruence stages read
     its label matrix once, through ``result.con_facts``.  The down sets of
-    the interior are enumerated once (``result.interior_down_sets``), and
-    their beta rows come from one :func:`beta_family` call
-    (``result.betas``).  The order is decided once, by one cover
-    certificate over those rows (``result.betas_embed``), which the
-    down-set stage and :func:`_correspondence` both read; the
-    correspondence is checked once.  No stage builds a congruence or
-    down-set object per congruence or per down set: those are built only
-    for a failure witness.
+    the interior are enumerated once (``result.interior_down_sets``); they
+    number phi's images and the bases of Con K, and their beta rows come
+    from one :func:`beta_labels` call (``result.betas``).  The order is
+    decided once, by one cover certificate over those rows
+    (``result.betas_embed``), which the down-set stage and
+    :func:`_correspondence` both read; the correspondence is checked
+    once.  No stage builds a congruence or down-set object per congruence
+    or per down set: those are built only for a failure witness.  A P of
+    at most two elements reads none of these.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -769,7 +767,6 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     if not stage("assembly", s_assemble):
         return VerificationReport(name, tuple(stages), 0, 0)
     lat = result.lattice
-    facts = result.con_facts
     ln = length(lat)
 
     if result.degenerate:
@@ -779,6 +776,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             return f"|P|={len(P.elements)}"
         stage("degenerate-realization", s_degenerate)
         return VerificationReport(name, tuple(stages), lat.n, ln)
+    facts = result.con_facts
 
     def s_diamond():
         a0, a1 = result.anchor[P.zero][0], result.anchor[P.one][0]
@@ -809,7 +807,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"{len(facts.labels)} congruences"
 
     def s_base():
-        bad = facts.isolating & ~facts.base_down
+        bad = facts.isolating & (facts.base_row < 0)
         if bad.any():
             raise VerificationFailed("base-down-set", witness=facts.base_of(int(bad.argmax())))
         return ""
@@ -817,7 +815,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     # the correspondence is checked once: both correspondence stages
     # report its result or its exception
     try:
-        family, image_row = _correspondence(result)
+        forward = _correspondence(result)
         corr_error = None
     except Exception as exc:  # noqa: BLE001 - reported by the stages below
         corr_error = exc
@@ -853,7 +851,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             raise corr_error
         # the Con K row of every principal congruence, and its image
         rows = facts.find(an.princ_labels)
-        image = {_member_names(P.elements, family[k]) for k in image_row[rows].tolist()}
+        image = {_down_set_names(result, k) for k in forward[rows].tolist()}
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row

@@ -26,16 +26,22 @@ def poset_to_doc(p: Poset, name: str = "") -> dict:
     }
 
 
+def _names(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+
+
 def doc_to_poset(doc: dict) -> Poset:
     if not isinstance(doc, dict):
         raise InvalidInput("poset document must be a JSON object")
     for key in ("elements", "covers"):
         if key not in doc:
             raise InvalidInput(f"poset document missing {key!r}")
-    covers = [tuple(c) for c in doc["covers"]]
-    if any(len(c) != 2 for c in covers):
-        raise InvalidInput("covers must be [lower, upper] pairs")
-    return validate_poset(doc["elements"], covers)
+    elements, covers = doc["elements"], doc["covers"]
+    if not _names(elements):
+        raise InvalidInput("elements must be a list of names")
+    if not (isinstance(covers, list) and all(_names(c) and len(c) == 2 for c in covers)):
+        raise InvalidInput("covers must be [lower, upper] pairs of names")
+    return validate_poset(elements, [tuple(c) for c in covers])
 
 
 def load_poset(path) -> Poset:

@@ -4,13 +4,14 @@
 the interior.  The functions here do that work for all congruences, or
 all down sets, at once, and return matrices, never one object per row:
 :func:`con_facts` reads the flags and bases of Con K from one
-|Con K| x |K| label matrix, and :func:`beta_family` computes the label
-row of beta_H for every row of a down-set membership matrix with one
-kernel, :func:`beta_labels`.  Congruence and down-set objects are built
-only by the public API (``phi``, ``beta_H``, ``all_congruences``, ...)
-and for failure witnesses.  Work runs in chunks of rows of at most
-``order._CHUNK`` elements.  A failure is named by examining only the
-first failing row, in the order a scalar loop would have met it.
+|Con K| x |K| label matrix and finds each base among the down sets of
+the interior, and :func:`beta_labels` computes the label row of beta_H
+for every row of a down-set membership matrix with one kernel.
+Congruence and down-set objects are built only by the public API
+(``phi``, ``beta_H``, ``all_congruences``, ...) and for failure
+witnesses.  Work runs in chunks of rows of at most ``order._CHUNK``
+elements.  A failure is named by examining only the first failing row,
+in the order a scalar loop would have met it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .congruence import (
     _numbered,
     is_congruence,
 )
-from .errors import AssemblyNotALattice, NotADownSet, PrinclatError
+from .errors import AssemblyNotALattice
 from .lattice import FiniteLattice
-from .order import _CHUNK, _member_names, _row_keys, down_set_rows
+from .order import _CHUNK, RowIndex, _member_names
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -49,9 +50,10 @@ class ConFacts:
     ``zero``, ``one`` and ``isolating`` flag the bound and the
     I-congruences; ``base[r]`` marks the interior elements (in
     ``source.interior`` order) whose anchor pair row r collapses, which
-    is ``congruence.base`` on the isolating rows, and ``base_down[r]``
-    says whether that row is a down set of the interior.  It holds no
-    reference to the result that caches it, so the two form no cycle.
+    is ``congruence.base`` on the isolating rows, and ``base_row[r]`` is
+    the row of that base in the result's ``interior_down_sets``, or -1
+    where it is not a down set of the interior.  It holds no reference to
+    the result that caches it, so the two form no cycle.
     """
 
     interior: tuple[str, ...]
@@ -60,37 +62,32 @@ class ConFacts:
     one: np.ndarray
     isolating: np.ndarray
     base: np.ndarray
-    base_down: np.ndarray
+    base_row: np.ndarray
 
     def base_of(self, r: int) -> tuple[str, ...]:
         """``congruence.base`` of congruence r."""
         return _member_names(self.interior, self.base[r])
 
     @cached_property
-    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = _row_keys(self.labels)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
+    def _index(self) -> RowIndex:
+        return RowIndex(self.labels)
 
     def find(self, labels: np.ndarray) -> np.ndarray:
         """The row of each canonical label row of ``labels`` (same dtype as
         ``self.labels``), or -1 where it is not a congruence of K."""
-        keys, order = self._sorted_keys
-        want = _row_keys(labels)
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[at] == want, order[at], -1)
+        return self._index.find(labels)
 
 
 def con_facts(result: ConstructionResult) -> ConFacts:
     """The :class:`ConFacts` of an assembled lattice, from the label matrix
-    of its congruence analysis."""
+    of its congruence analysis and the down sets of its interior."""
     lat = result.lattice
     labels = lat.con_analysis.con_labels
     blocks = _block_counts(labels)
     rows = _base_rows(result, labels)
     return ConFacts(result.source.interior, labels, blocks == lat.n, blocks == 1,
                     _isolating(lat, labels), rows,
-                    down_set_rows(result.source.interior_poset, rows))
+                    RowIndex(result.interior_down_sets).find(rows))
 
 
 def beta_labels(lat: FiniteLattice, contributions,
@@ -214,23 +211,3 @@ def _beta_fault(lat: FiniteLattice, related, labels: np.ndarray) -> AssemblyNotA
     _, witness = is_congruence(lat, labels)
     return AssemblyNotALattice(witness, "down-set relation fails substitution")
 
-
-def beta_family(result: ConstructionResult, members) -> tuple[np.ndarray, PrinclatError | None]:
-    """The label rows of beta_H for the rows of ``members``, a boolean
-    matrix with one column per interior element (``source.interior``
-    order), in row order up to the first row that fails, and the error
-    that row raises (None when every row passes).
-
-    Rows that are not down sets of the interior raise
-    :class:`NotADownSet`; the others run through :func:`beta_labels`
-    with the result's ``contributions``.
-    """
-    P = result.source
-    rows = np.asarray(members, dtype=bool)
-    down = down_set_rows(P.interior_poset, rows)
-    stop = int(np.argmin(down)) if not down.all() else len(rows)
-    labels, error = beta_labels(result.lattice, result.contributions, rows[:stop])
-    if error is None and stop < len(rows):
-        names = _member_names(P.interior, rows[stop])
-        error = NotADownSet(f"{names} is not downward closed in the interior")
-    return labels, error

@@ -38,6 +38,28 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
+class RowIndex:
+    """The rows of a matrix, found by content through their sorted
+    :func:`_row_keys`.  A query of another dtype or width raises
+    ValueError: a cast could wrap a value into a false match."""
+
+    def __init__(self, rows: np.ndarray):
+        keys = _row_keys(rows)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._form = rows.dtype, rows.shape[1]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The row of each query row, or -1 where no row equals it."""
+        if (rows.dtype, rows.shape[1]) != self._form:
+            raise ValueError(f"query rows {rows.dtype} x {rows.shape[1]}, index {self._form}")
+        want = _row_keys(rows)
+        if not len(self._keys):
+            return np.full(len(want), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
+        return np.where(self._keys[at] == want, self._order[at], -1)
+
+
 def _member_names(elements, row) -> tuple[str, ...]:
     """The elements a boolean row marks, as a sorted name tuple."""
     return tuple(sorted(itertools.compress(elements, row)))

@@ -8,10 +8,19 @@ from princlat.construction import load_templates
 from princlat.lattice import as_lattice
 from princlat.order import to_bounded, validate_poset
 
+from gadget_space import grid_lattices
+
 
 @pytest.fixture(scope="session")
 def templates():
     return load_templates()
+
+
+@pytest.fixture(scope="session")
+def grid():
+    """The lattices over the 2x3 grid that gadget_space.py enumerates, one
+    pass for the session."""
+    return list(grid_lattices())
 
 
 def bounded(elements, covers):

@@ -88,10 +88,13 @@ def _crossings(m: int, n: int, most: int):
 
 
 def grid_lattices(max_block: int = 3, max_crossings: int = 3):
-    """Yield (lattice, theta) for every 11-element lattice with a congruence
-    theta whose quotient is the 2x3 grid with singleton bound blocks, whose
-    middle blocks are chains of at most ``max_block`` elements, and whose
-    grid covers are each crossed by at most ``max_crossings`` covers.
+    """Yield (lattice, theta, isolating) for every 11-element lattice with a
+    congruence theta whose quotient is the 2x3 grid with singleton bound
+    blocks, whose middle blocks are chains of at most ``max_block``
+    elements, and whose grid covers are each crossed by at most
+    ``max_crossings`` covers; ``isolating`` lists the {o, i}-isolating
+    congruences of the lattice, computed once here for every reader of
+    the pass.
 
     Elements are named by grid position and chain index (``"01.2"``), with
     bounds ``"o"`` and ``"i"``.
@@ -121,14 +124,14 @@ def grid_lattices(max_block: int = 3, max_crossings: int = 3):
             except NotALattice:
                 continue
             if is_congruence(lat, labels)[0]:
-                yield lat, CongruenceRelation(lat, labels)
+                icons = [t for t in all_congruences(lat).congruences if is_I_congruence(lat, t)]
+                yield lat, CongruenceRelation(lat, labels), icons
 
 
 def _criterion_3(lattices):
-    """(lat, theta, lower) for each (lat, theta) of :func:`grid_lattices`
-    whose only isolating congruences are theta and one other, lower."""
-    for lat, theta in lattices:
-        icons = [t for t in all_congruences(lat).congruences if is_I_congruence(lat, t)]
+    """(lat, theta, lower) for each entry of :func:`grid_lattices` whose
+    only isolating congruences are theta and one other, lower."""
+    for lat, theta, icons in lattices:
         if len(icons) == 2 and theta in icons:
             (lower,) = [t for t in icons if t != theta]
             yield lat, theta, lower

@@ -77,7 +77,7 @@ from gadget_space import (
     grid_lattices,
     role_covers,
 )
-from test_construction import assert_beta_family_matches, assert_facts_match_the_scalar_loop
+from test_construction import assert_betas_match, assert_facts_match_the_scalar_loop
 from test_congruence import (
     closure_masks,
     congruences_by_brute_force,
@@ -105,12 +105,6 @@ def corpus(templates):
         downs = down_sets(P.poset, nonempty_only=True)
         out.append((P, result, con, downs))
     return out
-
-
-@pytest.fixture(scope="module")
-def grid():
-    """The lattices over the 2x3 grid that gadget_space.py enumerates, one pass."""
-    return list(grid_lattices())
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +182,12 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
 
 
 def test_batched_kernels_match_the_scalar_loops_on_the_corpus(corpus):
-    # the forward facts (flags, base rows, down-set flags) and the beta kernel
+    # the forward facts (flags, base rows, their down-set rows) and the beta kernel
     # over every down set of the interior, against their scalar references
     for P, result, _, _ in corpus:
         assert_facts_match_the_scalar_loop(result)
         if not result.degenerate:
-            assert_beta_family_matches(result)
+            assert_betas_match(result)
 
 
 def test_criterion_3_gadget_suite(templates):
@@ -237,9 +231,10 @@ def test_criterion_3_prime_interval_count(templates, admissible_gadgets):
     count = len(prime_intervals(lat))
     attainable = {len(prime_intervals(g.lattice)) for g in admissible_gadgets}
     shipped_found = any(lattice_iso(g.lattice, lat) for g in admissible_gadgets)
-    twelve = [l for l, _ in grid_lattices(max_block=6, max_crossings=1)]
-    isolating = [sum(1 for t in all_congruences(l).congruences if is_I_congruence(l, t))
-                 for l in twelve]
+    twelve, isolating = [], []
+    for l, _, icons in grid_lattices(max_block=6, max_crossings=1):
+        twelve.append(l)
+        isolating.append(len(icons))
     ok = (attainable == {count} and shipped_found and 12 not in attainable
           and bool(twelve) and 2 not in isolating)
     report(3, f"gadget prime-interval count = {count}, derived", ok)

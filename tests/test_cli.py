@@ -192,6 +192,31 @@ def test_non_lattice_file_is_input_error(workdir):
         assert err == "error: no unique join for (a, b); minimal candidates: []\n"
 
 
+@pytest.mark.parametrize("doc", [
+    {"elements": ["a"], "covers": [1]},
+    {"elements": 5, "covers": []},
+    {"elements": [["a"]], "covers": []},
+    {"elements": "ab", "covers": []},
+    {"elements": ["a", "b"], "covers": [["a", "b", "c"]]},
+    {"elements": ["a", "b"], "covers": "ab"},
+    {"elements": ["a", 1], "covers": []},
+    {"elements": ["a", "b"], "covers": [["a", 2]]},
+], ids=["cover-not-a-list", "elements-not-a-list", "element-not-a-string",
+        "elements-a-string", "cover-of-three", "covers-a-string", "element-a-number",
+        "cover-end-a-number"])
+def test_malformed_poset_document_is_2(workdir, doc):
+    # every command that reads a poset or lattice file rejects the document
+    # as bad input, with no traceback
+    bad = workdir / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", "--poset", str(bad)],
+                 ["build", "--poset", str(bad), "--out", str(workdir / "K.json")],
+                 ["con", "--lattice", str(bad)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_fuzz_deterministic_and_green(workdir):
     code1, out1, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
     code2, out2, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -24,6 +26,7 @@ from princlat.congruence import (
 from princlat.construction import (
     AMALGAM_COPIES,
     COPY_FAULTS,
+    S_ROLE_SET,
     GadgetTemplate,
     _copy_faults,
     assemble_K,
@@ -42,7 +45,7 @@ from princlat.errors import (
     TemplateInvalid,
     VerificationFailed,
 )
-from princlat.kernels import beta_family, beta_labels
+from princlat.kernels import beta_labels
 from princlat.lattice import chain, length
 from princlat.order import (
     DownSet,
@@ -111,7 +114,7 @@ def test_beta_of_a_degenerate_result_is_zero(templates, poset_zoo):
     for name in ("1-chain", "2-chain"):
         r = assemble_K(poset_zoo[name], templates)
         assert beta_H(r, ()).is_zero()
-        labels, error = beta_family(r, np.zeros((1, 0), dtype=bool))
+        labels, error = beta_labels(r.lattice, r.contributions, np.zeros((1, 0), dtype=bool))
         assert error is None and labels.tolist() == [list(range(r.lattice.n))]
         assert r.betas[1] is None and np.array_equal(r.betas[0], labels)
 
@@ -164,9 +167,18 @@ def test_phi_counts_and_images(templates, poset_zoo):
     assert set(corr.forward[con.one].members) == set(r.source.elements)
 
 
-def test_phi_round_trip(templates, poset_zoo):
+def test_phi_round_trip(templates, poset_zoo, monkeypatch):
     # on every shape, the 1- and 2-chain included: backward is the inverse of
-    # forward, and forward's images are exactly the nonempty down sets of P
+    # forward, and forward's images are exactly the nonempty down sets of P;
+    # phi names its images from the interior's down sets, never calling down_sets
+    import princlat.construction as construction
+    import princlat.order as order
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi enumerated the down sets of P")
+
+    for module in (order, construction):
+        monkeypatch.setattr(module, "down_sets", refuse, raising=False)
     for name, P in poset_zoo.items():
         r = assemble_K(P, templates)
         corr = phi(r)
@@ -278,11 +290,12 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         templates, poset_zoo, monkeypatch):
     # verify reads Con K and the beta rows as matrices: it passes on every
     # shape with the object-building API refusing to run; it builds the
-    # forward facts once, checks the correspondence once, enumerates the
-    # down sets of the interior once, runs the beta kernel once over them,
+    # forward facts once, checks the correspondence once, enumerates down
+    # sets once, those of the interior, runs the beta kernel once over them,
     # decides the order with one cover certificate and never calls the
-    # one-row beta_H; the congruence and down-set objects it does build are
-    # O(|P|), not one per congruence (the 6-antichain has |Con K| = 65)
+    # one-row beta_H; a P of at most two elements reads none of these; the
+    # congruence and down-set objects it does build are O(|P|), not one per
+    # congruence (the 6-antichain has |Con K| = 65)
     import princlat.construction as construction
     import princlat.kernels as kernels
     import princlat.order as order
@@ -295,7 +308,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         monkeypatch.setattr(module, "all_congruences", refuse, raising=False)
     for module in (order, construction):
         monkeypatch.setattr(module, "down_sets", refuse, raising=False)
-    calls = {"con_facts": 0, "_correspondence": 0, "beta_family": 0, "beta_H": 0,
+    calls = {"con_facts": 0, "_correspondence": 0, "beta_labels": 0, "beta_H": 0,
              "congruence_leq": 0, "cover_certificate": 0}
     rows = []
     for fname in calls:
@@ -303,8 +316,8 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
 
         def counting(*args, _fname=fname, _original=original):
             calls[_fname] += 1
-            if _fname == "beta_family":
-                rows.append(len(args[1]))
+            if _fname == "beta_labels":
+                rows.append(len(args[2]))
             return _original(*args)
 
         monkeypatch.setattr(construction, fname, counting)
@@ -335,10 +348,11 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         report = verify_theorem(P, templates, name)
         assert report.passed, report.lines()
         runs = 0 if len(P.elements) <= 2 else 1
-        assert calls == {"con_facts": 1, "_correspondence": runs, "beta_family": runs,
+        assert calls == {"con_facts": runs, "_correspondence": runs, "beta_labels": runs,
                          "beta_H": 0, "congruence_leq": 0, "cover_certificate": runs}, name
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
-        assert sum(p is P.interior_poset for p in enumerated) == runs, name
+        assert len(enumerated) == runs, name
+        assert all(p is P.interior_poset for p in enumerated), name
         assert built.count(CongruenceRelation) <= len(P.elements) + 2, name
         assert built.count(DownSet) <= 2 * len(P.elements), name
 
@@ -349,20 +363,20 @@ def test_downset_congruence_reports_the_first_order_mismatch(
 
     P = poset_zoo["4-chain"]
     r = assemble_K(P, templates)
-    original = construction.beta_family
+    original = construction.beta_labels
     swap = {("p",): ("p", "q"), ("p", "q"): ("p",)}
 
-    def swapped(result, members):
+    def swapped(lat, contributions, members):
         # beta of H is computed for swap[H]: the rows are exchanged on the way in
         rows = np.array(members, dtype=bool)
         for k, row in enumerate(rows.tolist()):
             h = tuple(x for x, m in zip(P.interior, row) if m)
             rows[k] = membership([swap.get(h, h)], P.interior)[0]
-        return original(result, rows)
+        return original(lat, contributions, rows)
 
-    monkeypatch.setattr(construction, "beta_family", swapped)
+    monkeypatch.setattr(construction, "beta_labels", swapped)
     family = [ds.members for ds in down_sets(P.interior_poset)]
-    labels, _ = swapped(r, membership(family, P.interior))
+    labels, _ = swapped(r.lattice, r.contributions, membership(family, P.interior))
     betas = [CongruenceRelation(r.lattice, tuple(row)) for row in labels.tolist()]
     expect = next(
         (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
@@ -388,7 +402,7 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     # swapping the two congruences in both the forward facts (their base
     # rows) and the beta kernel keeps the round trip intact and breaks only
     # the order
-    original_facts, original_family = construction.con_facts, construction.beta_family
+    original_facts, original_betas = construction.con_facts, construction.beta_labels
 
     def swapped_facts(result):
         facts = original_facts(result)
@@ -397,15 +411,15 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
         perm[k] = perm[k[::-1]]
         return dataclasses.replace(facts, **{
             name: getattr(facts, name)[perm]
-            for name in ("zero", "one", "isolating", "base", "base_down")})
+            for name in ("zero", "one", "isolating", "base", "base_row")})
 
-    def swapped_family(result, members):
-        labels, error = original_family(result, members)
+    def swapped_betas(lat, contributions, members):
+        labels, error = original_betas(lat, contributions, members)
         rows = [swap.get(tuple(row), tuple(row)) for row in labels.tolist()]
         return np.array(rows, dtype=labels.dtype).reshape(labels.shape), error
 
     monkeypatch.setattr(construction, "con_facts", swapped_facts)
-    monkeypatch.setattr(construction, "beta_family", swapped_family)
+    monkeypatch.setattr(construction, "beta_labels", swapped_betas)
     image = {t: forward[swapped(t)].members for t in forward}
     expect = next(
         (image[t1], image[t2]) for t1 in forward for t2 in forward
@@ -499,8 +513,10 @@ def assert_same_beta(lat, contributions, rows):
 def scalar_forward_facts(result):
     """The congruence-by-congruence reference for ``con_facts``: per
     congruence of K, (zero, one, isolating, anchor-collapse row over the
-    interior, whether that row is a down set)."""
+    interior, the position of that row's members among the down sets of
+    the interior, or -1)."""
     lat, P = result.lattice, result.source
+    downs = [ds.members for ds in down_sets(P.interior_poset)]
     out = []
     for theta in all_congruences(lat).congruences:
         lab = theta.labels
@@ -509,16 +525,18 @@ def scalar_forward_facts(result):
             lab.count(lab[lat.index(bound)]) == 1 for bound in (lat.bottom, lat.top))
         row = tuple(lab[lat.index(result.anchor[p][0])] == lab[lat.index(result.anchor[p][1])]
                     for p in P.interior)
-        members = {p for p, m in zip(P.interior, row) if m}
+        members = tuple(sorted(p for p, m in zip(P.interior, row) if m))
         down = all(q in members for p in members for q in P.interior if le(P.poset, q, p))
-        out.append((blocks == lat.n, blocks == 1, isolating, row, down))
+        assert down == (members in downs)
+        out.append((blocks == lat.n, blocks == 1, isolating, row,
+                    downs.index(members) if down else -1))
     return out
 
 
 def assert_facts_match_the_scalar_loop(result):
     facts = result.con_facts
-    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), bool(d)) for z, o, i, b, d in zip(
-        facts.zero, facts.one, facts.isolating, facts.base, facts.base_down)]
+    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), int(k)) for z, o, i, b, k in zip(
+        facts.zero, facts.one, facts.isolating, facts.base, facts.base_row)]
     assert got == scalar_forward_facts(result)
     cons = all_congruences(result.lattice).congruences
     assert facts.labels.tolist() == [list(theta.labels) for theta in cons]
@@ -528,16 +546,16 @@ def assert_facts_match_the_scalar_loop(result):
             assert facts.base_of(r) == base(result, theta)
 
 
-def assert_beta_family_matches(result):
+def assert_betas_match(result):
     P = result.source
     family = [ds.members for ds in down_sets(P.interior_poset)]
     rows = membership(family, P.interior)
+    assert np.array_equal(result.interior_down_sets, rows)
     assert_same_beta(result.lattice, result.contributions, rows)
-    labels, error = beta_family(result, rows)
+    labels, error = result.betas
     assert error is None
-    # every row is a congruence of K, and the result caches the same rows
+    # every row is a congruence of K, and each is the one-row beta_H
     assert (result.con_facts.find(labels) >= 0).all()
-    assert result.betas[1] is None and np.array_equal(result.betas[0], labels)
     assert [tuple(t) for t in labels.tolist()] == [beta_H(result, h).labels for h in family]
 
 
@@ -546,7 +564,7 @@ def test_batched_kernels_match_the_scalar_loops_on_the_zoo(templates, poset_zoo)
         result = assemble_K(P, templates)
         assert_facts_match_the_scalar_loop(result)
         if not result.degenerate:
-            assert_beta_family_matches(result)
+            assert_betas_match(result)
 
 
 def corrupted(lat, contributions, rng):
@@ -643,16 +661,12 @@ def test_beta_kernel_chunks_do_not_change_the_result(templates, poset_zoo, monke
         assert str(narrow_error) == str(error)
 
 
-def test_beta_h_reports_the_first_failing_row_of_the_family(templates, poset_zoo):
-    # a non-down set after a valid row: beta_family names it, rows before
-    # it are kept, and beta_H raises the same text for it alone
+def test_beta_h_reports_a_non_down_set(templates, poset_zoo):
+    # beta_H checks its one row before the kernel runs
     result = assemble_K(poset_zoo["4-chain"], templates)
-    rows = membership([("p",), ("q",), ()], result.source.interior)
-    labels, error = beta_family(result, rows)
-    assert len(labels) == 1 and isinstance(error, NotADownSet)
     with pytest.raises(NotADownSet) as exc:
         beta_H(result, ("q",))
-    assert str(exc.value) == str(error) == "('q',) is not downward closed in the interior"
+    assert str(exc.value) == "('q',) is not downward closed in the interior"
 
 
 def scalar_copy_fault(big, idx, small):
@@ -728,13 +742,13 @@ def test_assembly_reports_the_first_faulty_instance(templates, poset_zoo, monkey
 def scalar_forward_error(result):
     """The first error a congruence-by-congruence forward map raises, or None."""
     lat = result.lattice
-    for theta, (zero, one, isolating, row, down) in zip(
+    for theta, (zero, one, isolating, row, position) in zip(
             all_congruences(lat).congruences, scalar_forward_facts(result)):
         if (one and lat.n > 1) or zero:
             continue
         if not isolating:
             return CorrespondenceBroken(theta.blocks(), "congruence neither bound nor isolating")
-        if not down:
+        if position < 0:
             names = tuple(sorted(p for p, m in zip(result.source.interior, row) if m))
             return CorrespondenceBroken(names, "base is not a down set")
     return None
@@ -785,10 +799,47 @@ def test_batched_kernels_match_the_scalar_loops_on_scrambled_gadgets(scrambled):
         if error is not None:
             seen.add(str(error).split(": ")[-1])
         stages = _stage_details(verify_theorem(P, trial, "scrambled"))
-        bad_base = [r for r in scalar_forward_facts(result) if r[2] and not r[4]]
+        bad_base = [r for r in scalar_forward_facts(result) if r[2] and r[4] < 0]
         if bad_base:
             names = tuple(sorted(p for p, m in zip(P.interior, bad_base[0][3]) if m))
             failure = VerificationFailed("base-down-set", witness=names)
             assert stages["base-down-set"] == (False, f"VerificationFailed: {failure}")
     assert {"base is not a down set", "down-set congruence block too large",
             "down-set relation fails substitution"} <= seen
+
+
+# sha256 of every report line below, joined by newlines, and the failing
+# stages by name, as the parent of the interior-numbered correspondence
+# gave them: the failing reports stay byte for byte what they were
+GOLDEN_SWAP_REPORTS = (
+    1201, "8c114fa6a46462b53bf7e64a97113d21c995dd3674df2210a7cd4336aa736297",
+    {"downset-congruence": 21, "congruence-correspondence": 21,
+     "principal-correspondence": 21, "principal-order-isomorphism": 9,
+     "base-down-set": 4, "assembly": 3})
+
+
+def test_failing_verify_reports_are_golden(templates, poset_zoo):
+    # for each of the 55 pairs of S roles, S with the two role names
+    # exchanged, its double gadgets glued by double_gadget (not the load
+    # battery, which would refuse it) and verify run on six shapes; a glue
+    # failure is one line
+    shapes = {name: poset_zoo[name] for name in ("3-chain", "4-chain", "B2", "V", "hat")}
+    shapes["3-antichain"] = bounded(["0", "p", "q", "r", "1"],
+                                    [("0", x) for x in "pqr"] + [(x, "1") for x in "pqr"])
+    s = templates["S"]
+    lines, failing = [], collections.Counter()
+    for a, b in itertools.combinations(sorted(S_ROLE_SET), 2):
+        swap = {a: b, b: a}
+        t = GadgetTemplate("S", s.poset, {ph: swap.get(r, r) for ph, r in s.role_map.items()},
+                           s.lattice)
+        try:
+            trial = dict(templates, S=t, **{k: double_gadget(t, k) for k in AMALGAM_COPIES})
+        except TemplateInvalid as exc:
+            lines.append(f"{a}<->{b}: {type(exc).__name__}: {exc}")
+            continue
+        for name, P in shapes.items():
+            report = verify_theorem(P, trial, f"{name} {a}<->{b}")
+            lines += report.lines()
+            failing.update(stage for stage, ok, _ in report.stages if not ok)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest, dict(failing)) == GOLDEN_SWAP_REPORTS

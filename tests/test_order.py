@@ -10,6 +10,7 @@ from princlat.errors import CycleDetected, DuplicateElement, NoOne, NoZero, Unkn
 from princlat.lattice import as_lattice, m3
 from princlat.order import (
     Poset,
+    RowIndex,
     _bool_product,
     _freeze,
     _transitive_closure,
@@ -241,6 +242,35 @@ def test_down_set_rows_match_a_scalar_check(p, rng):
     assert down_set_rows(p, rows).tolist() == want
     assert [is_down_set(p, [x for x, m in zip(p.elements, row) if m])
             for row in rows.tolist()] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([bool, np.uint8, np.uint16]), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_row_index_matches_a_dict_lookup(dtype, width, rng):
+    # a table of distinct rows, and queries that mix its rows with absent
+    # ones in any order, repeats included
+    top = 2 if dtype is bool else (3 if dtype is np.uint8 else 300)
+    draw = {tuple(rng.randrange(top) for _ in range(width)) for _ in range(rng.randrange(9))}
+    table = sorted(draw)
+    rng.shuffle(table)
+    absent = [tuple(rng.randrange(top) for _ in range(width)) for _ in range(rng.randrange(6))]
+    queries = [rng.choice(table) for _ in range(rng.randrange(6)) if table] + absent
+    rng.shuffle(queries)
+    row_of = {row: k for k, row in enumerate(table)}
+    index = RowIndex(np.array(table, dtype=dtype).reshape(len(table), width))
+    found = index.find(np.array(queries, dtype=dtype).reshape(len(queries), width))
+    assert found.tolist() == [row_of.get(q, -1) for q in queries]
+
+
+def test_row_index_refuses_another_dtype_or_width():
+    # no cast: 256 as uint16 would wrap to the uint8 row 0
+    index = RowIndex(np.array([[0, 1], [2, 3]], dtype=np.uint8))
+    assert index.find(np.array([[2, 3], [0, 0]], dtype=np.uint8)).tolist() == [1, -1]
+    for bad in (np.array([[256, 1]], dtype=np.uint16), np.array([[True, False]]),
+                np.array([[0, 1, 2]], dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            index.find(bad)
 
 
 @settings(max_examples=60, deadline=None)

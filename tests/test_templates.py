@@ -156,8 +156,6 @@ def test_glueing_over_a_rail_element_rejected(monkeypatch, kind, shared, check):
 
 
 def test_corrupt_template_rejected(tmp_path, templates):
-    src = None
-    from princlat.construction import default_template_dir
     src = default_template_dir()
     for f in src.iterdir():
         shutil.copy(f, tmp_path / f.name)
@@ -166,6 +164,12 @@ def test_corrupt_template_rejected(tmp_path, templates):
     (tmp_path / "S.json").write_text(json.dumps(doc))
     with pytest.raises(TemplateInvalid):
         load_templates(tmp_path)
+    # a role map that is a list of the element names, not an object
+    shutil.copy(src / "S.json", tmp_path / "S.json")
+    (tmp_path / "S.roles.json").write_text(json.dumps(sorted(templates["S"].poset.elements)))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates(tmp_path)
+    assert (exc.value.template_name, exc.value.check) == ("S", "role-map-domain")
 
 
 def test_missing_directory_rejected(tmp_path):
@@ -173,12 +177,14 @@ def test_missing_directory_rejected(tmp_path):
         load_templates(tmp_path / "nope")
 
 
-def test_make_templates_reproduces_the_shipped_files(tmp_path):
-    # the script writes the gadget S, the only template shipped as data
+def test_make_templates_reproduces_the_shipped_files(tmp_path, grid, monkeypatch):
+    # the script writes the gadget S, the only template shipped as data; it
+    # reads the session's grid pass instead of making its own
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_templates.py"
     spec = importlib.util.spec_from_file_location("make_templates", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "grid_lattices", lambda: grid)
     with redirect_stdout(io.StringIO()):
         module.main(tmp_path)
     shipped = default_template_dir()
