@@ -41,10 +41,9 @@ def cmd_build(ns: argparse.Namespace) -> int:
     lat = result.lattice
     doc = lattice_to_doc(lat, name=f"K({ns.poset})", anchors=result.anchor)
     dump_json(doc, ns.out)
-    kinds: dict[str, int] = {}
-    for g in sorted({g for gs in result.membership.values() for g in gs}):
-        kinds[g.split("@")[0]] = kinds.get(g.split("@")[0], 0) + 1
-    counts = " ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
+    # one S per comparability, one Cp per isolated element, a frame per bound
+    kinds = {"Cp": len(P.isolated), "S": len(P.comparabilities()), "frame": min(len(P.elements), 2)}
+    counts = " ".join(f"{k}={v}" for k, v in kinds.items() if v)
     print(f"|K|={lat.n} length={length(lat)} gadgets: {counts}")
     return 0
 

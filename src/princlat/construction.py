@@ -106,72 +106,45 @@ class GadgetTemplate:
     role_map: dict[str, str]
     lattice: FiniteLattice
 
-    def role_pairs(self, pairs) -> list[tuple[str, str]]:
-        """Translate placeholder pairs to role pairs."""
-        return [(self.role_map[a], self.role_map[b]) for a, b in pairs]
-
 
 @dataclass(frozen=True, eq=False)
 class ConstructionResult:
-    """The assembled lattice plus the bookkeeping needed downstream.
+    """The assembled lattice, its source order, and what verify reads of
+    the gadgets, fixed as lattice positions when K is assembled.
+
+    ``anchor`` names the representing pair of every element of the
+    source.  ``contributions`` holds, for each interior element p in
+    ``source.interior`` order, the index pairs of the lattice that p in H
+    adds to beta_H: its anchor pair if p is isolated, theta_p of every S
+    instance (p, q) and theta_q of every S instance (q, p).
 
     The analyses that verify reads are cached here, each built once on
-    first use: the down sets of the interior (``interior_down_sets``),
-    whose rows number the bases of Con K and phi's images, Con K as a
-    label matrix with its flags (``con_facts``), the down sets' beta rows
-    (``betas``), and the one verdict on the order of H -> beta_H
-    (``betas_embed``) that decides the down-set stage and phi's order.
+    first use: the anchor pairs as two position columns
+    (``anchor_columns``), the down sets of the interior
+    (``interior_down_sets``), whose rows number the bases of Con K and
+    phi's images, Con K as a label matrix with its flags (``con_facts``),
+    the down sets' beta rows (``betas``), and the one verdict on the order
+    of H -> beta_H (``betas_embed``) that decides the down-set stage and
+    phi's order.
     """
 
     lattice: FiniteLattice
     source: BoundedPoset
     anchor: dict[str, tuple[str, str]]
-    membership: dict[str, tuple[str, ...]]
-    s_instances: dict[tuple[str, str], dict[str, str]]
-    # the nontrivial pairs of con(a_p, b_p) and con(a_q, b_q) in S, as S roles
-    theta_p_pairs: tuple[tuple[str, str], ...]
-    theta_q_pairs: tuple[tuple[str, str], ...]
+    contributions: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def degenerate(self) -> bool:
         return len(self.source.elements) <= 2
 
     @cached_property
-    def anchor_index(self) -> dict[str, tuple[int, int]]:
-        """``anchor`` as index pairs of the lattice."""
-        ix = self.lattice.index
-        return {p: (ix(a), ix(b)) for p, (a, b) in self.anchor.items()}
-
-    @cached_property
     def anchor_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The two ends of the anchor pair of each interior element, in
         ``source.interior`` order, as lattice positions."""
-        pairs = [self.anchor_index[p] for p in self.source.interior]
+        ix = self.lattice.index
+        pairs = [(ix(a), ix(b)) for a, b in (self.anchor[p] for p in self.source.interior)]
         a, b = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
         return a, b
-
-    @cached_property
-    def theta_index_pairs(self) -> dict[tuple[str, str], tuple[tuple[tuple[int, int], ...], ...]]:
-        """For each S instance (p, q), the pairs of theta_p and of theta_q as
-        index pairs of the lattice."""
-        ix = self.lattice.index
-        return {pq: tuple(tuple((ix(naming[a]), ix(naming[b])) for a, b in pairs)
-                          for pairs in (self.theta_p_pairs, self.theta_q_pairs))
-                for pq, naming in self.s_instances.items()}
-
-    @cached_property
-    def contributions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each interior element p (``source.interior`` order), the
-        index pairs that p in H adds to beta_H: its anchor pair if p is
-        isolated, theta_p of every S instance (p, q) and theta_q of every
-        S instance (q, p)."""
-        out: dict[str, list[tuple[int, int]]] = {p: [] for p in self.source.interior}
-        for p in self.source.isolated:
-            out[p].append(self.anchor_index[p])
-        for (p, q), (tp, tq) in self.theta_index_pairs.items():
-            out[p] += tp
-            out[q] += tq
-        return tuple(tuple(out[p]) for p in self.source.interior)
 
     @cached_property
     def con_facts(self) -> ConFacts:
@@ -226,11 +199,13 @@ def _load_one(directory: Path, stem: str) -> GadgetTemplate:
         raise TemplateInvalid(stem, "poset", str(exc)) from exc
     if not isinstance(roles, dict) or sorted(roles) != sorted(poset.elements):
         raise TemplateInvalid(stem, "role-map-domain")
+    if not all(isinstance(role, str) for role in roles.values()):
+        raise TemplateInvalid(stem, "role-map-names")
     if len(set(roles.values())) != len(roles):
         raise TemplateInvalid(stem, "role-map-injective")
     try:
         lat = as_lattice(poset)
-    except NotALattice as exc:
+    except PrinclatError as exc:
         raise TemplateInvalid(stem, "lattice", str(exc)) from exc
     return GadgetTemplate(stem, poset, dict(roles), lat)
 
@@ -465,20 +440,18 @@ def _instances(P: BoundedPoset) -> list[tuple[str, str, tuple[str, ...]]]:
 
 def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> ConstructionResult:
     """Assemble the realizing lattice for a finite bounded order."""
+    if len(P.elements) <= 2:
+        return _assemble_degenerate(P)
     s = templates["S"]
     rs = {role: ph for ph, role in s.role_map.items()}
-    theta_p = _con(s.lattice, rs["a_p"], rs["b_p"])
-    theta_q = _con(s.lattice, rs["a_q"], rs["b_q"])
-    tp_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_p)))
-    tq_pairs = tuple(s.role_pairs(_nontrivial_pairs(theta_q)))
-
-    if len(P.elements) <= 2:
-        return _assemble_degenerate(P, tp_pairs, tq_pairs)
+    # the nontrivial pairs of theta_p = con(a_p, b_p) and theta_q of S, as placeholders
+    theta_pairs = [[pair for block in _con(s.lattice, rs[a], rs[b]).blocks()
+                    for pair in itertools.combinations(block, 2)]
+                   for a, b in (("a_p", "b_p"), ("a_q", "b_q"))]
 
     placed = []  # (instance id, template, placeholder -> element name)
     names: set[str] = set()
-    membership: dict[str, set[str]] = {}
-    s_instances: dict[tuple[str, str], dict[str, str]] = {}
+    s_placed = []  # ((p, q), placeholder -> element name) of each S instance
     for inst_id, kind, params in _instances(P):
         t = templates[kind]
         naming = _instance_naming(kind, params)
@@ -488,13 +461,8 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
             raise InvalidInput(f"template {kind} role {exc} has no naming") from None
         placed.append((inst_id, t, renamed))
         names.update(renamed[ph] for ph in t.poset.elements)
-        if kind in ("S", "Cp", "frame"):
-            for ph in t.poset.elements:
-                membership.setdefault(renamed[ph], set()).add(inst_id)
         if kind == "S":
-            s_instances[(params[0], params[1])] = {
-                role: naming[role] for role in S_ROLE_SET
-            }
+            s_placed.append((params, renamed))
 
     elements = tuple(sorted(names))
     expected = 2 + 2 + 5 * len(P.comparabilities()) + sum(
@@ -546,31 +514,23 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     anchor = {P.zero: (f"a@{P.zero}", f"a@{P.zero}"), P.one: (f"a@{P.one}", f"a@{P.one}")}
     for p in P.interior:
         anchor[p] = (f"a@{p}", f"b@{p}")
-    return ConstructionResult(
-        lat, P, anchor,
-        {e: tuple(sorted(m)) for e, m in membership.items()},
-        s_instances, tp_pairs, tq_pairs,
-    )
+    contributions: dict[str, list[tuple[int, int]]] = {p: [] for p in P.interior}
+    for p in P.isolated:
+        contributions[p].append((pos[anchor[p][0]], pos[anchor[p][1]]))
+    for params, renamed in s_placed:
+        for x, pairs in zip(params, theta_pairs):
+            contributions[x] += [(pos[renamed[a]], pos[renamed[b]]) for a, b in pairs]
+    return ConstructionResult(lat, P, anchor, tuple(tuple(contributions[p]) for p in P.interior))
 
 
-def _assemble_degenerate(P, tp_pairs, tq_pairs) -> ConstructionResult:
+def _assemble_degenerate(P: BoundedPoset) -> ConstructionResult:
     if len(P.elements) == 1:
         lat = as_lattice(validate_poset(["o"], []))
         anchor = {P.elements[0]: ("o", "o")}
-        membership = {"o": (f"frame@{P.elements[0]}",)}
     else:
         lat = as_lattice(validate_poset(["o", "i"], [("o", "i")]))
         anchor = {P.zero: ("o", "o"), P.one: ("i", "i")}
-        membership = {"o": (f"frame@{P.zero}",), "i": (f"frame@{P.one}",)}
-    return ConstructionResult(lat, P, anchor, membership, {}, tp_pairs, tq_pairs)
-
-
-def _nontrivial_pairs(theta: CongruenceRelation) -> list[tuple[str, str]]:
-    out = []
-    for block in theta.blocks():
-        for a, b in itertools.combinations(block, 2):
-            out.append((a, b))
-    return out
+    return ConstructionResult(lat, P, anchor, ())
 
 
 def beta_H(result: ConstructionResult, H) -> CongruenceRelation:
@@ -744,7 +704,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     :func:`_correspondence` both read; the correspondence is checked
     once.  No stage builds a congruence or down-set object per congruence
     or per down set: those are built only for a failure witness.  A P of
-    at most two elements reads none of these.
+    at most two elements reads none of these.  An :class:`InputError`,
+    such as colliding element names, is raised, not reported as a stage.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -753,6 +714,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             detail = fn() or ""
             stages.append((label, True, detail))
             return True
+        except InputError:  # bad input is not a failed check
+            raise
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             stages.append((label, False, f"{type(exc).__name__}: {exc}"))
             return False
@@ -856,8 +819,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row
         row_of = dict(zip(an.princ_masks, rows.tolist()))
-        for p in P.interior:
-            a, b = result.anchor_index[p]
+        for p, a, b in zip(P.interior, *(c.tolist() for c in result.anchor_columns)):
             r = row_of[an.principal(int(lat.meet[a, b]), int(lat.join[a, b]))]
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotACongruence, NotALattice
+from .errors import InvalidInput, NotACongruence, NotALattice
 from .order import _CHUNK, Poset, _freeze, order_iso, validate_poset
 
 
@@ -112,7 +112,11 @@ def _minimal_bounds(a: np.ndarray, x: int, y: int) -> tuple[int, ...]:
 
 
 def as_lattice(p: Poset) -> FiniteLattice:
-    """Compute join and meet tables, or raise NotALattice with a witness."""
+    """Compute join and meet tables, or raise NotALattice with a witness.
+
+    The empty order has no bounds, so it is refused as input."""
+    if p.n == 0:
+        raise InvalidInput("an empty order is not a lattice")
     join, bad = _bound_table(p.leq, upper=True)
     if join is None:
         x, y, ws = bad

@@ -228,4 +228,4 @@ def anchors_lower_first(t: GadgetTemplate) -> bool:
 
 def role_covers(t: GadgetTemplate) -> list[tuple[str, str]]:
     """The cover pairs of t over role names, sorted."""
-    return sorted(t.role_pairs(t.poset.cover_names()))
+    return sorted((t.role_map[a], t.role_map[b]) for a, b in t.poset.cover_names())

@@ -12,6 +12,8 @@ from princlat.construction import default_template_dir
 from princlat.fuzzing import random_bounded_poset, run_fuzz
 from princlat.io import dump_json, poset_to_doc
 
+from conftest import bounded
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -55,8 +57,16 @@ def test_build_4chain(workdir):
 
 
 # sha256 of the K file and of the stdout of `build`, for one poset per
-# gadget kind: SC (5-chain), SV (V), SH (hat) and Cp (B2)
+# gadget kind: SC (5-chain), SV (V), SH (hat) and Cp (B2 and the
+# 3-antichain, which has no S), and for the degenerate 1- and 2-chain,
+# whose `gadgets:` line counts frames only
 GOLDEN_BUILD = {
+    "1-chain": ("764faa1f611cf43532c6b1c8335451b0663e86d4095b5ec49a236aab13480270",
+                "48ed05bdadee36700529ae954041f9ea2772cd4a4e2d134cd281c5ffd930f999"),
+    "2-chain": ("9c15d47abde6cc158f9f8918556c29668b3bc4f8d730371a2ba6f2975797b9d3",
+                "460e158c65afd4fbaf1155bf34893e81e9d9e5ea1ff24e023081adafba0f9e05"),
+    "3-antichain": ("25b982b04f5788990df3393abd9faaeb01e288f0aeff4642a14ff2c2ade2f867",
+                    "328e57c537416d043153875f6a65300b4c008bcdfdf71172ce374619bdef5da7"),
     "5-chain": ("b55a3db43274b17d775515e5d4b589a11b4ebc1c5586c4001cd722ed7170b41f",
                 "8d450cbf9c024dc113fb8398ff9b6dc4734a4d5bc25b06c341871270c27ab8b0"),
     "V": ("ba08e62ce0b936395b3e3dfd113d7ad6dd708cd0ba0872808e2c1d3e66a8cfe1",
@@ -72,7 +82,9 @@ GOLDEN_BUILD = {
 def test_build_output_is_golden(name, poset_zoo, tmp_path, monkeypatch):
     # relative paths: the poset path is written into the K file's name
     monkeypatch.chdir(tmp_path)
-    dump_json(poset_to_doc(poset_zoo[name].poset, name=name), f"{name}.json")
+    shapes = dict(poset_zoo, **{"3-antichain": bounded(
+        ["0", "p", "q", "r", "1"], [("0", x) for x in "pqr"] + [(x, "1") for x in "pqr"])})
+    dump_json(poset_to_doc(shapes[name].poset, name=name), f"{name}.json")
     code, out, _ = run(["build", "--poset", f"{name}.json", "--out", "K.json"])
     assert code == 0
     digests = (hashlib.sha256((tmp_path / "K.json").read_bytes()).hexdigest(),
@@ -201,9 +213,10 @@ def test_non_lattice_file_is_input_error(workdir):
     {"elements": ["a", "b"], "covers": "ab"},
     {"elements": ["a", 1], "covers": []},
     {"elements": ["a", "b"], "covers": [["a", 2]]},
+    {"elements": [], "covers": []},
 ], ids=["cover-not-a-list", "elements-not-a-list", "element-not-a-string",
         "elements-a-string", "cover-of-three", "covers-a-string", "element-a-number",
-        "cover-end-a-number"])
+        "cover-end-a-number", "empty"])
 def test_malformed_poset_document_is_2(workdir, doc):
     # every command that reads a poset or lattice file rejects the document
     # as bad input, with no traceback
@@ -211,10 +224,30 @@ def test_malformed_poset_document_is_2(workdir, doc):
     bad.write_text(json.dumps(doc))
     for argv in (["verify", "--poset", str(bad)],
                  ["build", "--poset", str(bad), "--out", str(workdir / "K.json")],
-                 ["con", "--lattice", str(bad)]):
+                 ["con", "--lattice", str(bad)], ["princ", "--lattice", str(bad)],
+                 ["valuation", "--lattice", str(bad)],
+                 ["export-dot", "--lattice", str(bad), "--out", str(workdir / "x.dot")]):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_verify_and_build_report_a_naming_collision_as_input(workdir):
+    # p < q.r and p.q < r both name their gadget's c as c@p.q.r: bad input
+    # for build and verify alike, not a failed verify stage
+    poset = workdir / "collide.json"
+    poset.write_text(json.dumps({
+        "elements": ["0", "p", "q.r", "p.q", "r", "1"],
+        "covers": [["0", "p"], ["0", "p.q"], ["p", "q.r"], ["p.q", "r"],
+                   ["q.r", "1"], ["r", "1"]]}))
+    errors = set()
+    for argv in (["verify", "--poset", str(poset)],
+                 ["build", "--poset", str(poset), "--out", str(workdir / "K.json")]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: element naming collision") and err.count("\n") == 1, err
+        errors.add(err)
+    assert len(errors) == 1
 
 
 def test_fuzz_deterministic_and_green(workdir):

@@ -29,6 +29,8 @@ from princlat.construction import (
     S_ROLE_SET,
     GadgetTemplate,
     _copy_faults,
+    _instance_naming,
+    _instances,
     assemble_K,
     beta_H,
     default_template_dir,
@@ -98,12 +100,6 @@ def test_anchor_pairs_are_complementary_atoms(templates, poset_zoo):
         assert meet_of(lat, a0, y) == lat.bottom
 
 
-def test_membership_tracks_gadgets(templates, poset_zoo):
-    r = assemble_K(poset_zoo["4-chain"], templates)
-    assert r.membership["c@p.q"] == ("S@p.q",)
-    assert set(r.membership["o"]) >= {"S@p.q", "frame@0", "frame@1"}
-
-
 def test_beta_empty_is_zero(templates, poset_zoo):
     r = assemble_K(poset_zoo["4-chain"], templates)
     assert beta_H(r, ()).is_zero()
@@ -127,6 +123,44 @@ def test_beta_isolated_singleton(templates, poset_zoo):
     ] or theta.collapses("a@p", "b@p")
     assert is_I_congruence(r.lattice, theta)
     assert sum(1 for b in theta.blocks() if len(b) > 1) == 1
+
+
+def named_contributions(result):
+    """Each interior element's contributions as sorted element-name pairs."""
+    el = result.lattice.elements
+    return {p: sorted({tuple(sorted((el[a], el[b]))) for a, b in c})
+            for p, c in zip(result.source.interior, result.contributions)}
+
+
+# sha256 of the JSON of named_contributions for each zoo shape, as they were
+# when ConstructionResult still derived them from the S instances by name
+GOLDEN_CONTRIBUTIONS = {
+    "1-chain": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    "2-chain": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    "3-chain": "1e60cb0dd171b4598c201be698ddfbff0cf66aaeba6e60c36a43df83a865f751",
+    "4-chain": "276f7fce3cd6455ceeaef6cdad9e5ef2d23946450da3cbaad3a36b7512d5dba0",
+    "5-chain": "9883deeee77fb45b36788ba5a4fbdc5fe239371f7efb71599ced8e4767c33e4d",
+    "B2": "ffd0f35e5cc27724e3665875ebdbb8588e9970aefc8ea398982b9cc591e21dd6",
+    "V": "6c526c6f5aee2d1a9e7a8b53b930df8a77b036684e2faf62159c3b50115fa63f",
+    "hat": "dcb51d18b713b4a3f99329385b636a9b9949b532eeb9711f7eb4d28017926dfd",
+}
+
+
+def test_contributions_are_fixed_at_assembly(templates, poset_zoo):
+    assert sorted(GOLDEN_CONTRIBUTIONS) == sorted(poset_zoo)
+    for name, P in poset_zoo.items():
+        named = named_contributions(assemble_K(P, templates))
+        digest = hashlib.sha256(json.dumps(named, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_CONTRIBUTIONS[name], name
+    # spelled out on the 4-chain: p adds theta_p of S(p, q), q adds theta_q;
+    # on B2 each isolated element adds its anchor pair only
+    assert named_contributions(assemble_K(poset_zoo["4-chain"], templates)) == {
+        "p": [("a@p", "b@p"), ("d@p.q", "e@p.q"), ("f@p.q", "g@p.q")],
+        "q": [("a@p", "b@p"), ("a@q", "b@q"), ("c@p.q", "d@p.q"), ("c@p.q", "e@p.q"),
+              ("d@p.q", "e@p.q"), ("f@p.q", "g@p.q")],
+    }
+    assert named_contributions(assemble_K(poset_zoo["B2"], templates)) == {
+        "p": [("a@p", "b@p")], "q": [("a@q", "b@q")]}
 
 
 def test_beta_equals_principal_closure(templates, poset_zoo):
@@ -685,13 +719,17 @@ def scalar_copy_fault(big, idx, small):
 @given(st.randoms(use_true_random=False))
 def test_copy_faults_match_a_scalar_check(templates, assembled_zoo, rng):
     # the S instances of an assembled K, some with one element replaced
-    result = rng.choice([r for r in assembled_zoo if r.s_instances] or assembled_zoo)
+    def s_namings(result):
+        return [_instance_naming(kind, params)
+                for _, kind, params in _instances(result.source) if kind == "S"]
+
+    result = rng.choice([r for r in assembled_zoo if s_namings(r)] or assembled_zoo)
     lat = result.lattice
     s = templates["S"]
-    if not result.s_instances:
+    if not s_namings(result):
         return
     rows = []
-    for naming in result.s_instances.values():
+    for naming in s_namings(result):
         row = [lat.index(naming[s.role_map[ph]]) for ph in s.poset.elements]
         if rng.random() < 0.6:
             row[rng.randrange(len(row))] = rng.randrange(lat.n)

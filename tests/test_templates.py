@@ -170,6 +170,19 @@ def test_corrupt_template_rejected(tmp_path, templates):
     with pytest.raises(TemplateInvalid) as exc:
         load_templates(tmp_path)
     assert (exc.value.template_name, exc.value.check) == ("S", "role-map-domain")
+    # a role map whose values are not all role names
+    roles = dict(templates["S"].role_map)
+    roles[next(ph for ph, role in roles.items() if role == "o")] = ["o"]
+    (tmp_path / "S.roles.json").write_text(json.dumps(roles))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates(tmp_path)
+    assert (exc.value.template_name, exc.value.check) == ("S", "role-map-names")
+    # an empty S: the empty order is not a lattice
+    (tmp_path / "S.json").write_text(json.dumps({"elements": [], "covers": []}))
+    (tmp_path / "S.roles.json").write_text(json.dumps({}))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates(tmp_path)
+    assert (exc.value.template_name, exc.value.check) == ("S", "lattice")
 
 
 def test_missing_directory_rejected(tmp_path):
