@@ -22,6 +22,14 @@ loaded, so a corrupted data file cannot silently produce a wrong
 lattice.  The other templates are built from it here: each double
 gadget glues two copies of S as ``AMALGAM_COPIES`` states, and the
 chains Cp and frame are written over their roles.
+
+Only S, Cp and frame instances are named: S(p, q) by :func:`_role_names`
+on (p, q), Cp and frame on (p, p).  A double gadget is the two S
+instances it glues, so it is placed, not named: ``_copy_index`` gives
+the positions in the double gadget of each copy's S elements, and the
+two S instances' position rows are scattered through it.  At load time,
+``load_templates`` checks both copies at that same index: each must be
+a copy of S, order and joins and meets, inside the glued template.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,19 +91,19 @@ from .order import (
     validate_poset,
 )
 
-S_ROLE_SET = {"o", "i", "a_p", "b_p", "a_q", "b_q", "c", "d", "e", "f", "g"}
+S_ROLE_SET = frozenset({"o", "i", "a_p", "b_p", "a_q", "b_q", "c", "d", "e", "f", "g"})
 
-# how the two S copies of each double gadget map S roles to amalgam roles
-AMALGAM_COPIES = {
+# how the two S copies of each double gadget map S roles to amalgam roles:
+# SC glues S(p, q) and S(q, r), SV glues S(p, q) and S(p, r) with q before
+# r, and SH glues S(p, r) and S(q, r) with p before q
+AMALGAM_COPIES = MappingProxyType({kind: tuple(map(MappingProxyType, copies)) for kind, copies in {
     "SC": ({}, {"a_p": "a_q", "b_p": "b_q", "a_q": "a_q'", "b_q": "b_q'",
                 "c": "c'", "d": "d'", "e": "e'", "f": "f'", "g": "g'"}),
     "SV": ({}, {"a_q": "a_q'", "b_q": "b_q'",
                 "c": "c'", "d": "d'", "e": "e'", "f": "f'", "g": "g'"}),
     "SH": ({}, {"a_p": "a_p'", "b_p": "b_p'",
                 "c": "c'", "d": "d'", "e": "e'", "f": "f'", "g": "g'"}),
-}
-# which two of a double gadget's parameters (p, q, r) each S copy takes
-AMALGAM_PARAMS = {"SC": ((0, 1), (1, 2)), "SV": ((0, 1), (0, 2)), "SH": ((0, 2), (1, 2))}
+}.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +338,14 @@ def _amalgam_copies(s: GadgetTemplate, kind: str) -> tuple[dict[str, str], ...]:
                  for copy in AMALGAM_COPIES[kind])
 
 
+def _copy_index(s: GadgetTemplate, t: GadgetTemplate) -> np.ndarray:
+    """Where the two S copies of double gadget ``t`` lie in it: row c lists,
+    in the element order of S, the positions in ``t`` of copy c's elements,
+    copies in ``AMALGAM_COPIES`` order."""
+    return np.array([[t.poset.index(m[ph]) for ph in s.poset.elements]
+                     for m in _amalgam_copies(s, t.name)], dtype=np.intp)
+
+
 def amalgam_covers(s: GadgetTemplate, kind: str) -> list[tuple[str, str]]:
     """The cover pairs of the two S copies of double gadget ``kind``, over
     its role names, sorted: their union generates its order."""
@@ -368,11 +385,9 @@ def load_templates(directory=None) -> dict[str, GadgetTemplate]:
     out = {"S": s}
     for kind in AMALGAM_COPIES:
         t = out[kind] = double_gadget(s, kind)
-        for copy in _amalgam_copies(s, kind):
-            idx = [[t.lattice.index(copy[ph]) for ph in s.poset.elements]]
-            fault = COPY_FAULTS[_copy_faults(t.lattice, idx, s.poset)[0]]
-            if fault is not None:
-                raise TemplateInvalid(kind, f"copy-{fault}")
+        codes = _copy_faults(t.lattice, _copy_index(s, t), s.poset)
+        if codes.any():  # the first faulty copy
+            raise TemplateInvalid(kind, f"copy-{COPY_FAULTS[codes[codes > 0][0]]}")
     out["Cp"] = _chain("Cp", ("o", "a_p", "b_p", "i"))
     out["frame"] = _chain("frame", ("o", "a_p", "i"))
     return out
@@ -387,28 +402,11 @@ def _role_names(p: str, q: str) -> dict[str, str]:
     }
 
 
-def _instance_naming(kind: str, params: tuple[str, ...]) -> dict[str, str]:
-    """role -> concrete element name, for one template instance."""
-    if kind == "S":
-        p, q = params
-        return _role_names(p, q)
-    if kind == "Cp":
-        (p,) = params
-        return {"o": "o", "i": "i", "a_p": f"a@{p}", "b_p": f"b@{p}"}
-    if kind == "frame":
-        (p,) = params
-        return {"o": "o", "i": "i", "a_p": f"a@{p}"}
-    if kind in AMALGAM_COPIES:  # each S copy is named as the S gadget on its two parameters
-        names = {}
-        for copy, (i, j) in zip(AMALGAM_COPIES[kind], AMALGAM_PARAMS[kind]):
-            for role, name in _role_names(params[i], params[j]).items():
-                names[copy.get(role, role)] = name
-        return names
-    raise InvalidInput(f"unknown template kind {kind!r}")
-
-
-def _instances(P: BoundedPoset) -> list[tuple[str, str, tuple[str, ...]]]:
-    """(instance id, template kind, parameters) for every gadget of K."""
+def _instances(P: BoundedPoset) -> list[tuple[str, str, tuple]]:
+    """(instance id, template kind, parameters) for every gadget of K, in
+    placement order.  The parameters are (p, q) for S and (p,) for Cp and
+    frame; a double gadget's are the numbers of its two S instances, the
+    first S instance being number 0, in ``AMALGAM_COPIES`` order."""
     comps = P.comparabilities()
     pos = {e: i for i, e in enumerate(P.elements)}
     out = []
@@ -418,23 +416,20 @@ def _instances(P: BoundedPoset) -> list[tuple[str, str, tuple[str, ...]]]:
         out.append((f"Cp@{p}", "Cp", (p,)))
     out.append((f"frame@{P.zero}", "frame", (P.zero,)))
     out.append((f"frame@{P.one}", "frame", (P.one,)))
-    for (p, q) in comps:
-        for (p2, q2) in comps:
+    for j, (p, q) in enumerate(comps):
+        for k, (p2, q2) in enumerate(comps):
             if (p, q) >= (p2, q2):
                 continue
-            shared = {p, q} & {p2, q2}
-            if not shared:
-                continue
             if q == p2:
-                out.append((f"SC@{p}.{q}.{q2}", "SC", (p, q, q2)))
+                out.append((f"SC@{p}.{q}.{q2}", "SC", (j, k)))
             elif p == q2:
-                out.append((f"SC@{p2}.{p}.{q}", "SC", (p2, p, q)))
-            elif p == p2 and q != q2:
-                lo, hi = sorted((q, q2), key=pos.get)
-                out.append((f"SV@{p}.{lo}.{hi}", "SV", (p, lo, hi)))
-            elif q == q2 and p != p2:
-                lo, hi = sorted((p, p2), key=pos.get)
-                out.append((f"SH@{lo}.{hi}.{q}", "SH", (lo, hi, q)))
+                out.append((f"SC@{p2}.{p}.{q}", "SC", (k, j)))
+            elif p == p2:  # S(p, lo) first, then S(p, hi)
+                a, b = (j, k) if pos[q] < pos[q2] else (k, j)
+                out.append((f"SV@{p}.{comps[a][1]}.{comps[b][1]}", "SV", (a, b)))
+            elif q == q2:  # S(lo, q) first, then S(hi, q)
+                a, b = (j, k) if pos[p] < pos[p2] else (k, j)
+                out.append((f"SH@{comps[a][0]}.{comps[b][0]}.{q}", "SH", (a, b)))
     return out
 
 
@@ -449,25 +444,22 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
                     for pair in itertools.combinations(block, 2)]
                    for a, b in (("a_p", "b_p"), ("a_q", "b_q"))]
 
-    placed = []  # (instance id, template, placeholder -> element name)
-    names: set[str] = set()
-    s_placed = []  # ((p, q), placeholder -> element name) of each S instance
-    for inst_id, kind, params in _instances(P):
-        t = templates[kind]
-        naming = _instance_naming(kind, params)
-        try:
-            renamed = {ph: naming[role] for ph, role in t.role_map.items()}
-        except KeyError as exc:
-            raise InvalidInput(f"template {kind} role {exc} has no naming") from None
-        placed.append((inst_id, t, renamed))
-        names.update(renamed[ph] for ph in t.poset.elements)
-        if kind == "S":
-            s_placed.append((params, renamed))
+    placed = _instances(P)
+    kinds: dict[str, list[int]] = {}  # the instance numbers of each template
+    # S, Cp and frame instances are named by their parameters (Cp and frame
+    # as an S on (p, p)); a double gadget is placed from its two S instances
+    named: dict[int, dict[str, str]] = {}  # instance -> placeholder -> element name
+    for k, (_, kind, params) in enumerate(placed):
+        kinds.setdefault(kind, []).append(k)
+        if kind not in AMALGAM_COPIES:
+            naming = _role_names(params[0], params[-1])
+            try:
+                named[k] = {ph: naming[role] for ph, role in templates[kind].role_map.items()}
+            except KeyError as exc:
+                raise InvalidInput(f"template {kind} role {exc} has no naming") from None
 
-    elements = tuple(sorted(names))
-    expected = 2 + 2 + 5 * len(P.comparabilities()) + sum(
-        2 for _ in P.interior
-    )
+    elements = tuple(sorted({name for renamed in named.values() for name in renamed.values()}))
+    expected = 2 + 2 + 5 * len(kinds.get("S", ())) + 2 * len(P.interior)
     if len(elements) != expected:
         raise InvalidInput(
             f"element naming collision: {len(elements)} names, expected {expected}; "
@@ -475,16 +467,20 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         )
     pos = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    # the instances of each template, as rows of positions in its element order
-    kinds: dict[GadgetTemplate, list[int]] = {}
-    for k, (_, t, _) in enumerate(placed):
-        kinds.setdefault(t, []).append(k)
-    rows = {t: np.array([[pos[placed[k][2][ph]] for ph in t.poset.elements] for k in ks],
-                        dtype=np.intp)
-            for t, ks in kinds.items()}
+    # the instances of each template, as rows of positions in its element
+    # order; a double gadget's rows scatter its two S instances' rows
+    rows: dict[str, np.ndarray] = {}
+    for kind, ks in kinds.items():  # S before the double gadgets
+        t = templates[kind]
+        if kind in AMALGAM_COPIES:
+            rows[kind] = np.empty((len(ks), t.poset.n), dtype=np.intp)
+            rows[kind][:, _copy_index(s, t)] = rows["S"][[placed[k][2] for k in ks]]
+        else:
+            rows[kind] = np.array([[pos[named[k][ph]] for ph in t.poset.elements] for k in ks],
+                                  dtype=np.intp)
     leq = np.zeros((n, n), dtype=bool)
-    for t, idx in rows.items():
-        below, above = np.nonzero(t.poset.leq)
+    for kind, idx in rows.items():
+        below, above = np.nonzero(templates[kind].poset.leq)
         leq[idx[:, below], idx[:, above]] = True
     # the union of instance orders must already be transitively closed:
     # any extra comparability would not be attributable to a template
@@ -503,8 +499,8 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         raise AssemblyNotALattice((exc.x, exc.y), str(exc)) from exc
 
     faults = np.zeros(len(placed), dtype=np.intp)
-    for t, ks in kinds.items():
-        faults[ks] = _copy_faults(lat, rows[t], t.poset)
+    for kind, ks in kinds.items():
+        faults[ks] = _copy_faults(lat, rows[kind], templates[kind].poset)
     if faults.any():  # the first faulty instance in placement order
         k = int(np.flatnonzero(faults)[0])
         if COPY_FAULTS[faults[k]] == "order":
@@ -517,9 +513,9 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     contributions: dict[str, list[tuple[int, int]]] = {p: [] for p in P.interior}
     for p in P.isolated:
         contributions[p].append((pos[anchor[p][0]], pos[anchor[p][1]]))
-    for params, renamed in s_placed:
-        for x, pairs in zip(params, theta_pairs):
-            contributions[x] += [(pos[renamed[a]], pos[renamed[b]]) for a, b in pairs]
+    for k in kinds.get("S", ()):
+        for x, pairs in zip(placed[k][2], theta_pairs):
+            contributions[x] += [(pos[named[k][a]], pos[named[k][b]]) for a, b in pairs]
     return ConstructionResult(lat, P, anchor, tuple(tuple(contributions[p]) for p in P.interior))
 
 

@@ -74,8 +74,12 @@ class NotICongruence(PrinclatError):
     """Raised when an operation requires a {0,1}-isolating congruence."""
 
 
-class TemplateInvalid(PrinclatError):
-    """A gadget template failed a load-time check (mis-transcribed data)."""
+class TemplateInvalid(InputError):
+    """A gadget template failed a load-time check (mis-transcribed data).
+
+    A template directory is configuration, so this is an input error and
+    the CLI exits with code 2.
+    """
 
     def __init__(self, name, check, detail=""):
         self.template_name = name

@@ -58,8 +58,9 @@ def test_build_4chain(workdir):
 
 # sha256 of the K file and of the stdout of `build`, for one poset per
 # gadget kind: SC (5-chain), SV (V), SH (hat) and Cp (B2 and the
-# 3-antichain, which has no S), and for the degenerate 1- and 2-chain,
-# whose `gadgets:` line counts frames only
+# 3-antichain, which has no S); for mixed shapes: B4 (SC, SV and SH
+# together) and a fence (SV and SH, no SC); and for the degenerate 1- and
+# 2-chain, whose `gadgets:` line counts frames only
 GOLDEN_BUILD = {
     "1-chain": ("764faa1f611cf43532c6b1c8335451b0663e86d4095b5ec49a236aab13480270",
                 "48ed05bdadee36700529ae954041f9ea2772cd4a4e2d134cd281c5ffd930f999"),
@@ -75,6 +76,10 @@ GOLDEN_BUILD = {
             "396dce6aedccd2474e9a89b7e3b2ecc40178ab8695caa472cc3e9cfae1610479"),
     "B2": ("edfbe6ea19010b5f8cb2778aeff96a62141e68274e8b5b4a0ed257a7fcd79c10",
            "d7804f0174d9e6d1751ab8c72d3b1039debef12ccdcc739ec70120fea489c4f4"),
+    "B4": ("03d8edb7e4ac6861dba38e0569a2d2b4cc9a12a6660a299352b475094310d2bd",
+           "e0904550fa652a27e668386f00daa62a9a63164141852ad6aeffad26acd9d26e"),
+    "fence": ("5c009dd79c62291245049e4ca714fc19bce264b401f069b821368a8feedd7351",
+              "09861bd7eb67956aad8ca33cb0897104eabe4f1cc664270218bb3288e78dcc10"),
 }
 
 
@@ -82,8 +87,16 @@ GOLDEN_BUILD = {
 def test_build_output_is_golden(name, poset_zoo, tmp_path, monkeypatch):
     # relative paths: the poset path is written into the K file's name
     monkeypatch.chdir(tmp_path)
-    shapes = dict(poset_zoo, **{"3-antichain": bounded(
-        ["0", "p", "q", "r", "1"], [("0", x) for x in "pqr"] + [(x, "1") for x in "pqr"])})
+    shapes = dict(poset_zoo, **{
+        "3-antichain": bounded(["0", "p", "q", "r", "1"],
+                               [("0", x) for x in "pqr"] + [(x, "1") for x in "pqr"]),
+        "B4": bounded([f"s{m:04b}" for m in range(16)],
+                      [(f"s{m:04b}", f"s{m | 1 << b:04b}") for m in range(16) for b in range(4)
+                       if not m >> b & 1]),
+        "fence": bounded(["0", "z0", "z1", "z2", "z3", "z4", "1"],
+                         [("0", "z0"), ("0", "z2"), ("0", "z4"), ("z0", "z1"), ("z2", "z1"),
+                          ("z2", "z3"), ("z4", "z3"), ("z1", "1"), ("z3", "1")]),
+    })
     dump_json(poset_to_doc(shapes[name].poset, name=name), f"{name}.json")
     code, out, _ = run(["build", "--poset", f"{name}.json", "--out", "K.json"])
     assert code == 0
@@ -113,7 +126,15 @@ def test_verify_degenerate(workdir):
     assert code == 0 and "degenerate" in out
 
 
-def test_verify_corrupt_templates_exits_1(workdir):
+@pytest.mark.parametrize("command", [
+    ["verify", "--poset", "c4.json"],
+    ["fuzz", "--max-size", "5", "--samples", "2", "--seed", "7"],
+    ["build", "--poset", "c4.json", "--out", "K.json"],
+], ids=["verify", "fuzz", "build"])
+def test_verify_corrupt_templates_exits_2(workdir, command, monkeypatch):
+    # a template directory is configuration: every command that loads it
+    # exits 2 with the same one error line
+    monkeypatch.chdir(workdir)
     tdir = workdir / "templates"
     tdir.mkdir()
     for f in Path(default_template_dir()).iterdir():
@@ -121,10 +142,9 @@ def test_verify_corrupt_templates_exits_1(workdir):
     doc = json.loads((tdir / "S.json").read_text())
     doc["covers"] = doc["covers"][:-1]
     (tdir / "S.json").write_text(json.dumps(doc))
-    code, _, err = run(["verify", "--poset", str(workdir / "c4.json"),
-                        "--templates", str(tdir)])
-    assert code == 1
-    assert "template" in err
+    code, out, err = run(command + ["--templates", str(tdir)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: template 'S' failed check 'lattice'") and err.count("\n") == 1, err
 
 
 def test_con_command_counts(workdir):

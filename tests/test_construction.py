@@ -29,8 +29,8 @@ from princlat.construction import (
     S_ROLE_SET,
     GadgetTemplate,
     _copy_faults,
-    _instance_naming,
     _instances,
+    _role_names,
     assemble_K,
     beta_H,
     default_template_dir,
@@ -720,7 +720,7 @@ def scalar_copy_fault(big, idx, small):
 def test_copy_faults_match_a_scalar_check(templates, assembled_zoo, rng):
     # the S instances of an assembled K, some with one element replaced
     def s_namings(result):
-        return [_instance_naming(kind, params)
+        return [_role_names(*params)
                 for _, kind, params in _instances(result.source) if kind == "S"]
 
     result = rng.choice([r for r in assembled_zoo if s_namings(r)] or assembled_zoo)

@@ -4,6 +4,7 @@ import json
 import shutil
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -13,6 +14,7 @@ from princlat.congruence import (
     is_I_congruence,
     principal_congruence,
 )
+import princlat.construction as construction
 from princlat.construction import AMALGAM_COPIES, default_template_dir, load_templates
 from princlat.errors import TemplateInvalid
 from princlat.lattice import (
@@ -149,7 +151,8 @@ def test_only_the_gadget_is_read(tmp_path, templates):
 def test_glueing_over_a_rail_element_rejected(monkeypatch, kind, shared, check):
     first, second = AMALGAM_COPIES[kind]
     second = {role: twin for role, twin in second.items() if role != shared}
-    monkeypatch.setitem(AMALGAM_COPIES, kind, (first, second))
+    monkeypatch.setattr(construction, "AMALGAM_COPIES",
+                        MappingProxyType({**AMALGAM_COPIES, kind: (first, second)}))
     with pytest.raises(TemplateInvalid) as exc:
         load_templates()
     assert (exc.value.template_name, exc.value.check) == (kind, check)
