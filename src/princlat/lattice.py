@@ -66,37 +66,59 @@ class IntervalEdge:
     upper: str
 
 
-def _bound_table(leq: np.ndarray, upper: bool):
-    """Least upper (or greatest lower) bound table; None and a witness on failure.
+def _bound_table(a: np.ndarray, down: np.ndarray, up: np.ndarray):
+    """Least upper bound table of the order ``a``; None and a witness on failure.
 
-    Built in chunks of rows x.  Let U(x, y) be the common upper bounds of x
-    and y and c the one with the fewest elements below it (the first of
-    U(x, y) when elements are sorted by down-set size).  Every element
-    above c is in U(x, y), so U(x, y) has a least element iff U(x, y) is
-    nonempty and |U(x, y)| = |up(c)|; and then c is it: the least element
-    m lies strictly below every other z in U(x, y), so down(m) is a proper
-    subset of down(z), and m has the smallest down set.  A pair fails
-    exactly when it has no unique minimal common upper bound, so rows are
-    scanned in order and the first failing y of the first failing row x
-    is the first failure, x first, then y, of a scan of the upper
-    triangle (a failing y < x would have failed as (y, x) in row y).
-    Meets are the same computation on the transposed order.
+    ``down[z]`` and ``up[y]`` count the elements below z and above y in
+    ``a``.  Let U(x, y) be the common upper bounds of x and y and c the one
+    with the fewest elements below it (the first of U(x, y) when elements
+    are sorted by down-set size).  Every element above c is in U(x, y), so
+    U(x, y) has a least element iff U(x, y) is nonempty and
+    |U(x, y)| = |up(c)|; and then c is it: the least element m lies
+    strictly below every other z in U(x, y), so down(m) is a proper subset
+    of down(z), and m has the smallest down set.
+
+    Each up(y), its elements numbered by position in that order, is packed
+    into ``words`` 64-bit words that deal the positions out in turn:
+    position i is bit i // words of word i % words.  As n <= 63 words, bit
+    63 is never used.  For a word w of up(x) & up(y), popcount(w ^ (w - 1))
+    is one more than its lowest set bit b, or 64 when w is 0.  So
+    (popcount - 1) * words + (the word's index) is the position of the
+    word's first member, b * words + index, and is at least 63 words >= n
+    for an empty word.  The least of these over the words is c's position;
+    when U(x, y) is empty it is past the end, and the clipped lookup gives
+    an element whose up set holds at least itself, so the count of 0 fails
+    the pair, as it should.  |U(x, y)| is the popcount summed over the
+    words.
+
+    Rows x go in chunks, so no temporary exceeds ``_CHUNK`` elements by
+    more than one row of n x words words.  A pair fails exactly when it
+    has no unique minimal common upper bound, so rows are scanned in order
+    and the first failing y of the first failing row x is the first
+    failure, x first, then y, of a scan of the upper triangle (a failing
+    y < x would have failed as (y, x) in row y).  Meets are least upper
+    bounds in the transposed order.
 
     The witness is (x, y, the minimal common upper bounds of x and y).
     """
-    a = leq if upper else leq.T
     n = a.shape[0]
-    order = np.argsort(a.sum(axis=0), kind="stable")
-    by_size = np.ascontiguousarray(a[:, order])  # by_size[y, i]: y <= order[i]
-    up_size = np.count_nonzero(a, axis=1)
+    words = -(-n // 63)
+    order = np.argsort(down, kind="stable")
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    a.take(order, axis=1, out=bits[:, :n])  # bits[y, i]: y <= order[i]
+    rows = np.packbits(bits.reshape(n, 64, words).transpose(2, 0, 1), axis=2,
+                       bitorder="little").view("<u8")[..., 0]  # rows[k, y]: word k of up(y)
     count = np.uint16 if n < 1 << 16 else np.intp  # narrow sums are about 2x faster
+    position = np.int16 if words < 1 << 9 else np.intp  # holds 64 * words
+    scale = position(words)
+    shift = np.arange(-words, 0, dtype=position)[:, None, None]  # word index - words
     table = np.empty((n, n), dtype=np.int32)
-    step = max(1, _CHUNK // max(n * n, 1))  # rows x per chunk of n x n entries
+    step = max(1, _CHUNK // max(n * words, 1))  # rows x per chunk of n x words words
     for s in range(0, n, step):
-        common = by_size[s:s + step, None, :] & by_size  # common[x - s, y, i]
-        cand = order[common.argmax(axis=2)]
-        # an empty U(x, y) fails too: up(cand) holds at least cand
-        ok = common.sum(axis=2, dtype=count) == up_size[cand]
+        common = rows[:, s:s + step, None] & rows[:, None, :]  # common[k, x - s, y]
+        low = np.bitwise_count(common ^ (common - 1))
+        cand = order.take((low * scale + shift).min(axis=0), mode="clip")
+        ok = np.bitwise_count(common).sum(axis=0, dtype=count) == up[cand]
         if not ok.all():
             x, y = divmod(int(np.flatnonzero(~ok)[0]), n)  # row-major: x first, then y
             return None, (s + x, y, _minimal_bounds(a, s + x, y))
@@ -117,16 +139,18 @@ def as_lattice(p: Poset) -> FiniteLattice:
     The empty order has no bounds, so it is refused as input."""
     if p.n == 0:
         raise InvalidInput("an empty order is not a lattice")
-    join, bad = _bound_table(p.leq, upper=True)
+    down, up = p.leq.sum(axis=0), p.leq.sum(axis=1)
+    join, bad = _bound_table(p.leq, down, up)
     if join is None:
         x, y, ws = bad
         raise NotALattice(p.elements[x], p.elements[y], [p.elements[w] for w in ws], "join")
-    meet, bad = _bound_table(p.leq, upper=False)
+    meet, bad = _bound_table(p.leq.T, up, down)
     if meet is None:
         x, y, ws = bad
         raise NotALattice(p.elements[x], p.elements[y], [p.elements[w] for w in ws], "meet")
-    bottom = p.elements[int(np.nonzero(p.leq.all(axis=1))[0][0])]
-    top = p.elements[int(np.nonzero(p.leq.all(axis=0))[0][0])]
+    # every other element lies above the bottom and below the top
+    bottom = p.elements[int(down.argmin())]
+    top = p.elements[int(up.argmin())]
     return FiniteLattice(p, _freeze(join), _freeze(meet), bottom, top)
 
 

@@ -149,6 +149,13 @@ def pair_scan_bound_table(leq, upper):
     return table, None
 
 
+def bound_table(leq, upper):
+    """``_bound_table`` on the order or, for meets, its transpose, with the
+    down- and up-set sizes that ``as_lattice`` passes."""
+    a = leq if upper else leq.T
+    return _bound_table(a, a.sum(axis=0), a.sum(axis=1))
+
+
 def random_poset(rng, bounded):
     """A random poset on up to 11 elements; with ``bounded``, a new bottom and
     top are added (often a lattice), without, it is rarely one."""
@@ -169,7 +176,7 @@ def random_poset(rng, bounded):
 def test_bound_tables_match_a_pair_scan(seed, bounded):
     p = random_poset(random.Random(seed), bounded)
     for upper in (True, False):
-        table, witness = _bound_table(p.leq, upper)
+        table, witness = bound_table(p.leq, upper)
         want_table, want_witness = pair_scan_bound_table(p.leq, upper)
         assert witness == want_witness
         if want_table is None:
@@ -178,21 +185,99 @@ def test_bound_tables_match_a_pair_scan(seed, bounded):
             assert np.array_equal(table, want_table)
 
 
-@pytest.mark.parametrize("chunk", [1, 300])
-def test_bound_table_chunks_do_not_change_the_result(chunk, monkeypatch):
-    # a chunk budget of one row, and of a few rows on these sizes, so that
-    # failures and witnesses fall in later chunks
+def popcount_shapes(monkeypatch):
+    """The shapes np.bitwise_count is called on from now on: the bound
+    tables popcount each chunk's words, words x rows x n."""
+    popcount = np.bitwise_count
+    shapes = []
+    monkeypatch.setattr(np, "bitwise_count", lambda w: shapes.append(w.shape) or popcount(w))
+    return shapes
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_bound_table_chunks_do_not_change_the_result(rows, monkeypatch):
+    # a chunk budget of one row and of three rows: these posets fit one
+    # word, so a row is n words.  Failures and witnesses fall in later
+    # chunks.  No chunk holds more rows than the budget, so a finished
+    # table of more rows than that was built from more than one chunk
     import princlat.lattice as lattice
 
-    monkeypatch.setattr(lattice, "_CHUNK", chunk)
-    rng = random.Random(chunk)
+    shapes = popcount_shapes(monkeypatch)
+    split = 0
+    rng = random.Random(rows)
     for _ in range(80):
         p = random_poset(rng, rng.random() < 0.5)
+        monkeypatch.setattr(lattice, "_CHUNK", rows * p.n)
         for upper in (True, False):
-            table, witness = _bound_table(p.leq, upper)
+            shapes.clear()
+            table, witness = bound_table(p.leq, upper)
             want_table, want_witness = pair_scan_bound_table(p.leq, upper)
             assert witness == want_witness
             assert (table is None) if want_table is None else np.array_equal(table, want_table)
+            assert max(rows_x for _, rows_x, _ in shapes) <= rows
+            split += table is not None and p.n > rows
+    assert split
+
+
+def chain_poset(n, rng):
+    """An n-element chain, its elements listed in a random order."""
+    x = [f"x{i}" for i in range(n)]
+    return validate_poset(rng.sample(x, n), list(zip(x, x[1:])))
+
+
+def grid_poset(n, rng):
+    """The product of a 4-chain and an n // 4-chain, with n % 4 more elements
+    chained above its top: a lattice of n elements, listed in a random order."""
+    c = n // 4
+    g = [f"g{i}_{j}" for i in range(4) for j in range(c)]
+    covers = ([(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(3) for j in range(c)]
+              + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(4) for j in range(c - 1)])
+    extra = [g[-1]] + [f"t{k}" for k in range(n % 4)]
+    return validate_poset(rng.sample(g + extra[1:], n), covers + list(zip(extra, extra[1:])))
+
+
+def split_poset(n, below, rng):
+    """A chain of ``below`` elements under a and b, both under c and d, under a
+    chain of the other n - below - 4: the join of a and b and the meet of c
+    and d each have two minimal bounds.  a, b, c and d are listed last, so
+    the first failing row is one of the last four."""
+    lo = [f"l{i}" for i in range(below)]
+    hi = [f"h{i}" for i in range(n - below - 4)]
+    covers = (list(zip(lo, lo[1:])) + [(lo[-1], "a"), (lo[-1], "b")]
+              + [(x, y) for x in "ab" for y in "cd"]
+              + [("c", hi[0]), ("d", hi[0])] + list(zip(hi, hi[1:])))
+    return validate_poset(rng.sample(lo + hi, n - 4) + ["c", "a", "d", "b"], covers)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 126, 127, 128, 129])
+def test_bound_tables_match_a_pair_scan_across_words(n, monkeypatch):
+    # 63 elements fill one word of 63 positions, 64 and 127 start a second
+    # and a third word.  In the non-lattices the common upper bounds of the
+    # failing join pair start at position 60 to 64 in down-set-size order,
+    # around the end of the first 64 positions, or at position 3, and run
+    # to the end, across every word.  The failing rows come last, so they
+    # lie in a later chunk under the default budget from 126 elements on
+    # (65 rows of 2 words or 42 rows of 3 words per chunk), and under a
+    # budget of one row at every size.  No chunk exceeds the budget by
+    # more than one row of n x words words
+    import princlat.lattice as lattice
+
+    default = lattice._CHUNK
+    shapes = popcount_shapes(monkeypatch)
+    rng = random.Random(n)
+    posets = [chain_poset(n, rng), grid_poset(n, rng),
+              split_poset(n, min(62, n - 5), rng), split_poset(n, 1, rng)]
+    for p in posets:
+        for upper in (True, False):
+            want_table, want_witness = pair_scan_bound_table(p.leq, upper)
+            for chunk in (default, 1):
+                monkeypatch.setattr(lattice, "_CHUNK", chunk)
+                shapes.clear()
+                table, witness = bound_table(p.leq, upper)
+                assert all(rows_x <= max(1, chunk // (words * n)) for words, rows_x, _ in shapes)
+                assert witness == want_witness, (p.elements[:3], upper, chunk)
+                assert (table is None) if want_table is None else np.array_equal(table, want_table)
+    assert [pair_scan_bound_table(p.leq, True)[0] is None for p in posets] == [False, False, True, True]
 
 
 def test_random_posets_cover_lattices_and_non_lattices():
