@@ -132,19 +132,9 @@ class Valuation:
     values: tuple[int, ...]
 
 
-def _canonical(labels: np.ndarray) -> tuple[int, ...]:
-    """Renumber labels by first occurrence."""
-    out = np.empty(len(labels), dtype=int)
-    mapping: dict[int, int] = {}
-    for i, l in enumerate(labels.tolist()):
-        if l not in mapping:
-            mapping[l] = len(mapping)
-        out[i] = mapping[l]
-    return tuple(out.tolist())
-
-
 def _merge(labels: np.ndarray, i: int, j: int) -> bool:
-    """Merge the blocks of i and j in place, keeping the smaller label.
+    """Merge the blocks of i and j in place, keeping the smaller label:
+    labels that name each block's least element stay so.
 
     Returns False when i and j already share a block.
     """
@@ -181,15 +171,15 @@ def _sp_closure(lat: FiniteLattice, labels: np.ndarray, pairs) -> np.ndarray:
 def principal_congruence(lat: FiniteLattice, x: str, y: str) -> CongruenceRelation:
     """The smallest congruence collapsing x and y, by worklist closure."""
     labels = _sp_closure(lat, np.arange(lat.n), [(lat.index(x), lat.index(y))])
-    return CongruenceRelation(lat, _canonical(labels))
+    return CongruenceRelation(lat, tuple(_numbered(labels[None])[0].tolist()))
 
 
 def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> CongruenceRelation:
     """Smallest congruence above both: merge partitions, then re-close."""
-    reps: dict[int, int] = {}
-    pairs = [(i, reps.setdefault(l, i)) for i, l in enumerate(b.labels)]
-    labels = _sp_closure(a.lattice, np.array(a.labels), pairs)
-    return CongruenceRelation(a.lattice, _canonical(labels))
+    # each element of b paired with the least element of its b-block
+    labels, firsts = _block_firsts(np.array([a.labels, b.labels]))
+    labels = _sp_closure(a.lattice, labels, enumerate(firsts.tolist()))
+    return CongruenceRelation(a.lattice, tuple(_numbered(labels[None])[0].tolist()))
 
 
 def _label_dtype(n: int) -> np.dtype:

@@ -73,6 +73,7 @@ from .lattice import (
     closed_rows,
     lattice_iso,
     length,
+    m3,
     prime_intervals,
     quotient,
 )
@@ -274,11 +275,9 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "isolating")
     if not _con(lat, r["b_p"], r["g"]).collapses(r["o"], r["c"]):
         raise TemplateInvalid(t.name, "collapse-witness")
-    cons = all_congruences(lat).congruences
-    labels = np.array([x.labels for x in cons]).reshape(len(cons), lat.n)
-    icons = [x for x, i in zip(cons, _isolating(lat, labels)) if i]
-    if len(icons) != 2:
-        raise TemplateInvalid(t.name, "isolating-congruence-count", str(len(icons)))
+    count = int(_isolating(lat, lat.con_analysis.con_labels).sum())
+    if count != 2:
+        raise TemplateInvalid(t.name, "isolating-congruence-count", str(count))
     for x, y in ((r["a_p"], r["b_q"]), (r["a_q"], r["b_p"])):
         xi, yi = lat.index(x), lat.index(y)
         between = [
@@ -679,12 +678,6 @@ class VerificationReport:
         return out
 
 
-def _interior_has_chain3(P: BoundedPoset) -> bool:
-    comps = set(P.comparabilities())
-    return any((p, q) in comps and (q, r) in comps
-               for p, q in comps for q2, r in comps if q2 == q)
-
-
 def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
                    name: str = "") -> VerificationReport:
     """Assemble K for P and run every structural check, reporting per stage.
@@ -738,24 +731,18 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     facts = result.con_facts
 
     def s_diamond():
-        a0, a1 = result.anchor[P.zero][0], result.anchor[P.one][0]
-        bounds = {lat.bottom, lat.top}
-        xs = [x for x in lat.elements if x not in bounds]
-        mids = [{result.anchor[P.interior[0]][0] if x in (a0, a1) else x, a0, a1} for x in xs]
-        whole = np.array([len(m) == 3 and not m & bounds for m in mids], dtype=bool)
-        mid = np.array([sorted(lat.index(y) for y in m) for m, w in zip(mids, whole) if w],
-                       dtype=np.intp).reshape(-1, 3)
-        ends = np.array([lat.index(lat.bottom), lat.index(lat.top)], dtype=np.intp)
-        five = np.hstack([mid, np.broadcast_to(ends, (len(mid), 2))])
-        # a 0-1 sublattice of five elements whose three middle elements are
-        # pairwise incomparable is M3: the join of two of them lies in the
-        # set, above both, and is neither of them nor the third, so it is
-        # the top; dually their meet is the bottom
-        comparable = lat.leq[mid[:, :, None], mid[:, None, :]] & ~np.eye(3, dtype=bool)
-        ok = whole.copy()
-        ok[whole] = closed_rows(lat, five) & ~comparable.any(axis=(1, 2))
-        if not ok.all():
-            raise VerificationFailed("diamond-cover", witness=xs[int(ok.argmin())])
+        # one row per non-bound x, in m3()'s element order: the bottom, x (the
+        # anchor of the first interior element when x is a_0 or a_1), a_0,
+        # a_1, the top; each row must list a copy of M3
+        ix = lat.index
+        a0, a1, a = (ix(result.anchor[p][0]) for p in (P.zero, P.one, P.interior[0]))
+        xs = np.delete(np.arange(lat.n), [ix(lat.bottom), ix(lat.top)])
+        rows = np.tile([ix(lat.bottom), 0, a0, a1, ix(lat.top)], (len(xs), 1))
+        rows[:, 1] = np.where((xs == a0) | (xs == a1), a, xs)
+        codes = _copy_faults(lat, rows, m3().poset)
+        if codes.any():  # the first faulty diamond
+            raise VerificationFailed("diamond-cover",
+                                     witness=lat.elements[xs[np.flatnonzero(codes)[0]]])
         return f"{lat.n - 2} interior elements"
 
     def s_dichotomy():
@@ -832,14 +819,10 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"|Princ K| = {len(po)}"
 
     def s_length():
-        comps = P.comparabilities()
-        if not comps:
-            want = 3 if P.interior else None
-        elif _interior_has_chain3(P):
-            want = 6
-        else:
-            want = 5
-        if want is not None and ln != want:
+        # 3 on an antichain interior, 5 on one whose longest chain has two
+        # elements, 6 on one with a three-element chain
+        want = min(3 + 2 * int(P.interior_poset.heights().max()), 6)
+        if ln != want:
             raise VerificationFailed("length-bound", witness=ln, detail=f"expected {want}")
         return f"length {ln}"
 

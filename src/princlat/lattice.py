@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, NotACongruence, NotALattice
-from .order import _CHUNK, Poset, _freeze, order_iso, validate_poset
+from .order import _CHUNK, Poset, _freeze, _member_names, order_iso, validate_poset
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,29 +220,17 @@ def quotient(lat: FiniteLattice, theta) -> FiniteLattice:
     Block names are the sorted member names joined by ``|``; blocks are
     ordered by their least element position.
     """
-    from .congruence import is_congruence  # local import to avoid a cycle
+    from .congruence import _block_firsts, is_congruence  # local import to avoid a cycle
 
     ok, witness = is_congruence(lat, theta.labels)
     if not ok:
         raise NotACongruence("quotient by a non-congruence", witness)
-    labels = np.asarray(theta.labels)
-    reps = []
-    seen = {}
-    for i in range(lat.n):
-        if labels[i] not in seen:
-            seen[labels[i]] = len(reps)
-            reps.append(i)
-    k = len(reps)
-    names = []
-    for r in reps:
-        members = sorted(lat.elements[j] for j in range(lat.n) if labels[j] == labels[r])
-        names.append("|".join(members))
-    leq = np.zeros((k, k), dtype=bool)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            # [x] <= [y] in the quotient iff x v y lies in [y]
-            leq[a, b] = labels[lat.join[ra, rb]] == labels[rb]
-    return as_lattice(Poset(tuple(names), _freeze(leq)))
+    first = _block_firsts(np.array([theta.labels]))[0]
+    reps = np.flatnonzero(first == np.arange(lat.n))  # each block's least element
+    names = tuple("|".join(_member_names(lat.elements, first == r)) for r in reps)
+    # [x] <= [y] in the quotient iff x v y lies in [y]
+    leq = first[lat.join[np.ix_(reps, reps)]] == reps
+    return as_lattice(Poset(names, _freeze(leq)))
 
 
 def lattice_iso(a: FiniteLattice, b: FiniteLattice) -> dict[str, str] | None:

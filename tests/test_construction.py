@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
-    _canonical,
     _merge,
     all_congruences,
     base,
@@ -47,8 +47,9 @@ from princlat.errors import (
     TemplateInvalid,
     VerificationFailed,
 )
+from princlat.fuzzing import random_bounded_poset
 from princlat.kernels import beta_labels
-from princlat.lattice import chain, length
+from princlat.lattice import chain, is_01_sublattice, length
 from princlat.order import (
     DownSet,
     down_set_matrix,
@@ -59,7 +60,7 @@ from princlat.order import (
 )
 
 from conftest import bounded, join_of, le, meet_of, membership, zero_congruence
-from test_congruence import scalar_is_congruence
+from test_congruence import _canon, scalar_is_congruence
 
 
 def test_degenerate_sizes(templates, poset_zoo):
@@ -516,7 +517,7 @@ def scalar_beta(lat, contributions, row):
                 return None, AssemblyNotALattice((na, nb), "down-set relation not transitive")
             if not (lat.leq[a, b] or lat.leq[b, a]):
                 return None, AssemblyNotALattice((na, nb), "down-set congruence block not a chain")
-    labels = _canonical(labels)
+    labels = _canon(labels.tolist())
     ok, witness = scalar_is_congruence(lat, labels)
     if not ok:
         return None, AssemblyNotALattice(witness, "down-set relation fails substitution")
@@ -881,3 +882,76 @@ def test_failing_verify_reports_are_golden(templates, poset_zoo):
             failing.update(stage for stage, ok, _ in report.stages if not ok)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest, dict(failing)) == GOLDEN_SWAP_REPORTS
+
+
+# ------------------------------------------------- failure paths of two stages
+
+def scalar_diamond_stage(result):
+    """The diamond-cover stage, element by element: the first non-bound x
+    whose {o, x', a_0, a_1, i} is not a 0-1 sublattice or has two
+    comparable middles fails (a repeated middle, or a middle that is a
+    bound, is comparable to another); x' is the anchor of the first
+    interior element when x is a_0 or a_1."""
+    lat, P = result.lattice, result.source
+    a0, a1 = result.anchor[P.zero][0], result.anchor[P.one][0]
+    for x in lat.elements:
+        if x in (lat.bottom, lat.top):
+            continue
+        mids = [result.anchor[P.interior[0]][0] if x in (a0, a1) else x, a0, a1]
+        comparable = any(le(lat.poset, u, v) for u, v in itertools.permutations(mids, 2))
+        if comparable or not is_01_sublattice(lat, {lat.bottom, lat.top, *mids}):
+            return False, f"VerificationFailed: {VerificationFailed('diamond-cover', witness=x)}"
+    return True, f"{lat.n - 2} interior elements"
+
+
+@pytest.fixture(scope="module")
+def misanchored(templates, poset_zoo):
+    """Results whose anchor of 0, 1 or the first interior element names
+    another element of K: the bounds, the other anchors, or elements drawn
+    with a fixed seed; on the zoo and the first 60 criterion-1 samples."""
+    rng = random.Random(18)
+    shapes = list(poset_zoo.values()) + [random_bounded_poset(20260201, i, 8) for i in range(60)]
+    out = []
+    for P in shapes:
+        if len(P.elements) <= 2:
+            continue
+        result = assemble_K(P, templates)
+        lat = result.lattice
+        keys = (P.zero, P.one, P.interior[0])
+        for key in keys:
+            others = [result.anchor[k][0] for k in keys if k != key]
+            for new in (rng.choice([lat.bottom, lat.top, *others]), rng.choice(lat.elements)):
+                pair = (new, new) if key in (P.zero, P.one) else (new, result.anchor[key][1])
+                out.append(dataclasses.replace(result, anchor={**result.anchor, key: pair}))
+    return out
+
+
+def test_diamond_cover_matches_a_scalar_check_on_misanchored_results(
+        templates, misanchored, monkeypatch):
+    import princlat.construction as construction
+
+    verdicts = collections.Counter()
+    for result in misanchored:
+        monkeypatch.setattr(construction, "assemble_K", lambda P, t, _r=result: _r)
+        stages = _stage_details(verify_theorem(result.source, templates, "misanchored"))
+        want = scalar_diamond_stage(result)
+        assert stages["diamond-cover"] == want
+        verdicts[want[0]] += 1
+    # both outcomes are reached, and a failure is the common one
+    assert verdicts[True] > 0 and verdicts[False] > verdicts[True]
+
+
+@pytest.mark.parametrize("shape, want", [("B2", 3), ("4-chain", 5), ("5-chain", 6)])
+def test_length_bound_reports_the_expected_length(templates, poset_zoo, monkeypatch, shape, want):
+    # antichain, two-chain and three-chain interiors: a K of any other
+    # length fails the stage with the length the interior's shape asks for
+    import princlat.construction as construction
+
+    P = poset_zoo[shape]
+    assert _stage_details(verify_theorem(P, templates, shape))["length-bound"] == (
+        True, f"length {want}")
+    monkeypatch.setattr(construction, "length", lambda lat: want + 1)
+    report = verify_theorem(P, templates, shape)
+    failure = VerificationFailed("length-bound", witness=want + 1, detail=f"expected {want}")
+    assert _stage_details(report)["length-bound"] == (False, f"VerificationFailed: {failure}")
+    assert [name for name, ok, _ in report.stages if not ok] == ["length-bound"]

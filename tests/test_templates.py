@@ -19,6 +19,7 @@ from princlat.construction import AMALGAM_COPIES, default_template_dir, load_tem
 from princlat.errors import TemplateInvalid
 from princlat.lattice import (
     c2_times_c3,
+    lattice_from_covers,
     lattice_iso,
     length,
     prime_intervals,
@@ -186,6 +187,26 @@ def test_corrupt_template_rejected(tmp_path, templates):
     with pytest.raises(TemplateInvalid) as exc:
         load_templates(tmp_path)
     assert (exc.value.template_name, exc.value.check) == ("S", "lattice")
+
+
+def test_a_third_isolating_congruence_fails_the_battery(tmp_path):
+    # over the 2x3 grid quotient, with roles that pass every earlier check
+    # of the load-time battery, but with three {o, i}-isolating congruences
+    elements = ["o", "01.0", "01.1", "02.0", "02.1", "10.0", "10.1", "10.2", "11.0", "11.1", "i"]
+    covers = [("o", "01.0"), ("o", "10.0"), ("01.0", "01.1"), ("01.0", "02.0"), ("01.0", "11.0"),
+              ("01.1", "02.1"), ("01.1", "11.1"), ("02.0", "02.1"), ("02.1", "i"),
+              ("10.0", "10.1"), ("10.1", "10.2"), ("10.1", "11.0"), ("10.2", "11.1"),
+              ("11.0", "11.1"), ("11.1", "i")]
+    roles = {"o": "o", "i": "i", "01.0": "a_p", "01.1": "b_p", "10.0": "a_q", "10.2": "b_q",
+             "02.0": "d", "02.1": "e", "10.1": "c", "11.0": "f", "11.1": "g"}
+    (tmp_path / "S.json").write_text(json.dumps({"elements": elements, "covers": covers}))
+    (tmp_path / "S.roles.json").write_text(json.dumps(roles))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates(tmp_path)
+    assert (exc.value.template_name, exc.value.check) == ("S", "isolating-congruence-count")
+    assert str(exc.value) == "template 'S' failed check 'isolating-congruence-count': 3"
+    lat = lattice_from_covers(elements, covers)
+    assert sum(is_I_congruence(lat, theta) for theta in all_congruences(lat).congruences) == 3
 
 
 def test_missing_directory_rejected(tmp_path):
