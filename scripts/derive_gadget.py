@@ -12,7 +12,9 @@ one ``load_templates`` runs on the shipped gadget
       the only isolating congruences;
   B4  collapsing (b_p, g) also collapses (o, c);
   B5  S / con(a_q, b_q) is the 2x3 grid, with singleton bound blocks;
-  B6  all blocks of both isolating congruences are chains of size <= 3;
+  B6  all blocks of both isolating congruences are chains of size <= 3,
+      checked on the block sizes of con(a_q, b_q) alone: con(a_p, b_p)
+      refines it, and a congruence block of at most 3 elements is a chain;
   B7  no interior element lies between the pair {a_p,b_p} and the pair
       {a_q,b_q} (otherwise overlapping-gadget unions stop being
       transitively closed and disjoint gadgets stop being complementary).

@@ -49,7 +49,6 @@ from .congruence import (
     _block_counts,
     _isolating,
     all_congruences,
-    congruence_leq,
     cover_certificate,
     order_mismatch,
     princ_order,
@@ -201,7 +200,7 @@ def _load_one(directory: Path, stem: str) -> GadgetTemplate:
     try:
         doc = json.loads((directory / f"{stem}.json").read_text(encoding="utf-8"))
         roles = json.loads((directory / f"{stem}.roles.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise TemplateInvalid(stem, "readable", str(exc)) from exc
     try:
         poset = validate_poset(doc["elements"], [tuple(c) for c in doc["covers"]])
@@ -238,12 +237,11 @@ def _check_gadget(t: GadgetTemplate) -> None:
     gadget_battery(t)
 
 
-def _con(lat: FiniteLattice, x: str, y: str) -> CongruenceRelation:
-    """con(x, y) = con(x ^ y, x v y), read from the lattice's analysis."""
-    an = lat.con_analysis
-    i, j = lat.index(x), lat.index(y)
-    mask = an.principal(int(lat.meet[i, j]), int(lat.join[i, j]))
-    return CongruenceRelation(lat, an.labels(mask))
+def _con(lat: FiniteLattice, i: int, j: int) -> int:
+    """The mask of con(i, j) = con(i ^ j, i v j), for positions i and j,
+    read from the lattice's analysis: the one form in which construction
+    names a congruence."""
+    return lat.con_analysis.principal(int(lat.meet[i, j]), int(lat.join[i, j]))
 
 
 def gadget_battery(t: GadgetTemplate) -> None:
@@ -257,51 +255,55 @@ def gadget_battery(t: GadgetTemplate) -> None:
     lattice that the battery's quotient and block conditions allow, and
     ``scripts/derive_gadget.py`` and ``scripts/make_templates.py`` read
     its result.
+
+    Congruences are masks of the lattice's analysis (:func:`_con`):
+    equality is mask equality, refinement is the subset test, and which
+    pairs a congruence collapses is read from its label vector.
+
+    Three checks are not run, because the ones before them imply them:
+
+    * no isolating congruence of a prime interval is other than theta_p
+      and theta_q: these two are isolating and distinct, and there are
+      exactly two isolating congruences;
+    * every block of theta_p and theta_q is a chain: a block holding
+      incomparable x and y also holds x ^ y and x v y, which are neither
+      x nor y, so it has at least four elements, and the blocks have at
+      most three;
+    * the blocks of theta_p have at most three elements: theta_p refines
+      theta_q, so each of its blocks lies inside one of theta_q's.
     """
     lat = t.lattice
-    r = {role: ph for ph, role in t.role_map.items()}
-    cn = set(lat.poset.cover_names())
-    if (r["d"], r["e"]) not in cn or (r["b_p"], r["g"]) not in cn:
+    an = lat.con_analysis
+    r = {role: lat.index(ph) for ph, role in t.role_map.items()}
+    covers = set(lat.poset.covers())
+    if (r["d"], r["e"]) not in covers or (r["b_p"], r["g"]) not in covers:
         raise TemplateInvalid(t.name, "required-prime-intervals")
     tp = _con(lat, r["a_p"], r["b_p"])
     tq = _con(lat, r["a_q"], r["b_q"])
     if _con(lat, r["d"], r["e"]) != tp:
         raise TemplateInvalid(t.name, "lower-congruence-generators")
-    if not tp.collapses(r["f"], r["g"]):
+    lp, lq = an.labels(tp), an.labels(tq)
+    if lp[r["f"]] != lp[r["g"]]:
         raise TemplateInvalid(t.name, "upper-rail-pair")
-    if not (congruence_leq(tp, tq) and tp != tq):
+    if tp & ~tq or tp == tq:
         raise TemplateInvalid(t.name, "congruence-comparability")
-    if not _isolating(lat, np.array([tp.labels, tq.labels])).all():
+    if not _isolating(lat, np.array([lp, lq])).all():
         raise TemplateInvalid(t.name, "isolating")
-    if not _con(lat, r["b_p"], r["g"]).collapses(r["o"], r["c"]):
+    witness = an.labels(_con(lat, r["b_p"], r["g"]))
+    if witness[r["o"]] != witness[r["c"]]:
         raise TemplateInvalid(t.name, "collapse-witness")
-    count = int(_isolating(lat, lat.con_analysis.con_labels).sum())
+    count = int(_isolating(lat, an.con_labels).sum())
     if count != 2:
         raise TemplateInvalid(t.name, "isolating-congruence-count", str(count))
+    ends = (lat.index(lat.bottom), lat.index(lat.top))
     for x, y in ((r["a_p"], r["b_q"]), (r["a_q"], r["b_p"])):
-        xi, yi = lat.index(x), lat.index(y)
-        between = [
-            k for k in range(lat.n)
-            if lat.leq[xi, k] and lat.leq[k, yi]
-            and lat.elements[k] not in (x, y, lat.bottom, lat.top)
-        ]
+        between = [k for k in range(lat.n)
+                   if lat.leq[x, k] and lat.leq[k, y] and k not in (x, y, *ends)]
         if between:
             raise TemplateInvalid(t.name, "pair-separation", str(between))
-    for theta in (tp, tq):
-        for block in theta.blocks():
-            if len(block) > 3:
-                raise TemplateInvalid(t.name, "block-size")
-            idx = [lat.index(b) for b in block]
-            for a, b in itertools.combinations(idx, 2):
-                if not (lat.leq[a, b] or lat.leq[b, a]):
-                    raise TemplateInvalid(t.name, "block-chain")
-    edges = prime_intervals(lat)
-    thetas = [_con(lat, edge.lower, edge.upper) for edge in edges]
-    isolating = _isolating(lat, np.array([x.labels for x in thetas]).reshape(len(thetas), lat.n))
-    for edge, theta, i in zip(edges, thetas, isolating):
-        if i and theta not in (tp, tq):
-            raise TemplateInvalid(t.name, "prime-interval-dichotomy", f"{edge}")
-    if lattice_iso(quotient(lat, tq), c2_times_c3()) is None:
+    if max(map(lq.count, lq)) > 3:
+        raise TemplateInvalid(t.name, "block-size")
+    if lattice_iso(quotient(lat, CongruenceRelation(lat, lq)), c2_times_c3()) is None:
         raise TemplateInvalid(t.name, "quotient-shape")
 
 
@@ -437,11 +439,14 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     if len(P.elements) <= 2:
         return _assemble_degenerate(P)
     s = templates["S"]
-    rs = {role: ph for ph, role in s.role_map.items()}
-    # the nontrivial pairs of theta_p = con(a_p, b_p) and theta_q of S, as placeholders
-    theta_pairs = [[pair for block in _con(s.lattice, rs[a], rs[b]).blocks()
-                    for pair in itertools.combinations(block, 2)]
-                   for a, b in (("a_p", "b_p"), ("a_q", "b_q"))]
+    an = s.lattice.con_analysis
+    rs = {role: s.lattice.index(ph) for ph, role in s.role_map.items()}
+    # the nontrivial pairs of theta_p = con(a_p, b_p) and theta_q of S, as S positions
+    theta_pairs = []
+    for a, b in (("a_p", "b_p"), ("a_q", "b_q")):
+        labels = an.labels(_con(s.lattice, rs[a], rs[b]))
+        theta_pairs.append([(x, y) for x, y in itertools.combinations(range(s.lattice.n), 2)
+                            if labels[x] == labels[y]])
 
     placed = _instances(P)
     kinds: dict[str, list[int]] = {}  # the instance numbers of each template
@@ -512,9 +517,9 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     contributions: dict[str, list[tuple[int, int]]] = {p: [] for p in P.interior}
     for p in P.isolated:
         contributions[p].append((pos[anchor[p][0]], pos[anchor[p][1]]))
-    for k in kinds.get("S", ()):
+    for k, row in zip(kinds.get("S", ()), rows.get("S", ())):
         for x, pairs in zip(placed[k][2], theta_pairs):
-            contributions[x] += [(pos[named[k][a]], pos[named[k][b]]) for a, b in pairs]
+            contributions[x] += [(int(row[a]), int(row[b])) for a, b in pairs]
     return ConstructionResult(lat, P, anchor, tuple(tuple(contributions[p]) for p in P.interior))
 
 
@@ -803,7 +808,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         # each anchor congruence con(a_p, b_p) is principal: read its row
         row_of = dict(zip(an.princ_masks, rows.tolist()))
         for p, a, b in zip(P.interior, *(c.tolist() for c in result.anchor_columns)):
-            r = row_of[an.principal(int(lat.meet[a, b]), int(lat.join[a, b]))]
+            r = row_of[_con(lat, a, b)]
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)
             expect = tuple(x for x in down[p] if x != P.zero)

@@ -47,7 +47,7 @@ def doc_to_poset(doc: dict) -> Poset:
 def load_poset(path) -> Poset:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise InvalidInput(f"cannot read poset file {path}: {exc}") from exc
     return doc_to_poset(doc)
 

@@ -184,6 +184,20 @@ def gadgets(lattices) -> list[GadgetTemplate]:
     return out
 
 
+def battery_candidates(lattices):
+    """Yield every role assignment that :func:`battery_gadgets` tries
+    against the battery, as an S template, from the output of
+    :func:`grid_lattices`; its docstring says which."""
+    for lat, theta, lower in _criterion_3(lattices):
+        p_pairs, q_pairs = _generating_pairs(lat, theta, lower)
+        for p, q, de in itertools.product(p_pairs, q_pairs, p_pairs):
+            if len(set(p + q + de)) < 6:
+                continue
+            roles, rest = _roles(lat, p, q, de)
+            for order in itertools.permutations(rest):
+                yield _template(lat, roles, order)
+
+
 def battery_gadgets(lattices) -> list[GadgetTemplate]:
     """Every labelled 11-element lattice that passes
     ``construction.gadget_battery``, as an S template, from the output of
@@ -203,19 +217,12 @@ def battery_gadgets(lattices) -> list[GadgetTemplate]:
     order of c, f and g on the three elements left.
     """
     out = []
-    for lat, theta, lower in _criterion_3(lattices):
-        p_pairs, q_pairs = _generating_pairs(lat, theta, lower)
-        for p, q, de in itertools.product(p_pairs, q_pairs, p_pairs):
-            if len(set(p + q + de)) < 6:
-                continue
-            roles, rest = _roles(lat, p, q, de)
-            for order in itertools.permutations(rest):
-                t = _template(lat, roles, order)
-                try:
-                    gadget_battery(t)
-                except TemplateInvalid:
-                    continue
-                out.append(t)
+    for t in battery_candidates(lattices):
+        try:
+            gadget_battery(t)
+        except TemplateInvalid:
+            continue
+        out.append(t)
     return out
 
 

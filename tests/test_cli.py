@@ -234,14 +234,16 @@ def test_non_lattice_file_is_input_error(workdir):
     {"elements": ["a", 1], "covers": []},
     {"elements": ["a", "b"], "covers": [["a", 2]]},
     {"elements": [], "covers": []},
+    b"\xff\xfe{}",
 ], ids=["cover-not-a-list", "elements-not-a-list", "element-not-a-string",
         "elements-a-string", "cover-of-three", "covers-a-string", "element-a-number",
-        "cover-end-a-number", "empty"])
+        "cover-end-a-number", "empty", "not-utf-8"])
 def test_malformed_poset_document_is_2(workdir, doc):
     # every command that reads a poset or lattice file rejects the document
-    # as bad input, with no traceback
+    # as bad input, with no traceback; a document given as bytes is written
+    # as is
     bad = workdir / "malformed.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     for argv in (["verify", "--poset", str(bad)],
                  ["build", "--poset", str(bad), "--out", str(workdir / "K.json")],
                  ["con", "--lattice", str(bad)], ["princ", "--lattice", str(bad)],

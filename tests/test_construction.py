@@ -324,7 +324,8 @@ def _stage_details(report):
 def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         templates, poset_zoo, monkeypatch):
     # verify reads Con K and the beta rows as matrices: it passes on every
-    # shape with the object-building API refusing to run; it builds the
+    # shape with the object-building API and the pairwise refinement test
+    # congruence_leq refusing to run; it builds the
     # forward facts once, checks the correspondence once, enumerates down
     # sets once, those of the interior, runs the beta kernel once over them,
     # decides the order with one cover certificate and never calls the
@@ -341,10 +342,11 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     monkeypatch.setattr(construction, "phi", refuse)
     for module in (construction, kernels):
         monkeypatch.setattr(module, "all_congruences", refuse, raising=False)
+        monkeypatch.setattr(module, "congruence_leq", refuse, raising=False)
     for module in (order, construction):
         monkeypatch.setattr(module, "down_sets", refuse, raising=False)
     calls = {"con_facts": 0, "_correspondence": 0, "beta_labels": 0, "beta_H": 0,
-             "congruence_leq": 0, "cover_certificate": 0}
+             "cover_certificate": 0}
     rows = []
     for fname in calls:
         original = getattr(construction, fname)
@@ -384,7 +386,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         assert report.passed, report.lines()
         runs = 0 if len(P.elements) <= 2 else 1
         assert calls == {"con_facts": runs, "_correspondence": runs, "beta_labels": runs,
-                         "beta_H": 0, "congruence_leq": 0, "cover_certificate": runs}, name
+                         "beta_H": 0, "cover_certificate": runs}, name
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
         assert len(enumerated) == runs, name
         assert all(p is P.interior_poset for p in enumerated), name

@@ -100,6 +100,27 @@ def test_lattice_iso_basics():
     assert lattice_iso(lat, chain(5)) is None
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_iso_carries_both_tables(seed):
+    # lattice_iso is the order search alone; the join and meet tables are
+    # the oracle: on a relabelled, reordered copy of each lattice, the map
+    # it returns must carry both
+    rng = random.Random(seed)
+    for lat in random_lattices(seed, 20, max_size=10):
+        order = list(range(lat.n))
+        rng.shuffle(order)
+        name = {x: f"y{k}" for k, x in enumerate(lat.elements)}
+        copy = lattice_from_covers([name[lat.elements[i]] for i in order],
+                                   [(name[a], name[b]) for a, b in lat.poset.cover_names()])
+        mapping = lattice_iso(lat, copy)
+        assert mapping is not None
+        amap = [copy.index(mapping[x]) for x in lat.elements]
+        for x in range(lat.n):
+            for y in range(lat.n):
+                assert amap[lat.join[x, y]] == copy.join[amap[x], amap[y]]
+                assert amap[lat.meet[x, y]] == copy.meet[amap[x], amap[y]]
+
+
 def test_sublattice_induced():
     lat = c2_times_c3()
     sub = sublattice(lat, ["00", "01", "10", "11"])

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import shutil
 from contextlib import redirect_stdout
@@ -9,13 +11,21 @@ from types import MappingProxyType
 import pytest
 
 from princlat.congruence import (
+    CongruenceRelation,
     all_congruences,
     congruence_leq,
     is_I_congruence,
     principal_congruence,
 )
 import princlat.construction as construction
-from princlat.construction import AMALGAM_COPIES, default_template_dir, load_templates
+from princlat.construction import (
+    AMALGAM_COPIES,
+    GadgetTemplate,
+    assemble_K,
+    default_template_dir,
+    gadget_battery,
+    load_templates,
+)
 from princlat.errors import TemplateInvalid
 from princlat.lattice import (
     c2_times_c3,
@@ -25,6 +35,8 @@ from princlat.lattice import (
     prime_intervals,
     quotient,
 )
+
+from gadget_space import battery_candidates, gadgets
 
 
 def role(t, name):
@@ -181,6 +193,11 @@ def test_corrupt_template_rejected(tmp_path, templates):
     with pytest.raises(TemplateInvalid) as exc:
         load_templates(tmp_path)
     assert (exc.value.template_name, exc.value.check) == ("S", "role-map-names")
+    # an S.json that is not UTF-8
+    (tmp_path / "S.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates(tmp_path)
+    assert (exc.value.template_name, exc.value.check) == ("S", "readable")
     # an empty S: the empty order is not a lattice
     (tmp_path / "S.json").write_text(json.dumps({"elements": [], "covers": []}))
     (tmp_path / "S.roles.json").write_text(json.dumps({}))
@@ -209,6 +226,26 @@ def test_a_third_isolating_congruence_fails_the_battery(tmp_path):
     assert sum(is_I_congruence(lat, theta) for theta in all_congruences(lat).congruences) == 3
 
 
+def test_load_and_assembly_build_one_congruence_object(poset_zoo, monkeypatch):
+    # load and assembly name every congruence as a mask of the lattice's
+    # analysis: the one CongruenceRelation that load builds is the one the
+    # quotient-shape check takes, and assembly builds none
+    built = []
+    original = CongruenceRelation.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(CongruenceRelation, "__init__", counting_init)
+    templates = load_templates()
+    assert len(built) == 1
+    built.clear()
+    for P in poset_zoo.values():
+        assemble_K(P, templates)
+    assert built == []
+
+
 def test_missing_directory_rejected(tmp_path):
     with pytest.raises(TemplateInvalid):
         load_templates(tmp_path / "nope")
@@ -230,3 +267,57 @@ def test_make_templates_reproduces_the_shipped_files(tmp_path, grid, monkeypatch
     assert written == sorted(f.name for f in shipped.iterdir() if f.suffix == ".json")
     for f in tmp_path.iterdir():
         assert f.read_bytes() == (shipped / f.name).read_bytes(), f.name
+
+
+def outcome(check, t):
+    """What ``check`` says of template t: "pass", or its TemplateInvalid's text,
+    which names the check and its detail."""
+    try:
+        check(t)
+    except TemplateInvalid as exc:
+        return str(exc)
+    return "pass"
+
+
+def permuted(t, move):
+    """t with each role r moved to ``move[r]``; roles not in ``move`` stay."""
+    roles = {ph: move.get(r, r) for ph, r in t.role_map.items()}
+    return GadgetTemplate(t.name, t.poset, roles, t.lattice)
+
+
+def role_moves(t, size):
+    """Every permutation of every ``size`` roles of t but the identity, as
+    maps of roles, roles chosen in sorted order."""
+    for chosen in itertools.combinations(sorted(t.role_map.values()), size):
+        for image in itertools.permutations(chosen):
+            if image != chosen:
+                yield dict(zip(chosen, image))
+
+
+# (count, sha256 of the outcomes, one line each) of three template families,
+# recorded when the battery still built a congruence object per check and
+# also ran the prime-interval-dichotomy, block-chain and theta_p block-size
+# checks, which its other checks imply
+GOLDEN_BATTERY = {
+    "derivation": (1728, "236d573b2f1d29b5f72bebea3f8d2ccac728b240cf1324ff14c69186092affdd"),
+    "gadget-swaps": (1680, "fd2a881f7dfa4a193db5c1189885b7a2677991d9f770ab819b25b4170723cb9d"),
+    "S-permutations": (880, "bd80f2629ba0318c875224b82c6e2aef3b65769d4a4c0fe6421aa1b9ffa428ca"),
+}
+
+
+def test_battery_outcomes_are_golden(templates, grid):
+    # the battery on every role assignment the derivation tries, on each of
+    # the 30 criterion-3 gadgets and its two-role swaps, and the whole
+    # load-time check of S under every two- and three-role permutation;
+    # with the third-isolating-congruence test these reach 7 of its 10 checks
+    s = templates["S"]
+    families = {
+        "derivation": [outcome(gadget_battery, t) for t in battery_candidates(grid)],
+        "gadget-swaps": [outcome(gadget_battery, u) for t in gadgets(grid)
+                         for u in [t, *(permuted(t, m) for m in role_moves(t, 2))]],
+        "S-permutations": [outcome(construction._check_gadget, permuted(s, m))
+                           for size in (2, 3) for m in role_moves(s, size)],
+    }
+    got = {name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+           for name, lines in families.items()}
+    assert got == GOLDEN_BATTERY
