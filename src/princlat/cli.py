@@ -66,19 +66,17 @@ def cmd_fuzz(ns: argparse.Namespace) -> int:
                         jobs=ns.jobs, template_dir=_template_dir(ns.templates))
     print(f"fuzz max-size={ns.max_size} samples={ns.samples} seed={ns.seed}")
     print("index |P| comps |K| length status")
-    bad = None
     for o in outcomes:
-        status = "pass" if o.passed else f"FAIL {o.failed_stage}"
-        print(f"{o.index:5d} {o.size:3d} {o.comparabilities:5d} {o.k_size:3d} {o.k_length:6d} {status}")
-        if bad is None and not o.passed:
-            bad = o
-    npass = sum(1 for o in outcomes if o.passed)
-    total_t = sum(o.elapsed for o in outcomes)
-    print(f"RESULT pass={npass} fail={len(outcomes) - npass}", flush=True)
-    print(f"total verification time {total_t:.2f}s", file=sys.stderr)
-    if bad is not None:
+        r, P = o.report, o.poset
+        status = next((f"FAIL {name}: {detail}" for name, ok, detail in r.stages if not ok), "pass")
+        print(f"{o.index:5d} {len(P.elements):3d} {len(P.comparabilities()):5d} "
+              f"{r.k_size:3d} {r.k_length:6d} {status}")
+    bad = [o for o in outcomes if not o.report.passed]
+    print(f"RESULT pass={len(outcomes) - len(bad)} fail={len(bad)}", flush=True)
+    print(f"total verification time {sum(o.elapsed for o in outcomes):.2f}s", file=sys.stderr)
+    if bad:
         print("counterexample poset:")
-        print(json.dumps(bad.poset_doc, indent=1))
+        print(json.dumps(poset_to_doc(bad[0].poset.poset, name=f"sample{bad[0].index}"), indent=1))
         return 1
     return 0
 

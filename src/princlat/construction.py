@@ -800,13 +800,14 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         principal_downs = set(down.values())
         if corr_error is not None:
             raise corr_error
-        # the Con K row of every principal congruence, and its image
-        rows = facts.find(an.princ_labels)
+        # Con K's rows by mask (con_masks is in the row order of
+        # facts.labels): every principal congruence's row, and its image
+        row_of = {m: r for r, m in enumerate(an.con_masks)}
+        rows = [row_of[m] for m in an.princ_masks]
         image = {_down_set_names(result, k) for k in forward[rows].tolist()}
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row
-        row_of = dict(zip(an.princ_masks, rows.tolist()))
         for p, a, b in zip(P.interior, *(c.tolist() for c in result.anchor_columns)):
             r = row_of[_con(lat, a, b)]
             if not facts.isolating[r]:

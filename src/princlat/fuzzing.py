@@ -13,9 +13,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .construction import load_templates, verify_theorem
-from .io import poset_to_doc
-from .order import BoundedPoset, Poset, to_bounded, validate_poset
+from .construction import VerificationReport, load_templates, verify_theorem
+from .order import BoundedPoset, to_bounded, validate_poset
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -54,13 +53,8 @@ def random_bounded_poset(seed: int, index: int, max_size: int) -> BoundedPoset:
 @dataclass(frozen=True)
 class FuzzOutcome:
     index: int
-    size: int
-    comparabilities: int
-    k_size: int
-    k_length: int
-    passed: bool
-    failed_stage: str
-    poset_doc: dict
+    poset: BoundedPoset
+    report: VerificationReport
     elapsed: float
 
 
@@ -70,17 +64,7 @@ def run_sample(args) -> FuzzOutcome:
     P = random_bounded_poset(seed, index, max_size)
     t0 = time.perf_counter()
     report = verify_theorem(P, templates, name=f"sample{index}")
-    elapsed = time.perf_counter() - t0
-    failed = ""
-    for name, ok, detail in report.stages:
-        if not ok:
-            failed = f"{name}: {detail}"
-            break
-    return FuzzOutcome(
-        index, len(P.elements), len(P.comparabilities()),
-        report.k_size, report.k_length, report.passed, failed,
-        poset_to_doc(P.poset, name=f"sample{index}"), elapsed,
-    )
+    return FuzzOutcome(index, P, report, time.perf_counter() - t0)
 
 
 def run_fuzz(max_size: int, samples: int, seed: int, jobs: int = 1,
@@ -88,13 +72,14 @@ def run_fuzz(max_size: int, samples: int, seed: int, jobs: int = 1,
     """Verify `samples` random posets; results ordered by sample index.
 
     The templates are loaded and validated once; every work item carries
-    them (they pickle, for ``jobs > 1``).
+    them (they pickle, for ``jobs > 1``).  A pool starts only for more
+    than one worker, and never with more workers than samples: under the
+    ``fork`` start method it launches all of them at the first submit.
     """
     templates = load_templates(template_dir)
     work = [(seed, i, max_size, templates) for i in range(samples)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_sample, work))
-    else:
-        outcomes = [run_sample(w) for w in work]
-    return sorted(outcomes, key=lambda o: o.index)
+    workers = min(jobs, samples)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_sample, work))
+    return [run_sample(w) for w in work]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,8 +43,9 @@ class ConFacts:
     """Con K as one label matrix, and what phi's forward map and the
     per-congruence stages of verify read of it; row r is congruence r of
     ``all_congruences``, which verify never builds: a stage finds a
-    congruence's row by its label vector (:meth:`find`) and reads the
-    flags of that row.
+    congruence's row by its mask, whose place in
+    ``ConAnalysis.con_masks`` is its row here, and reads the flags of
+    that row.
 
     ``zero``, ``one`` and ``isolating`` flag the bound and the
     I-congruences; ``base[r]`` marks the interior elements (in
@@ -67,15 +67,6 @@ class ConFacts:
     def base_of(self, r: int) -> tuple[str, ...]:
         """``congruence.base`` of congruence r."""
         return _member_names(self.interior, self.base[r])
-
-    @cached_property
-    def _index(self) -> RowIndex:
-        return RowIndex(self.labels)
-
-    def find(self, labels: np.ndarray) -> np.ndarray:
-        """The row of each canonical label row of ``labels`` (same dtype as
-        ``self.labels``), or -1 where it is not a congruence of K."""
-        return self._index.find(labels)
 
 
 def con_facts(result: ConstructionResult) -> ConFacts:

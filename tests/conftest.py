@@ -1,8 +1,11 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from princlat.cli import main
 from princlat.congruence import CongruenceRelation
 from princlat.construction import load_templates
 from princlat.lattice import as_lattice
@@ -21,6 +24,14 @@ def grid():
     """The lattices over the 2x3 grid that gadget_space.py enumerates, one
     pass for the session."""
     return list(grid_lattices())
+
+
+def run_cli(argv):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def bounded(elements, covers):

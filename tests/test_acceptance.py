@@ -15,17 +15,14 @@ figure:
   for every admissible gadget.
 """
 
-import io
 import itertools
 import json
 import random
 import time
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from princlat.cli import main as cli_main
 from princlat.congruence import (
     all_congruences,
     congruence_leq,
@@ -44,7 +41,6 @@ from princlat.construction import (
     assemble_K,
     beta_H,
     double_gadget,
-    load_templates,
     phi,
 )
 from princlat.errors import AssemblyNotALattice
@@ -65,11 +61,10 @@ from princlat.order import (
     down_sets,
     is_down_set,
     order_iso,
-    principal_down_set,
     validate_poset,
 )
 
-from conftest import membership, random_lattices
+from conftest import membership, random_lattices, run_cli
 from gadget_space import (
     anchors_lower_first,
     battery_gadgets,
@@ -80,7 +75,6 @@ from gadget_space import (
 from test_construction import assert_betas_match, assert_facts_match_the_scalar_loop
 from test_congruence import (
     closure_masks,
-    congruences_by_brute_force,
     find_valuation_two_witness,
     intersect_labels,
 )
@@ -117,7 +111,7 @@ def test_criterion_1_theorem_at_desk_scale(templates):
     t0 = time.perf_counter()
     outcomes = run_fuzz(FUZZ_MAX_SIZE, FUZZ_SAMPLES, FUZZ_SEED, jobs=1)
     elapsed = time.perf_counter() - t0
-    failures = [o for o in outcomes if not o.passed]
+    failures = [o for o in outcomes if not o.report.passed]
     ok = not failures and elapsed < 300
     report(1, "theorem at desk scale", ok)
     assert not failures, failures[:3]
@@ -407,13 +401,6 @@ def test_criterion_7_valuation(templates, poset_zoo):
     report(7, "valuation properties and v=2 witness", True)
 
 
-def _run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main(argv)
-    return code, out.getvalue()
-
-
 def test_criterion_8_determinism(tmp_path):
     poset = tmp_path / "p.json"
     poset.write_text(json.dumps({
@@ -435,9 +422,9 @@ def test_criterion_8_determinism(tmp_path):
             if tag == "princ":
                 argv += ["--out", str(tmp_path / "princ.json")]
                 outfile = "princ.json"
-        first = _run_cli(argv)
+        first = run_cli(argv)[:2]  # fuzz's stderr holds its wall time
         blob1 = (tmp_path / outfile).read_bytes() if outfile else b""
-        second = _run_cli(argv)
+        second = run_cli(argv)[:2]
         blob2 = (tmp_path / outfile).read_bytes() if outfile else b""
         runs[tag] = (first == second) and (blob1 == blob2)
     ok = all(runs.values())

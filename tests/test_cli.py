@@ -2,17 +2,18 @@ import hashlib
 import io
 import json
 import shutil
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
 
+from princlat import construction, fuzzing
 from princlat.cli import main
 from princlat.construction import default_template_dir
-from princlat.fuzzing import random_bounded_poset, run_fuzz
+from princlat.fuzzing import random_bounded_poset
 from princlat.io import dump_json, poset_to_doc
 
-from conftest import bounded
+from conftest import bounded, run_cli
 
 
 @pytest.fixture()
@@ -32,16 +33,9 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_build_b2(workdir):
     out_file = workdir / "K.json"
-    code, out, _ = run(["build", "--poset", str(workdir / "b2.json"), "--out", str(out_file)])
+    code, out, _ = run_cli(["build", "--poset", str(workdir / "b2.json"), "--out", str(out_file)])
     assert code == 0
     assert "|K|=8" in out and "length=3" in out
     doc = json.loads(out_file.read_text())
@@ -51,7 +45,7 @@ def test_build_b2(workdir):
 
 def test_build_4chain(workdir):
     out_file = workdir / "K.json"
-    code, out, _ = run(["build", "--poset", str(workdir / "c4.json"), "--out", str(out_file)])
+    code, out, _ = run_cli(["build", "--poset", str(workdir / "c4.json"), "--out", str(out_file)])
     assert code == 0
     assert "|K|=13" in out and "length=5" in out
 
@@ -98,7 +92,7 @@ def test_build_output_is_golden(name, poset_zoo, tmp_path, monkeypatch):
                           ("z2", "z3"), ("z4", "z3"), ("z1", "1"), ("z3", "1")]),
     })
     dump_json(poset_to_doc(shapes[name].poset, name=name), f"{name}.json")
-    code, out, _ = run(["build", "--poset", f"{name}.json", "--out", "K.json"])
+    code, out, _ = run_cli(["build", "--poset", f"{name}.json", "--out", "K.json"])
     assert code == 0
     digests = (hashlib.sha256((tmp_path / "K.json").read_bytes()).hexdigest(),
                hashlib.sha256(out.encode()).hexdigest())
@@ -106,14 +100,14 @@ def test_build_output_is_golden(name, poset_zoo, tmp_path, monkeypatch):
 
 
 def test_build_unbounded_is_input_error(workdir):
-    code, _, err = run(["build", "--poset", str(workdir / "antichain.json"),
-                        "--out", str(workdir / "K.json")])
+    code, _, err = run_cli(["build", "--poset", str(workdir / "antichain.json"),
+                            "--out", str(workdir / "K.json")])
     assert code == 2
     assert "minimum" in err or "maximum" in err
 
 
 def test_verify_passes_and_prints_result_line(workdir):
-    code, out, _ = run(["verify", "--poset", str(workdir / "c4.json")])
+    code, out, _ = run_cli(["verify", "--poset", str(workdir / "c4.json")])
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("RESULT pass=")
     assert " fail=0" in out
@@ -122,7 +116,7 @@ def test_verify_passes_and_prints_result_line(workdir):
 def test_verify_degenerate(workdir):
     (workdir / "one.json").write_text(json.dumps(
         {"name": "1", "elements": ["0"], "covers": []}))
-    code, out, _ = run(["verify", "--poset", str(workdir / "one.json")])
+    code, out, _ = run_cli(["verify", "--poset", str(workdir / "one.json")])
     assert code == 0 and "degenerate" in out
 
 
@@ -142,15 +136,15 @@ def test_verify_corrupt_templates_exits_2(workdir, command, monkeypatch):
     doc = json.loads((tdir / "S.json").read_text())
     doc["covers"] = doc["covers"][:-1]
     (tdir / "S.json").write_text(json.dumps(doc))
-    code, out, err = run(command + ["--templates", str(tdir)])
+    code, out, err = run_cli(command + ["--templates", str(tdir)])
     assert (code, out) == (2, "")
     assert err.startswith("error: template 'S' failed check 'lattice'") and err.count("\n") == 1, err
 
 
 def test_con_command_counts(workdir):
     kfile = workdir / "K.json"
-    run(["build", "--poset", str(workdir / "b2.json"), "--out", str(kfile)])
-    code, out, _ = run(["con", "--lattice", str(kfile)])
+    run_cli(["build", "--poset", str(workdir / "b2.json"), "--out", str(kfile)])
+    code, out, _ = run_cli(["con", "--lattice", str(kfile)])
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 5
@@ -159,7 +153,7 @@ def test_con_command_counts(workdir):
 
 
 def test_con_m3(workdir):
-    code, out, _ = run(["con", "--lattice", str(workdir / "m3.json")])
+    code, out, _ = run_cli(["con", "--lattice", str(workdir / "m3.json")])
     doc = json.loads(out)
     assert doc["count"] == 2
 
@@ -167,8 +161,8 @@ def test_con_m3(workdir):
 def test_princ_command_feeds_back_to_source_order(workdir):
     kfile = workdir / "K.json"
     ofile = workdir / "princ.json"
-    run(["build", "--poset", str(workdir / "b2.json"), "--out", str(kfile)])
-    code, out, _ = run(["princ", "--lattice", str(kfile), "--out", str(ofile)])
+    run_cli(["build", "--poset", str(workdir / "b2.json"), "--out", str(kfile)])
+    code, out, _ = run_cli(["princ", "--lattice", str(kfile), "--out", str(ofile)])
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 4
@@ -182,8 +176,8 @@ def test_princ_command_feeds_back_to_source_order(workdir):
 
 def test_valuation_command(workdir):
     kfile = workdir / "K.json"
-    run(["build", "--poset", str(workdir / "c4.json"), "--out", str(kfile)])
-    code, out, _ = run(["valuation", "--lattice", str(kfile)])
+    run_cli(["build", "--poset", str(workdir / "c4.json"), "--out", str(kfile)])
+    code, out, _ = run_cli(["valuation", "--lattice", str(kfile)])
     doc = json.loads(out)
     vs = [row["v"] for row in doc["values"]]
     assert min(vs) == 0 and max(vs) >= 1
@@ -191,8 +185,8 @@ def test_valuation_command(workdir):
 
 def test_export_dot(workdir):
     dot = workdir / "m3.dot"
-    code, out, _ = run(["export-dot", "--lattice", str(workdir / "m3.json"),
-                        "--out", str(dot)])
+    code, out, _ = run_cli(["export-dot", "--lattice", str(workdir / "m3.json"),
+                            "--out", str(dot)])
     assert code == 0 and "5 nodes, 6 edges" in out
     text = dot.read_text()
     assert text.count("->") == 6
@@ -202,13 +196,13 @@ def test_export_dot(workdir):
 def test_export_dot_gadget_template(workdir):
     tdir = Path(default_template_dir())
     dot = workdir / "S.dot"
-    code, out, _ = run(["export-dot", "--lattice", str(tdir / "S.json"), "--out", str(dot)])
+    code, out, _ = run_cli(["export-dot", "--lattice", str(tdir / "S.json"), "--out", str(dot)])
     assert code == 0 and "11 nodes, 15 edges" in out
 
 
 def test_export_dot_bad_input_is_2(workdir):
-    code, _, _ = run(["export-dot", "--lattice", str(workdir / "nope.json"),
-                      "--out", str(workdir / "x.dot")])
+    code, _, _ = run_cli(["export-dot", "--lattice", str(workdir / "nope.json"),
+                          "--out", str(workdir / "x.dot")])
     assert code == 2
 
 
@@ -218,7 +212,7 @@ def test_non_lattice_file_is_input_error(workdir):
     for argv in (["con", "--lattice", bad], ["princ", "--lattice", bad],
                  ["valuation", "--lattice", bad],
                  ["export-dot", "--lattice", bad, "--out", str(workdir / "x.dot")]):
-        code, out, err = run(argv)
+        code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == ""
         assert err == "error: no unique join for (a, b); minimal candidates: []\n"
@@ -249,7 +243,7 @@ def test_malformed_poset_document_is_2(workdir, doc):
                  ["con", "--lattice", str(bad)], ["princ", "--lattice", str(bad)],
                  ["valuation", "--lattice", str(bad)],
                  ["export-dot", "--lattice", str(bad), "--out", str(workdir / "x.dot")]):
-        code, out, err = run(argv)
+        code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
@@ -265,7 +259,7 @@ def test_verify_and_build_report_a_naming_collision_as_input(workdir):
     errors = set()
     for argv in (["verify", "--poset", str(poset)],
                  ["build", "--poset", str(poset), "--out", str(workdir / "K.json")]):
-        code, out, err = run(argv)
+        code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: element naming collision") and err.count("\n") == 1, err
         errors.add(err)
@@ -273,8 +267,8 @@ def test_verify_and_build_report_a_naming_collision_as_input(workdir):
 
 
 def test_fuzz_deterministic_and_green(workdir):
-    code1, out1, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
-    code2, out2, _ = run(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
+    code1, out1, _ = run_cli(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
+    code2, out2, _ = run_cli(["fuzz", "--max-size", "5", "--samples", "8", "--seed", "7"])
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().splitlines()[-1] == "RESULT pass=8 fail=0"
@@ -286,8 +280,8 @@ def test_fuzz_deterministic_and_green(workdir):
 ], ids=["max-size-0", "samples-0", "jobs-0", "seed-negative", "seed-2to64"])
 def test_fuzz_bad_config_is_2(option, value):
     # argparse keeps the last occurrence of a repeated option
-    code, out, err = run(["fuzz", "--max-size", "1", "--samples", "1", "--seed", "1",
-                          option, value])
+    code, out, err = run_cli(["fuzz", "--max-size", "1", "--samples", "1", "--seed", "1",
+                              option, value])
     assert code == 2
     assert out == ""
     assert err.startswith("error: --")
@@ -300,21 +294,62 @@ def test_fuzz_generator_is_index_stable():
 
 
 def test_fuzz_jobs_match_sequential():
-    seq = run_fuzz(5, 6, seed=99, jobs=1)
-    par = run_fuzz(5, 6, seed=99, jobs=2)
-    assert [(o.index, o.size, o.k_size, o.passed) for o in seq] == \
-           [(o.index, o.size, o.k_size, o.passed) for o in par]
+    argv = ["fuzz", "--max-size", "5", "--samples", "6", "--seed", "99"]
+    code1, out1, _ = run_cli(argv + ["--jobs", "1"])
+    code2, out2, _ = run_cli(argv + ["--jobs", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_fuzz_pool_has_no_more_workers_than_samples(monkeypatch):
+    # under the fork start method a pool starts every worker at the first
+    # submit, so asking for more workers than samples forks idle ones
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(fuzzing, "ProcessPoolExecutor", InProcessPool)
+    assert [o.index for o in fuzzing.run_fuzz(5, 3, seed=99, jobs=8)] == [0, 1, 2]
+    assert [o.index for o in fuzzing.run_fuzz(5, 1, seed=99, jobs=8)] == [0]
+    assert asked == [3]
+
+
+# sha256 of the stdout of the criterion-1 fuzz's first 30 samples when the
+# length of every K of more than 40 elements reads one too high: 7 rows
+# fail length-bound, and sample2, the first of them, is the counterexample
+GOLDEN_FUZZ_FAILURE = "82b0286f376c97bf60dbb43c4fbb6386b7426497915feb3f637c54d09ef31024"
+
+
+def test_fuzz_failure_prints_the_first_counterexample(monkeypatch):
+    true_length = construction.length
+    monkeypatch.setattr(construction, "length", lambda lat: true_length(lat) + (lat.n > 40))
+    code, out, _ = run_cli(["fuzz", "--max-size", "8", "--samples", "30", "--seed", "20260201"])
+    assert code == 1
+    assert out.count(" FAIL length-bound: ") == 7
+    assert 'counterexample poset:\n{\n "name": "sample2",' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FUZZ_FAILURE
 
 
 def test_parser_is_built_once_and_survives_any_call_order(workdir):
     from princlat.cli import build_parser
 
     m3 = ["con", "--lattice", str(workdir / "m3.json")]
-    first = run(m3)
-    assert run(["fuzz", "--max-size", "0", "--samples", "1", "--seed", "1"])[0] == 2
+    first = run_cli(m3)
+    assert run_cli(["fuzz", "--max-size", "0", "--samples", "1", "--seed", "1"])[0] == 2
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         main(["fuzz", "--max-size", "1"])  # argparse rejects the missing options
     assert exc.value.code == 2
-    assert run(m3) == first
+    assert run_cli(m3) == first
     assert first[0] == 0
     assert build_parser() is build_parser()

@@ -3,7 +3,6 @@ import random
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 

@@ -52,9 +52,9 @@ from princlat.kernels import beta_labels
 from princlat.lattice import chain, is_01_sublattice, length
 from princlat.order import (
     DownSet,
+    RowIndex,
     down_set_matrix,
     down_sets,
-    order_iso,
     principal_down_set,
     validate_poset,
 )
@@ -444,7 +444,8 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     def swapped_facts(result):
         facts = original_facts(result)
         perm = np.arange(len(facts.labels))
-        k = facts.find(np.array([lo.labels, hi.labels], dtype=facts.labels.dtype)).tolist()
+        k = RowIndex(facts.labels).find(
+            np.array([lo.labels, hi.labels], dtype=facts.labels.dtype)).tolist()
         perm[k] = perm[k[::-1]]
         return dataclasses.replace(facts, **{
             name: getattr(facts, name)[perm]
@@ -577,7 +578,7 @@ def assert_facts_match_the_scalar_loop(result):
     assert got == scalar_forward_facts(result)
     cons = all_congruences(result.lattice).congruences
     assert facts.labels.tolist() == [list(theta.labels) for theta in cons]
-    assert facts.find(facts.labels).tolist() == list(range(len(cons)))
+    assert RowIndex(facts.labels).find(facts.labels).tolist() == list(range(len(cons)))
     for r, theta in enumerate(cons):
         if facts.isolating[r]:
             assert facts.base_of(r) == base(result, theta)
@@ -592,7 +593,7 @@ def assert_betas_match(result):
     labels, error = result.betas
     assert error is None
     # every row is a congruence of K, and each is the one-row beta_H
-    assert (result.con_facts.find(labels) >= 0).all()
+    assert (RowIndex(result.con_facts.labels).find(labels) >= 0).all()
     assert [tuple(t) for t in labels.tolist()] == [beta_H(result, h).labels for h in family]
 
 

@@ -9,7 +9,6 @@ from princlat.congruence import principal_congruence
 from princlat.errors import NotACongruence, NotALattice
 from princlat.lattice import (
     _bound_table,
-    as_lattice,
     c2_times_c3,
     chain,
     closed_rows,
