@@ -442,11 +442,13 @@ class ConAnalysis:
     every j in J below k' v w and not below w = k'_ v w has j D k', so
     j is in M (k' is); hence r(x'' v y) = r(k' v w) = r(w) = r(x' v y).
 
-    D is built a block at a time: for each k, the bits j with
+    D is built a block of rows at a time: for each k, the bits j with
     j <= k v x and not j <= k_ v x, over all x at once, from the join
-    table rows of k and k_; D* is the transitive closure of a |J| x |J|
-    boolean matrix.  The label-vector closure (:func:`principal_congruence`)
-    runs only as the reference the tests compare cm against.
+    table rows of k and k_, for as many k at once as keep the gathered
+    rows within ``_CHUNK`` bytes (at least one k); D* is the transitive
+    closure of a |J| x |J| boolean matrix.  The label-vector closure
+    (:func:`principal_congruence`) runs only as the reference the tests
+    compare cm against.
 
     Con L and Princ L are also kept as label matrices, one canonical label
     vector per mask, built for all masks at once (``_ordered``).
@@ -461,6 +463,7 @@ class ConAnalysis:
     def __init__(self, lat: FiniteLattice):
         self.poset = lat.poset
         self.bottom = lat.bottom
+        self.ends = (lat.index(lat.bottom), lat.index(lat.top))
         lower: dict[int, list[int]] = {}
         for i, j in lat.poset.covers():
             lower.setdefault(j, []).append(i)
@@ -472,8 +475,11 @@ class ConAnalysis:
         # iff j D k, and x = bottom puts k in it
         packed = np.packbits(below, axis=1, bitorder="little")
         dep = np.empty((len(self.joinirr), packed.shape[1]), dtype=np.uint8)
-        for k, (j, lo) in enumerate(zip(self.joinirr, self.lower_cover)):
-            np.bitwise_or.reduce(packed[lat.join[j]] & ~packed[lat.join[lo]], axis=0, out=dep[k])
+        js, los = np.array(self.joinirr, dtype=np.intp), np.array(self.lower_cover, dtype=np.intp)
+        step = max(1, _CHUNK // max(packed.size, 1))  # k per chunk of k x n x words bytes
+        for s in range(0, len(js), step):
+            hit = packed[lat.join[js[s:s + step]]] & ~packed[lat.join[los[s:s + step]]]
+            np.bitwise_or.reduce(hit, axis=1, out=dep[s:s + step])
         dep = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
         self.cm = _row_masks(_transitive_closure(dep))  # row k: {j : j D* k}
         self._principal: dict[int, int] = {}
@@ -482,6 +488,18 @@ class ConAnalysis:
         """The canonical label vector of one congruence mask (see above)."""
         ids: dict[int, int] = {}
         return tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
+
+    def isolating(self, mask: int) -> bool:
+        """Whether the congruence of ``mask`` is nonzero and holds the bottom
+        and the top each in a block of its own (:func:`is_I_congruence`),
+        read from r(x) = J(x) minus M as its labels are.
+
+        x theta y iff r(x) = r(y) (see above), so the block of x holds x
+        alone iff no other element has r(x); and the congruence is zero
+        iff its mask is.
+        """
+        rest = [jb & ~mask for jb in self.jbelow]
+        return mask != 0 and all(rest.count(rest[e]) == 1 for e in self.ends)
 
     def principal(self, a: int, b: int) -> int:
         """Mask of con(a, b) for a <= b, memoised on J(b) minus J(a)."""
@@ -519,9 +537,9 @@ class ConAnalysis:
         order = np.lexsort(tuple(labels.T[::-1]) + (-blocks,))
         return tuple(masks[i] for i in order.tolist()), _freeze(labels[order])
 
-    @cached_property
-    def _con(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """Every congruence mask and its label row, in ConOrder order.
+    def con_set(self) -> set[int]:
+        """Every congruence mask, unordered; computed on each call, as only
+        ``con_masks`` is kept.
 
         Con L is the OR-closure of the cm[k], grown one generator at a time;
         a set closed under OR that already holds a generator is closed
@@ -531,7 +549,12 @@ class ConAnalysis:
         for g in sorted(set(self.cm)):
             if g not in known:
                 known |= {m | g for m in known}
-        return self._ordered(known)
+        return known
+
+    @cached_property
+    def _con(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """Every congruence mask and its label row, in ConOrder order."""
+        return self._ordered(self.con_set())
 
     @property
     def con_masks(self) -> tuple[int, ...]:

@@ -20,16 +20,19 @@ Only the gadget S is data (``S.json`` and ``S.roles.json``); every
 property the congruence analysis relies on is re-checked when it is
 loaded, so a corrupted data file cannot silently produce a wrong
 lattice.  The other templates are built from it here: each double
-gadget glues two copies of S as ``AMALGAM_COPIES`` states, and the
-chains Cp and frame are written over their roles.
+gadget glues two copies of S as ``AMALGAM_COPIES`` states, its order
+S's order scattered through the copy index and closed once
+(:func:`_glue`), and the chains Cp and frame are written down over
+their roles, order and tables, as no check could fail on them.
 
 Only S, Cp and frame instances are named: S(p, q) by :func:`_role_names`
 on (p, q), Cp and frame on (p, p).  A double gadget is the two S
 instances it glues, so it is placed, not named: ``_copy_index`` gives
 the positions in the double gadget of each copy's S elements, and the
 two S instances' position rows are scattered through it.  At load time,
-``load_templates`` checks both copies at that same index: each must be
-a copy of S, order and joins and meets, inside the glued template.
+``load_templates`` checks both copies at the index it glued them by:
+each must be a copy of S, order and joins and meets, inside the glued
+template.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
@@ -67,14 +69,10 @@ from .errors import (
 from .kernels import ConFacts, beta_labels, con_facts
 from .lattice import (
     FiniteLattice,
+    _block_order,
     as_lattice,
-    c2_times_c3,
     closed_rows,
-    lattice_iso,
     length,
-    m3,
-    prime_intervals,
-    quotient,
 )
 from .order import (
     _CHUNK,
@@ -84,6 +82,7 @@ from .order import (
     _bool_product,
     _freeze,
     _member_names,
+    _transitive_closure,
     down_set_matrix,
     is_down_set,
     order_iso,
@@ -193,7 +192,7 @@ class IsoCorrespondence:
 
 
 def default_template_dir() -> Path:
-    return Path(resources.files("princlat") / "templates")
+    return Path(__file__).parent / "templates"
 
 
 def _load_one(directory: Path, stem: str) -> GadgetTemplate:
@@ -232,8 +231,9 @@ def _check_gadget(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "length", str(length(lat)))
     # 15 cover edges is derived, not transcribed: every admissible gadget has
     # 15 (tests/gadget_space.py enumerates them)
-    if len(prime_intervals(lat)) != 15:
-        raise TemplateInvalid(t.name, "prime-interval-count", str(len(prime_intervals(lat))))
+    primes = len(lat.poset.covers())
+    if primes != 15:
+        raise TemplateInvalid(t.name, "prime-interval-count", str(primes))
     gadget_battery(t)
 
 
@@ -257,8 +257,9 @@ def gadget_battery(t: GadgetTemplate) -> None:
     its result.
 
     Congruences are masks of the lattice's analysis (:func:`_con`):
-    equality is mask equality, refinement is the subset test, and which
-    pairs a congruence collapses is read from its label vector.
+    equality is mask equality, refinement is the subset test, whether a
+    congruence is isolating is ``ConAnalysis.isolating`` of its mask, and
+    which pairs it collapses is read from its label vector.
 
     Three checks are not run, because the ones before them imply them:
 
@@ -271,6 +272,16 @@ def gadget_battery(t: GadgetTemplate) -> None:
       most three;
     * the blocks of theta_p have at most three elements: theta_p refines
       theta_q, so each of its blocks lies inside one of theta_q's.
+
+    The quotient-shape check compares the order that the join table
+    induces on the blocks of theta_q (:func:`_block_order`) with the 2x3
+    grid's (:func:`_grid_order`) by :func:`order_iso`.  That is the
+    lattice isomorphism test of the quotient L / theta_q against the
+    grid, without building either lattice: theta_q's labels come from the
+    analysis, so it is a congruence; the quotient of a lattice by a
+    congruence is a lattice whose order is the induced one; and two
+    lattices are isomorphic iff their orders are (see
+    :func:`princlat.lattice.lattice_iso`).
     """
     lat = t.lattice
     an = lat.con_analysis
@@ -287,12 +298,12 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "upper-rail-pair")
     if tp & ~tq or tp == tq:
         raise TemplateInvalid(t.name, "congruence-comparability")
-    if not _isolating(lat, np.array([lp, lq])).all():
+    if not (an.isolating(tp) and an.isolating(tq)):
         raise TemplateInvalid(t.name, "isolating")
     witness = an.labels(_con(lat, r["b_p"], r["g"]))
     if witness[r["o"]] != witness[r["c"]]:
         raise TemplateInvalid(t.name, "collapse-witness")
-    count = int(_isolating(lat, an.con_labels).sum())
+    count = sum(map(an.isolating, an.con_set()))
     if count != 2:
         raise TemplateInvalid(t.name, "isolating-congruence-count", str(count))
     ends = (lat.index(lat.bottom), lat.index(lat.top))
@@ -303,8 +314,33 @@ def gadget_battery(t: GadgetTemplate) -> None:
             raise TemplateInvalid(t.name, "pair-separation", str(between))
     if max(map(lq.count, lq)) > 3:
         raise TemplateInvalid(t.name, "block-size")
-    if lattice_iso(quotient(lat, CongruenceRelation(lat, lq)), c2_times_c3()) is None:
+    _, reps, blocks = _block_order(lat, lq)
+    if order_iso(Poset(tuple(map(str, reps.tolist())), _freeze(blocks)), _grid_order()) is None:
         raise TemplateInvalid(t.name, "quotient-shape")
+
+
+def _chain_order(n: int) -> np.ndarray:
+    """The order of the n-element chain over positions, an upper triangular
+    matrix: i <= j iff i <= j."""
+    at = np.arange(n)
+    return at[:, None] <= at
+
+
+def _grid_order() -> Poset:
+    """The order of the 2x3 grid, elements ``ab`` in ``c2_times_c3`` order:
+    ab <= a'b' iff a <= a' and b <= b', the Kronecker product of the 2-
+    and 3-element chain orders."""
+    names = tuple(f"{a}{b}" for a in range(2) for b in range(3))
+    leq = _chain_order(2)[:, None, :, None] & _chain_order(3)[None, :, None, :]
+    return Poset(names, _freeze(leq.reshape(6, 6)))
+
+
+def _diamond_order() -> Poset:
+    """The order of the diamond M3 in ``m3``'s element order: a bottom, three
+    incomparable atoms, a top."""
+    leq = np.eye(5, dtype=bool)
+    leq[0] = leq[:, 4] = True
+    return Poset(("o", "x", "y", "z", "i"), _freeze(leq))
 
 
 # what _copy_faults reports for a row, by code
@@ -339,12 +375,17 @@ def _amalgam_copies(s: GadgetTemplate, kind: str) -> tuple[dict[str, str], ...]:
                  for copy in AMALGAM_COPIES[kind])
 
 
-def _copy_index(s: GadgetTemplate, t: GadgetTemplate) -> np.ndarray:
-    """Where the two S copies of double gadget ``t`` lie in it: row c lists,
-    in the element order of S, the positions in ``t`` of copy c's elements,
-    copies in ``AMALGAM_COPIES`` order."""
-    return np.array([[t.poset.index(m[ph]) for ph in s.poset.elements]
-                     for m in _amalgam_copies(s, t.name)], dtype=np.intp)
+def _copy_names(s: GadgetTemplate, kind: str) -> list[list[str]]:
+    """The role names in double gadget ``kind`` of its two S copies: row c
+    lists copy c's, in the element order of S, copies in
+    ``AMALGAM_COPIES`` order."""
+    return [[m[ph] for ph in s.poset.elements] for m in _amalgam_copies(s, kind)]
+
+
+def _copy_index(names: list[list[str]], index) -> np.ndarray:
+    """Where the two S copies of a double gadget lie in it: the position,
+    by ``index``, of each role name of :func:`_copy_names`."""
+    return np.array([[index(x) for x in row] for row in names], dtype=np.intp)
 
 
 def amalgam_covers(s: GadgetTemplate, kind: str) -> list[tuple[str, str]]:
@@ -354,24 +395,61 @@ def amalgam_covers(s: GadgetTemplate, kind: str) -> list[tuple[str, str]]:
                    for a, b in s.poset.cover_names()})
 
 
-def double_gadget(s: GadgetTemplate, kind: str) -> GadgetTemplate:
-    """The double gadget ``kind``: the two S copies glued over their shared
-    roles, with the role names as placeholders."""
-    covers = amalgam_covers(s, kind)
-    try:
-        poset = validate_poset(sorted({x for c in covers for x in c}), covers)
-    except InputError as exc:
-        raise TemplateInvalid(kind, "poset", str(exc)) from exc
+def _glue(s: GadgetTemplate, kind: str) -> tuple[GadgetTemplate, np.ndarray]:
+    """:func:`double_gadget` and its :func:`_copy_index`.
+
+    The elements are the role names of both copies, sorted.  S's order is
+    scattered through the copy index, and the union of the two images is
+    closed once, stepping only the glued elements: those that are the
+    image of more than one (copy, S element) pair.  That is the closure
+    :func:`validate_poset` takes over the copies' covers (the order
+    :func:`amalgam_covers` generates), as both close the same relations:
+    every S comparability is a chain of S covers.  Proof that the glued
+    elements suffice as intermediates.  Each step of a path in the union
+    is the image of some u <= v of S under one copy.  At an intermediate
+    x that is not glued, the step into x and the step out of it are
+    images under the one copy c and of the one S element u that reach x,
+    so they are t <= u and u <= w, and the single step from the image of
+    t to the image of w, t <= w, replaces both.  Repeating this leaves a
+    path whose intermediates are all glued.  A cycle is refused as
+    :func:`validate_poset` refuses it, with the same text.
+    """
+    names = _copy_names(s, kind)
+    elements = tuple(sorted({x for row in names for x in row}))
+    n = len(elements)
+    pos = {x: i for i, x in enumerate(elements)}
+    idx = _copy_index(names, pos.__getitem__)
+    below, above = np.nonzero(s.poset.leq)
+    rel = np.zeros((n, n), dtype=bool)
+    rel[idx[:, below], idx[:, above]] = True
+    glued = np.flatnonzero(np.bincount(idx.ravel(), minlength=n) > 1)
+    closure = _transitive_closure(rel, glued.tolist())
+    both = closure & closure.T
+    if np.count_nonzero(both) > n:  # more than the diagonal: a cycle
+        i, j = map(int, np.argwhere(both & ~np.eye(n, dtype=bool))[0])
+        raise TemplateInvalid(kind, "poset", f"cycle through {elements[i]!r} and {elements[j]!r}")
+    poset = Poset(elements, _freeze(closure))
     try:
         lat = as_lattice(poset)
     except NotALattice as exc:
         raise TemplateInvalid(kind, "lattice", str(exc)) from exc
-    return GadgetTemplate(kind, poset, {x: x for x in poset.elements}, lat)
+    return GadgetTemplate(kind, poset, {x: x for x in elements}, lat), idx
+
+
+def double_gadget(s: GadgetTemplate, kind: str) -> GadgetTemplate:
+    """The double gadget ``kind``: the two S copies glued over their shared
+    roles, with the role names as placeholders (see :func:`_glue`)."""
+    return _glue(s, kind)[0]
 
 
 def _chain(kind: str, roles: tuple[str, ...]) -> GadgetTemplate:
-    poset = validate_poset(roles, list(zip(roles, roles[1:])))
-    return GadgetTemplate(kind, poset, {x: x for x in roles}, as_lattice(poset))
+    """The chain over ``roles``, in that order, with its lattice written
+    down: in a chain, join is the later position and meet the earlier."""
+    at = np.arange(len(roles), dtype=np.int32)  # as_lattice's table dtype
+    poset = Poset(roles, _freeze(_chain_order(len(roles))))
+    lat = FiniteLattice(poset, _freeze(np.maximum.outer(at, at)),
+                        _freeze(np.minimum.outer(at, at)), roles[0], roles[-1])
+    return GadgetTemplate(kind, poset, {x: x for x in roles}, lat)
 
 
 def load_templates(directory=None) -> dict[str, GadgetTemplate]:
@@ -385,8 +463,8 @@ def load_templates(directory=None) -> dict[str, GadgetTemplate]:
     _check_gadget(s)
     out = {"S": s}
     for kind in AMALGAM_COPIES:
-        t = out[kind] = double_gadget(s, kind)
-        codes = _copy_faults(t.lattice, _copy_index(s, t), s.poset)
+        out[kind], idx = _glue(s, kind)
+        codes = _copy_faults(out[kind].lattice, idx, s.poset)
         if codes.any():  # the first faulty copy
             raise TemplateInvalid(kind, f"copy-{COPY_FAULTS[codes[codes > 0][0]]}")
     out["Cp"] = _chain("Cp", ("o", "a_p", "b_p", "i"))
@@ -478,7 +556,8 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
         t = templates[kind]
         if kind in AMALGAM_COPIES:
             rows[kind] = np.empty((len(ks), t.poset.n), dtype=np.intp)
-            rows[kind][:, _copy_index(s, t)] = rows["S"][[placed[k][2] for k in ks]]
+            rows[kind][:, _copy_index(_copy_names(s, kind), t.poset.index)] = rows["S"][
+                [placed[k][2] for k in ks]]
         else:
             rows[kind] = np.array([[pos[named[k][ph]] for ph in t.poset.elements] for k in ks],
                                   dtype=np.intp)
@@ -738,13 +817,14 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     def s_diamond():
         # one row per non-bound x, in m3()'s element order: the bottom, x (the
         # anchor of the first interior element when x is a_0 or a_1), a_0,
-        # a_1, the top; each row must list a copy of M3
+        # a_1, the top; each row must list a copy of M3's order, closed
+        # under join and meet
         ix = lat.index
         a0, a1, a = (ix(result.anchor[p][0]) for p in (P.zero, P.one, P.interior[0]))
         xs = np.delete(np.arange(lat.n), [ix(lat.bottom), ix(lat.top)])
         rows = np.tile([ix(lat.bottom), 0, a0, a1, ix(lat.top)], (len(xs), 1))
         rows[:, 1] = np.where((xs == a0) | (xs == a1), a, xs)
-        codes = _copy_faults(lat, rows, m3().poset)
+        codes = _copy_faults(lat, rows, _diamond_order())
         if codes.any():  # the first faulty diamond
             raise VerificationFailed("diamond-cover",
                                      witness=lat.elements[xs[np.flatnonzero(codes)[0]]])

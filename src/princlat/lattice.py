@@ -183,13 +183,12 @@ def closed_rows(lat: FiniteLattice, idx: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK // max(lat.n, t * t, 1))
     for s in range(0, m, step):
         block = idx[s:s + step]
+        rows = np.arange(len(block))[:, None]
         present = np.zeros((len(block), lat.n), dtype=bool)
-        present[np.arange(len(block))[:, None], block] = True
-        ok = np.ones(len(block), dtype=bool)
-        for table in (lat.join, lat.meet):
-            hit = table[block[:, :, None], block[:, None, :]].reshape(len(block), t * t)
-            ok &= np.take_along_axis(present, hit, axis=1).all(axis=1)
-        out[s:s + step] = ok
+        present[rows, block] = True
+        joins, meets = (table[block[:, :, None], block[:, None, :]].reshape(len(block), t * t)
+                        for table in (lat.join, lat.meet))
+        out[s:s + step] = present[rows, joins].all(axis=1) & present[rows, meets].all(axis=1)
     return out
 
 
@@ -214,22 +213,37 @@ def sublattice(lat: FiniteLattice, subset) -> FiniteLattice:
     return as_lattice(lat.poset.restrict(idx))
 
 
+def _block_order(lat: FiniteLattice, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that the join table induces on the blocks of a congruence.
+
+    ``labels`` is the congruence's label vector.  Returns ``first``, the
+    first element of each element's block; ``reps``, the blocks' first
+    elements, in position order; and ``leq`` over ``reps``, where
+    [x] <= [y] iff x v y lies in [y].  For a congruence this is the order
+    of the quotient lattice: x v y theta y holds for one pair of
+    representatives iff for all, and [x] <= [y] iff [x] v [y] = [y].
+    """
+    from .congruence import _block_firsts  # local import to avoid a cycle
+
+    first = _block_firsts(np.array([labels]))[0]
+    reps = np.flatnonzero(first == np.arange(lat.n))
+    return first, reps, first[lat.join[np.ix_(reps, reps)]] == reps
+
+
 def quotient(lat: FiniteLattice, theta) -> FiniteLattice:
-    """The lattice on the blocks of a congruence, with the induced order.
+    """The lattice on the blocks of a congruence, with the induced order
+    (:func:`_block_order`).
 
     Block names are the sorted member names joined by ``|``; blocks are
     ordered by their least element position.
     """
-    from .congruence import _block_firsts, is_congruence  # local import to avoid a cycle
+    from .congruence import is_congruence  # local import to avoid a cycle
 
     ok, witness = is_congruence(lat, theta.labels)
     if not ok:
         raise NotACongruence("quotient by a non-congruence", witness)
-    first = _block_firsts(np.array([theta.labels]))[0]
-    reps = np.flatnonzero(first == np.arange(lat.n))  # each block's least element
+    first, reps, leq = _block_order(lat, theta.labels)
     names = tuple("|".join(_member_names(lat.elements, first == r)) for r in reps)
-    # [x] <= [y] in the quotient iff x v y lies in [y]
-    leq = first[lat.join[np.ix_(reps, reps)]] == reps
     return as_lattice(Poset(names, _freeze(leq)))
 
 

@@ -90,7 +90,8 @@ class Poset:
     def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         red = strict & ~_bool_product(strict, strict)
-        return tuple(sorted(zip(*np.nonzero(red))))
+        # nonzero lists the pairs row-major, so sorted
+        return tuple(zip(*(ix.tolist() for ix in np.nonzero(red))))
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction as index pairs, sorted; computed once per poset."""
@@ -100,14 +101,8 @@ class Poset:
         return [(self.elements[i], self.elements[j]) for i, j in self.covers()]
 
     def heights(self) -> np.ndarray:
-        """Length of a longest chain ending at each element."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        h = np.zeros(self.n, dtype=int)
-        for i in np.argsort(strict.sum(axis=0)):  # topological: by downset size
-            below = np.nonzero(strict[:, i])[0]
-            if below.size:
-                h[i] = h[below].max() + 1
-        return h
+        """Length of a longest chain ending at each element; see :func:`_heights`."""
+        return _heights(self.leq)
 
     def restrict(self, idx: list[int]) -> "Poset":
         """Induced subposet on the given element positions."""
@@ -215,16 +210,43 @@ def validate_poset(elements, covers) -> Poset:
     return Poset(elements, _freeze(closure))
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
+def _heights(leq: np.ndarray) -> np.ndarray:
+    """Length of a longest chain ending at each element of the order ``leq``,
+    or of each order of a stack of them (k x n x n gives k x n).
+
+    By level sets: L_0 holds every element and L_(k+1) the elements with
+    a strict predecessor in L_k.  Then x is in L_k iff some chain
+    x_0 < ... < x_k ends at x (induction on k), and dropping x_0 shows
+    that L_(k+1) lies inside L_k; so the height of x is the number of
+    k >= 1 with x in L_k.  One vectorised step per level, and no chain
+    has more than n elements, so at most n - 1 steps.
+    """
+    n = leq.shape[-1]
+    strict = leq & ~np.eye(n, dtype=bool)
+    h = np.zeros(leq.shape[:-1], dtype=int)
+    level = np.ones(leq.shape[:-2] + (1, n), dtype=bool)
+    for _ in range(1, n):
+        level = level @ strict  # boolean: x is hit iff some member of the level is below it
+        if not level.any():
+            break
+        h += level[..., 0, :]
+    return h
+
+
+def _transitive_closure(rel: np.ndarray, via=None) -> np.ndarray:
     """The transitive closure of a square boolean relation (Warshall).
 
-    After step m, closure[x, y] iff y is reachable from x through
-    intermediates among the first m + 1 elements; one vectorised step per
-    element.  Squaring with a boolean product instead takes log n
+    After the step for m, closure[x, y] iff y is reachable from x through
+    intermediates among the elements stepped so far; one vectorised step
+    per element.  Squaring with a boolean product instead takes log n
     products of n row operations each.
+
+    ``via`` (default: every element) lists the elements stepped, and the
+    result is the closure only when every pair the closure relates is
+    joined by a path whose intermediates all lie in ``via``.
     """
     closure = rel.copy()
-    for m in range(closure.shape[0]):
+    for m in range(closure.shape[0]) if via is None else via:
         closure[closure[:, m]] |= closure[m]
     return closure
 
@@ -232,15 +254,27 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The boolean matrix product: row x is the OR of the rows of b where a[x] is True.
 
-    Numpy's ``@`` on booleans runs no BLAS kernel and does n^3 scalar
-    work; the row-wise OR is one vectorised reduction per row.
+    The rows of b are packed into 64-bit words, gathered at the True
+    entries of a in row-major order, and OR-reduced over each row's run
+    of entries with one ``reduceat``.  The entries go in chunks, so no
+    gathered temporary exceeds ``_CHUNK`` words by more than one row of
+    b; a row of a split between chunks is ORed into its result from
+    each.  Numpy's ``@`` on boolean matrices runs no BLAS kernel and
+    does n^3 scalar work, and a loop over the rows of a costs a few
+    vector operations per row.
     """
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
-    for x, row in enumerate(a):
-        hits = np.flatnonzero(row)
-        if hits.size:
-            np.logical_or.reduce(b[hits], axis=0, out=out[x])
-    return out
+    words = -(-b.shape[1] // 64)
+    bits = np.zeros((b.shape[0], 64 * words), dtype=bool)
+    bits[:, :b.shape[1]] = b
+    packed = np.packbits(bits, axis=1).view(np.uint64)
+    rows, cols = np.nonzero(a)
+    out = np.zeros((a.shape[0], words), dtype=np.uint64)
+    step = max(1, _CHUNK // max(words, 1))
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))  # where each row's run begins
+        out[r[starts]] |= np.bitwise_or.reduceat(packed[cols[s:s + step]], starts, axis=0)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=b.shape[1]).view(bool)
 
 
 def to_bounded(p: Poset) -> BoundedPoset:
@@ -328,18 +362,16 @@ def order_iso(p: Poset, q: Poset) -> dict[str, str] | None:
     """
     if p.n != q.n:
         return None
-
-    def profile(r: Poset):
-        h = r.heights()
-        d = r.dual().heights()
-        down = r.leq.sum(axis=0)
-        up = r.leq.sum(axis=1)
-        return [(int(down[i]), int(up[i]), int(h[i]), int(d[i])) for i in range(r.n)]
-
-    pp, qq = profile(p), profile(q)
+    # both orders and their duals: column sums count down sets in the order
+    # and up sets in the dual, and heights in the dual are depths
+    orders = np.stack([p.leq, p.leq.T, q.leq, q.leq.T])
+    down, h = orders.sum(axis=1).tolist(), _heights(orders).tolist()
+    pp, qq = (list(zip(down[k], down[k + 1], h[k], h[k + 1])) for k in (0, 2))
     if sorted(pp) != sorted(qq):
         return None
     candidates = [[j for j in range(q.n) if qq[j] == pp[i]] for i in range(p.n)]
+    # nested lists: indexing them is several times cheaper than numpy scalars
+    pleq, qleq = p.leq.tolist(), q.leq.tolist()
     # depth-first over positions: tried[i] counts the candidates of i tried
     # so far.  A loop, not a self-recursive closure, whose reference cycle
     # would keep both posets alive until the cyclic garbage collector runs.
@@ -358,7 +390,7 @@ def order_iso(p: Poset, q: Poset) -> dict[str, str] | None:
                 continue
             for k in range(i):
                 jk = assign[k]
-                if (p.leq[k, i] != q.leq[jk, j]) or (p.leq[i, k] != q.leq[j, jk]):
+                if (pleq[k][i] != qleq[jk][j]) or (pleq[i][k] != qleq[j][jk]):
                     break
             else:
                 assign[i] = j

@@ -405,11 +405,12 @@ def test_one_analysis_per_lattice(monkeypatch):
 # --------------------------------------------- Con order against the scalar sort
 
 def or_closure(gens):
-    """Every OR of a subset of ``gens``, breadth first."""
-    known, frontier = {0}, [0]
+    """Every OR of a subset of ``gens``, breadth first: each level holds the
+    ORs not seen before, each once, however many paths reach it."""
+    known, frontier = {0}, {0}
     while frontier:
-        frontier = [m | g for m in frontier for g in gens if m | g not in known]
-        known.update(frontier)
+        frontier = {m | g for m in frontier for g in gens} - known
+        known |= frontier
     return known
 
 
@@ -430,6 +431,19 @@ def assert_con_order_matches_the_scalar_sort(lat):
 def test_con_order_matches_the_scalar_sort(seed):
     for lat in random_lattices(seed, 3, max_size=12):
         assert_con_order_matches_the_scalar_sort(lat)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_isolating_masks_match_the_label_rows(seed):
+    # ConAnalysis.isolating reads a mask as _isolating reads its label row,
+    # on every congruence; con_set is Con L unordered
+    for lat in random_lattices(seed, 3, max_size=12) + [m3(), chain(1), chain(4)]:
+        an = lat.con_analysis
+        assert an.con_set() == set(an.con_masks)
+        masks = sorted(an.con_set())
+        want = _isolating(lat, np.array([an.labels(m) for m in masks]))
+        assert [an.isolating(m) for m in masks] == want.tolist()
 
 
 def test_con_order_matches_the_scalar_sort_on_assembled_lattices(

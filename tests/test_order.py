@@ -13,6 +13,7 @@ from princlat.order import (
     RowIndex,
     _bool_product,
     _freeze,
+    _heights,
     _transitive_closure,
     down_set_matrix,
     down_set_rows,
@@ -227,6 +228,45 @@ def test_bool_product_and_closure_match_matmul(n):
     while not np.array_equal(closure | (closure @ closure), closure):
         closure |= closure @ closure
     assert np.array_equal(_transitive_closure(a), closure)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_bool_product_chunks_do_not_change_the_result(chunk, monkeypatch):
+    # a budget of one or three entries of one word splits every row of a
+    # across chunks, and each chunk's OR is added to what earlier ones gave
+    import princlat.order as order
+
+    monkeypatch.setattr(order, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n in (1, 7, 40, 70):
+        a, b = rng.random((n, n)) < 0.2, rng.random((n, n)) < 0.2
+        assert np.array_equal(_bool_product(a, b), a @ b)
+
+
+def scalar_heights(p):
+    """The length of a longest chain ending at each element, element by
+    element along a linear extension (by down-set size)."""
+    h = [0] * p.n
+    for y in sorted(range(p.n), key=lambda y: int(p.leq[:, y].sum())):
+        h[y] = max((h[x] + 1 for x in range(p.n) if x != y and p.leq[x, y]), default=0)
+    return h
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_posets(max_size=9))
+def test_heights_match_a_longest_chain_count(p):
+    assert p.heights().tolist() == scalar_heights(p)
+    # a stack of orders gives each order's heights; in the dual, depths
+    assert _heights(np.stack([p.leq, p.leq.T])).tolist() == [
+        scalar_heights(p), scalar_heights(p.dual())]
+
+
+def test_heights_of_a_long_chain():
+    # 200 levels, the elements listed in a shuffled order
+    rng = np.random.default_rng(0)
+    x = [f"x{i:03d}" for i in range(200)]
+    p = validate_poset([x[i] for i in rng.permutation(200)], list(zip(x, x[1:])))
+    assert p.heights().tolist() == scalar_heights(p) == [int(e[1:]) for e in p.elements]
 
 
 @settings(max_examples=60, deadline=None)
