@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -21,6 +20,7 @@ from .fuzzing import run_fuzz
 from .io import (
     congruence_blocks_doc,
     dump_json,
+    dumps,
     lattice_to_doc,
     load_lattice,
     load_poset,
@@ -76,7 +76,7 @@ def cmd_fuzz(ns: argparse.Namespace) -> int:
     print(f"total verification time {sum(o.elapsed for o in outcomes):.2f}s", file=sys.stderr)
     if bad:
         print("counterexample poset:")
-        print(json.dumps(poset_to_doc(bad[0].poset.poset, name=f"sample{bad[0].index}"), indent=1))
+        print(dumps(poset_to_doc(bad[0].poset.poset, name=f"sample{bad[0].index}")))
         return 1
     return 0
 
@@ -88,7 +88,7 @@ def cmd_con(ns: argparse.Namespace) -> int:
         "count": len(con),
         "congruences": [congruence_blocks_doc(t) for t in con.congruences],
     }
-    print(json.dumps(doc, indent=1))
+    print(dumps(doc))
     return 0
 
 
@@ -104,7 +104,7 @@ def cmd_princ(ns: argparse.Namespace) -> int:
         ],
         "order": order_poset,
     }
-    print(json.dumps(doc, indent=1))
+    print(dumps(doc))
     if ns.out:
         dump_json(order_poset, ns.out)
     return 0
@@ -119,7 +119,7 @@ def cmd_valuation(ns: argparse.Namespace) -> int:
             for t, val in zip(v.con_order.congruences, v.values)
         ]
     }
-    print(json.dumps(doc, indent=1))
+    print(dumps(doc))
     return 0
 
 

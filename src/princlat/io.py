@@ -11,6 +11,7 @@ mapping each source element to its representing pair.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InputNotALattice, InvalidInput, NotALattice
@@ -60,10 +61,47 @@ def load_lattice(path) -> FiniteLattice:
         raise InputNotALattice(exc.x, exc.y, exc.witnesses, exc.kind) from None
 
 
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=1)``, the same text, for documents of
+    dicts with string keys, lists, tuples, strings and JSON scalars.
+
+    With ``indent`` set, ``json`` encodes in pure Python, and the nested
+    functions it builds on every call form a reference cycle that only
+    the cyclic collector frees; this writer leaves none.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as :func:`dumps` writes it, at the
+    nesting whose line break and indent is ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+        return
+    if not isinstance(value, (list, tuple, dict)):
+        out.append(json.dumps(value))  # a number, boolean or None: no cycle
+        return
+    keyed = isinstance(value, dict)
+    ends = "{}" if keyed else "[]"
+    if not value:
+        out.append(ends)
+        return
+    inner = newline + " "
+    sep = ends[0] + inner
+    for item in value.items() if keyed else value:
+        out.append(sep)
+        if keyed:
+            out.append(encode_basestring_ascii(item[0]) + ": ")
+            item = item[1]
+        _write(item, inner, out)
+        sep = "," + inner
+    out.append(newline + ends[1])
+
+
 def dump_json(doc: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, indent=1, sort_keys=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(dumps(doc) + "\n", encoding="utf-8")
 
 
 def lattice_to_doc(lat: FiniteLattice, name: str = "", anchors: dict | None = None) -> dict:

@@ -87,9 +87,12 @@ def beta_labels(lat: FiniteLattice, contributions,
     and the error of the first row that fails, if any.
 
     Column i of ``members`` stands for an interior element that adds the
-    lattice index pairs ``contributions[i]`` when it is in H.  For every
-    row at once, in chunks of rows so that no temporary exceeds
-    ``_CHUNK`` elements by more than one row:
+    lattice index pairs ``contributions[i]`` when it is in H.  Once per
+    call, each contributed pair k is oriented a_k <= b_k where it is
+    comparable, and ``span[k]`` = |[a_k, b_k]| counts the elements
+    between, which is 0 iff the pair is incomparable.  For every row at
+    once, in chunks of rows so that no temporary exceeds ``_CHUNK``
+    elements by more than one row:
 
     1. a pair is active iff some member contributes it: a boolean
        product of the rows with the member x pair contribution matrix;
@@ -102,13 +105,43 @@ def beta_labels(lat: FiniteLattice, contributions,
        transitive iff the sum of C(s, 2) over the block sizes s equals
        the number of distinct active pairs, because every active pair
        lies inside a block;
-    4. the substitution property is checked as in
-       ``congruence.is_congruence``, only at the (row, element) entries
-       that are not the first of their block.
+    4. when 3 holds, every pair inside a block is active.  So a block is
+       a chain iff all its active pairs are comparable.  A chain block B
+       with ends u < v lies in [u, v], so it is an interval iff
+       |[u, v]| <= |B|; (u, v) is one of its pairs, and [a_k, b_k] lies
+       in [u, v] for every other, so that holds iff no active pair has a
+       span above the size of its block;
+    5. blocks that are intervals form a congruence iff the triples of
+       the Technical Lemma below hold.  Its premises, x covered by y in
+       one block, are the active pairs of span 2.  Premise k brings the
+       triples (z, y v z) for the upper covers z /= y of x, and
+       (z, x ^ z) for the lower covers z /= x of y, all listed once from
+       ``lat.poset.covers()``; a row fails where a premise is active and
+       the two ends of one of its triples are in different blocks.
 
-    A block that is not a chain needs no check of its own: a congruence
-    class holding incomparable x and y also holds x ^ y and x v y, four
-    elements, so a smaller one fails 4 and a larger one fails 3.
+    A congruence class of a finite lattice is an interval, and an
+    interval of at most three elements is a chain, so 4 rejects no
+    congruence; after 3 and 4, 5 rejects exactly the rows that are not
+    congruences.  So a row passes iff it passes 3 and is a congruence.
+
+    *Technical Lemma* (G. Gratzer, Algebra Universalis 72 (2014); also in
+    The Congruences of a Finite Lattice, 2nd ed., Birkhauser 2016).  Write
+    x ~ y for "in one block".  An equivalence of a finite lattice whose
+    blocks are intervals is a congruence iff, whenever x is covered by y
+    and x ~ y, z ~ y v z for every upper cover z /= y of x and
+    z ~ x ^ z for every lower cover z /= x of y.  Proof.  A congruence
+    has the property: z = x v z ~ y v z and z = y ^ z ~ x ^ z.
+    Conversely, we show that x ~ y implies x v t ~ y v t for every t;
+    meets are dual.  A block is an interval, so with x and y it holds
+    x ^ y and every maximal chain from x ^ y to x or to y; by
+    transitivity along those chains it is enough to take x covered by y.
+    Induct on |up(x)|.  Let t' = x v t, so that x v t = t' and
+    y v t = y v t'.  If t' = x, then y v t' = y ~ x = t'; if t' >= y,
+    then y v t' = t'.  Otherwise some upper cover z of x lies below t',
+    and z /= y since t' is not above y, so z ~ w := y v z.  Each cover
+    c < d on a maximal chain from z to w lies in z's block and has
+    c > x, so |up(c)| < |up(x)| and, by induction, c v t' ~ d v t'.
+    Hence t' = z v t' ~ w v t' = y v t'.
 
     Rows up to the first failing one are returned, with that row's
     error, named by the scalar checks in their order: blocks by least
@@ -118,22 +151,18 @@ def beta_labels(lat: FiniteLattice, contributions,
     n = lat.n
     rows = np.asarray(members, dtype=bool)
     dtype = _label_dtype(n)
-    pairs = sorted({(min(a, b), max(a, b)) for c in contributions for a, b in c if a != b})
-    if not pairs:  # no member adds a pair: every row is the zero congruence
+    lo, hi, adds = _contributed(n, contributions)
+    if not len(lo):  # no member adds a pair: every row is the zero congruence
         return np.broadcast_to(np.arange(n, dtype=dtype), (len(rows), n)).copy(), None
-    col = {pair: k for k, pair in enumerate(pairs)}
-    adds = np.zeros((len(contributions), len(pairs)), dtype=bool)
-    for i, c in enumerate(contributions):
-        adds[i, [col[min(a, b), max(a, b)] for a, b in c if a != b]] = True
-    lo, hi = np.array(pairs, dtype=np.intp).T
     # the pairs at each endpoint, grouped for one reduceat per step
     ends = np.concatenate([lo, hi])
     by_end = np.argsort(ends, kind="stable")
     touched, starts = np.unique(ends[by_end], return_index=True)
-    pair_at = by_end % len(pairs)
+    pair_at = by_end % len(lo)
+    span, premise, tz, tw = _pair_constants(lat, lo, hi)
     iota = np.arange(n)
     out = np.empty((len(rows), n), dtype=dtype)
-    step = max(1, _CHUNK // max(n, 2 * len(pairs)))
+    step = max(1, _CHUNK // max(n, 2 * len(lo), len(premise)))
     for s in range(0, len(rows), step):
         active = rows[s:s + step] @ adds
         m = len(active)
@@ -145,39 +174,71 @@ def beta_labels(lat: FiniteLattice, contributions,
             if not (low < cur).any():
                 break
             lab[:, touched] = np.minimum(cur, low)
-        first = lab == iota
-        sizes = np.bincount((lab + n * np.arange(m)[:, None]).ravel(), minlength=m * n)
-        sizes = sizes.reshape(m, n)  # sizes[r, i]: size of the block i is first of
-        bad = (sizes > 3).any(axis=1) | (
-            (sizes * (sizes - 1) // 2).sum(axis=1) != active.sum(axis=1))
-        bad |= _substitution_faults(lat, lab, ~first & ~bad[:, None])
+        flat = lab + n * np.arange(m)[:, None]  # each entry's block as a flat index
+        sizes = np.bincount(flat.ravel(), minlength=m * n)
+        block = sizes.reshape(m, n)  # block[r, i]: size of the block i is first of
+        bad = (block > 3).any(axis=1) | (
+            (block * (block - 1) // 2).sum(axis=1) != active.sum(axis=1))
+        bad |= (active & ((span == 0) | (span > sizes[flat[:, lo]]))).any(axis=1)
+        bad |= (active[:, premise] & (lab[:, tz] != lab[:, tw])).any(axis=1)
         canon = _numbered(lab)
         if bad.any():
             r = int(bad.argmax())
             out[s:s + r] = canon[:r]
-            related = {frozenset(pairs[k]) for k in np.flatnonzero(active[r]).tolist()}
+            k = np.flatnonzero(active[r])
+            related = {frozenset(p) for p in zip(lo[k].tolist(), hi[k].tolist())}
             return out[:s + r], _beta_fault(lat, related, canon[r])
         out[s:s + m] = canon
     return out, None
 
 
-def _substitution_faults(lat: FiniteLattice, lab: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """For each row of a label matrix whose labels are least block
-    elements, whether some element marked in ``moved`` has a join or meet
-    in another block than the same join or meet of its block's least
-    element; the marked entries go in chunks of ``_CHUNK // n``."""
-    n = lab.shape[1]
-    flat = lab.ravel()
-    where_r, where_x = np.nonzero(moved)
-    bad = np.zeros(len(lab), dtype=bool)
+def _contributed(n: int, contributions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs of distinct positions in ``contributions``, as
+    sorted (lo, hi) arrays with lo < hi, and the contribution x pair
+    matrix of which contribution holds which pair."""
+    counts = [len(c) for c in contributions]
+    ends = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(contributions)),
+                       dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+    ends.sort(axis=1)
+    proper = ends[:, 0] != ends[:, 1]
+    keys, col = np.unique(ends[proper, 0] * n + ends[proper, 1], return_inverse=True)
+    adds = np.zeros((len(contributions), len(keys)), dtype=bool)
+    adds[np.repeat(np.arange(len(contributions)), counts)[proper], col] = True
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, adds
+
+
+def _pair_constants(lat: FiniteLattice, lo: np.ndarray, hi: np.ndarray):
+    """For pairs (lo[k], hi[k]) of lattice positions: ``span[k]``, the size
+    of the interval between the two, 0 if they are incomparable; and the
+    Technical Lemma's triples of :func:`beta_labels` as three arrays, one
+    entry per triple: the premise pair k, z, and y v z or x ^ z."""
+    n, leq = lat.n, lat.leq
+    down = leq[hi, lo]
+    a, b = np.where(down, hi, lo), np.where(down, lo, hi)
     step = max(1, _CHUNK // n)
-    for s in range(0, len(where_r), step):
-        r, x = where_r[s:s + step], where_x[s:s + step]
-        y = lab[r, x]
-        offset = (r * n)[:, None]
-        for table in (lat.join, lat.meet):
-            bad[r[(flat[offset + table[x]] != flat[offset + table[y]]).any(axis=1)]] = True
-    return bad
+    span = np.concatenate([np.count_nonzero(leq[a[s:s + step]] & leq[:, b[s:s + step]].T, axis=1)
+                           for s in range(0, len(a), step)])
+    k = np.flatnonzero(span == 2)
+    # each cover (c, d) is listed under c, among the upper covers of c, and
+    # under n + d, among the lower covers of d; the first len(k) keys look
+    # up each premise's x = a[k], the others its n + y = n + b[k]
+    cov = np.fromiter(itertools.chain.from_iterable(lat.poset.covers()), dtype=np.intp)
+    cov = cov.reshape(-1, 2)
+    at = np.concatenate([cov[:, 0], n + cov[:, 1]])
+    by_at = np.argsort(at, kind="stable")
+    at, other = at[by_at], np.concatenate([cov[:, 1], cov[:, 0]])[by_at]
+    keys = np.concatenate([a[k], n + b[k]])
+    first = np.searchsorted(at, keys)
+    count = np.searchsorted(at, keys, side="right") - first
+    owner = np.repeat(np.arange(len(keys)), count)
+    z = other[np.arange(len(owner)) + np.repeat(first - np.cumsum(count) + count, count)]
+    premise = np.concatenate([k, k])[owner]
+    upper = owner < len(k)
+    keep = z != np.where(upper, b[premise], a[premise])  # z /= y above x, z /= x below y
+    premise, z, upper = premise[keep], z[keep], upper[keep]
+    w = np.where(upper, lat.join[b[premise], z], lat.meet[a[premise], z])
+    return span, premise, z, w
 
 
 def _beta_fault(lat: FiniteLattice, related, labels: np.ndarray) -> AssemblyNotALattice:

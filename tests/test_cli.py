@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -6,12 +7,14 @@ from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from princlat import construction, fuzzing
 from princlat.cli import main
 from princlat.construction import default_template_dir
 from princlat.fuzzing import random_bounded_poset
-from princlat.io import dump_json, poset_to_doc
+from princlat.io import dump_json, dumps, poset_to_doc
 
 from conftest import bounded, run_cli
 
@@ -353,3 +356,31 @@ def test_parser_is_built_once_and_survives_any_call_order(workdir):
     assert run_cli(m3) == first
     assert first[0] == 0
     assert build_parser() is build_parser()
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCS)
+@example({"é\"\\": ["\x00\n\x1f", "\u2028😀", [], {}, [[{}]]], "": {"a": ()}})
+def test_dumps_writes_what_json_dumps_writes(doc):
+    assert dumps(doc) == json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("command", ["con", "princ", "valuation"])
+def test_engine_requests_leave_no_cyclic_garbage(workdir, command):
+    # what only the cyclic collector can free stays in memory until it runs
+    argv = [command, "--lattice", str(workdir / "m3.json")]
+    first = run_cli(argv)  # the first call may build what later calls reuse
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(argv) == first
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -48,8 +48,8 @@ from princlat.errors import (
     VerificationFailed,
 )
 from princlat.fuzzing import random_bounded_poset
-from princlat.kernels import beta_labels
-from princlat.lattice import chain, is_01_sublattice, length
+from princlat.kernels import _contributed, _pair_constants, beta_labels
+from princlat.lattice import chain, is_01_sublattice, lattice_from_covers, length
 from princlat.order import (
     DownSet,
     RowIndex,
@@ -59,7 +59,15 @@ from princlat.order import (
     validate_poset,
 )
 
-from conftest import bounded, join_of, le, meet_of, membership, zero_congruence
+from conftest import (
+    bounded,
+    join_of,
+    le,
+    meet_of,
+    membership,
+    random_lattices,
+    zero_congruence,
+)
 from test_congruence import _canon, scalar_is_congruence
 
 
@@ -679,8 +687,73 @@ def test_each_corruption_reaches_its_failure(templates, poset_zoo):
     assert str(error).endswith("down-set congruence block too large")
 
 
+def test_each_beta_check_rejects_a_row_alone():
+    # one row per check of the kernel that no other check rejects
+    three = chain(3)
+    b2 = lattice_from_covers(["0", "a", "b", "1"],
+                             [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    ix = b2.index
+    cases = [
+        # c0 < c2 is a comparable pair that is not a cover: {c0, c2} is a
+        # chain block but not an interval, and no pair is a Lemma premise
+        (three, ((three.index("c0"), three.index("c2")),), "fails substitution"),
+        # a and b are incomparable: nothing but the chain test reads them
+        (b2, ((ix("a"), ix("b")),), "block not a chain"),
+        # the interval {0, a}: b covers 0 and b is not a v b = 1; a has no
+        # other lower cover, so only an upward triple fails
+        (b2, ((ix("0"), ix("a")),), "fails substitution"),
+        # the interval {b, 1}: a is covered by 1 and a is not b ^ a = 0; b
+        # has no other upper cover, so only a downward triple fails
+        (b2, ((ix("b"), ix("1")),), "fails substitution"),
+    ]
+    for lat, pairs, text in cases:
+        error = assert_same_beta(lat, (pairs,), [[True]])
+        assert str(error).endswith(text), (pairs, error)
+    # the pairs (0, a) and (b, 1): one triple each, (b, 1) and (a, 0)
+    lo, hi = np.array([ix("0"), ix("b")]), np.array([ix("a"), ix("1")])
+    _, premise, z, w = _pair_constants(b2, lo, hi)
+    assert sorted(zip(premise.tolist(), z.tolist(), w.tolist())) == [
+        (0, ix("b"), ix("1")), (1, ix("a"), ix("0"))]
+    # {0, a} with {b, 1} is a congruence of B2: every triple holds
+    assert assert_same_beta(b2, (((ix("0"), ix("a")), (ix("b"), ix("1"))),), [[True]]) is None
+
+
+def scalar_pair_constants(lat, lo, hi):
+    """The pair-by-pair reference for ``_pair_constants``: each span by
+    counting, and the Lemma's triples (as a sorted list) from a walk over
+    the cover list for every pair that is a cover."""
+    covers = lat.poset.covers()
+    spans, triples = [], []
+    for k, (p, q) in enumerate(zip(lo.tolist(), hi.tolist())):
+        x, y = (q, p) if lat.leq[q, p] else (p, q)
+        spans.append(sum(bool(lat.leq[x, t] and lat.leq[t, y]) for t in range(lat.n)))
+        if (x, y) not in covers:
+            continue
+        for c, d in covers:
+            if c == x and d != y:
+                triples.append((k, d, int(lat.join[y, d])))
+            if d == y and c != x:
+                triples.append((k, c, int(lat.meet[x, c])))
+    return spans, sorted(triples)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_constants_match_a_scalar_walk_over_the_covers(seed, assembled_zoo):
+    # every pair of a random lattice, and the contributed pairs of an assembled K
+    lat = random_lattices(seed, 1, max_size=12)[0]
+    cases = [(lat, *np.triu_indices(lat.n, 1))]
+    result = assembled_zoo[seed % len(assembled_zoo)]
+    lo, hi, _ = _contributed(result.lattice.n, result.contributions)
+    cases.append((result.lattice, lo, hi))
+    for lat, lo, hi in cases:
+        span, premise, z, w = _pair_constants(lat, lo, hi)
+        spans, triples = scalar_pair_constants(lat, lo, hi)
+        assert span.tolist() == spans
+        assert sorted(zip(premise.tolist(), z.tolist(), w.tolist())) == triples
+
+
 def test_beta_kernel_chunks_do_not_change_the_result(templates, poset_zoo, monkeypatch):
-    # with one row (and one substitution entry) per chunk, the rows before
+    # with one row (and one pair of the interval counts) per chunk, the rows before
     # a failure in a later chunk and its error are the same
     import princlat.kernels as kernels
 
