@@ -342,40 +342,64 @@ def cover_certificate(labels, members) -> bool:
     not <= theta_H', so theta_H is not <= theta_H'.  Only transitivity of
     refinement is used.
 
-    Refinement is read from the label vectors, as in order_mismatch: a
-    refines b iff every element has, under b, the label of the first
-    element of its a-block.  One :class:`RowIndex` over the packed
-    membership rows finds the cover partners H u {p} of each column p,
-    and the inputs keep their order.  The checks run one column at a
-    time, and (i) walks the rows that have a partner in chunks of
-    ``_CHUNK`` entries, so no temporary is larger than the label matrix
-    and none of (i)'s is larger than a chunk; down p is the smallest row
-    holding p.
+    Refinement is read from the label vectors, as in order_mismatch, and
+    labels are nonnegative integers.  For (i), row a refines row b iff
+    no a-block holds two b-labels.  Each element writes its b-label into
+    the slot of its own a-label, and then every element reads its slot
+    back: row a refines row b iff every element reads its own b-label.
+    If a refines b, all writes into one slot carry the same value, which
+    every element of that block reads back.  If an a-block holds two
+    b-labels, its slot holds one of them, whichever write landed, and an
+    element carrying the other reads a mismatch.  For (ii), down p is
+    the smallest row holding p, and theta_{down p} refines theta_H iff
+    every element has, under H, the label of the first element of its
+    down p block; one :func:`_block_firsts` call over the rows down p
+    gives those first elements.
+
+    The inputs keep their order and nothing sorts the label matrix.  One
+    :class:`RowIndex` over the membership rows finds the cover partners
+    H u {p}.  (i) runs in chunks of rows holding at most ``_CHUNK`` slots
+    across all their pairs (H, p not in H), at least one row per chunk,
+    a pair taking ``width`` slots, the larger of the row length and the
+    largest label plus 1; each chunk makes one find.  (ii) runs one p at
+    a time, in chunks of at most ``_CHUNK`` gathered labels.  So no
+    temporary outgrows a chunk by more than one row's pairs, beyond the
+    index and a few vectors of one entry per row.
     """
     members = np.asarray(members, dtype=bool)
     labels = np.asarray(labels)
-    packed = np.packbits(members, axis=1, bitorder="little")
-    index = RowIndex(packed)
-    first = _block_firsts(labels)  # first[r, i]: first element of i's block under row r
-    cols = np.arange(labels.shape[1])
-    step = max(1, _CHUNK // max(labels.shape[1], 1))
+    m, n = labels.shape
+    index = RowIndex(members)
+    width = max(n, int(labels.max(initial=0)) + 1)
     sizes = members.sum(axis=1)
-    for p in range(members.shape[1]):
-        has = members[:, p]
-        lo = np.flatnonzero(~has)
-        grown = packed[lo]
-        grown[:, p >> 3] |= 1 << (p & 7)
-        found = index.find(grown)
-        rows, partner = lo[found >= 0], found[found >= 0]  # each row H and its H u {p}
-        for s in range(0, len(rows), step):  # (i)
-            up = labels[partner[s:s + step]]
-            if (np.take_along_axis(up, first[rows[s:s + step]], axis=1) != up).any():
-                return False
-        down = np.flatnonzero(has)[sizes[has].argmin()]
-        moved = np.flatnonzero(first[down] != cols)
-        if not np.array_equal((labels[:, first[down, moved]] == labels[:, moved]).all(axis=1),
-                              has):  # (ii)
+    ends = np.cumsum((members.shape[1] - sizes) * width)  # slots of (i) up to each row
+    s = 0
+    while s < m:  # (i)
+        e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
+        r, p = np.nonzero(~members[s:e])
+        grown = members[s + r]
+        grown[np.arange(len(p)), p] = True
+        partner = index.find(grown)
+        r, partner = s + r[partner >= 0], partner[partner >= 0]  # each row H and its H u {p}
+        up = labels[partner]
+        slot = labels[r].astype(np.intp) + width * np.arange(len(r))[:, None]
+        value = np.empty(len(r) * width, dtype=up.dtype)
+        value[slot] = up
+        if (value[slot] != up).any():
             return False
+        s = e
+    downs = [int(np.where(members[:, p], sizes, members.shape[1] + 1).argmin())
+             for p in range(members.shape[1])]  # the smallest row holding each p
+    first = _block_firsts(labels[downs])
+    cols = np.arange(n)
+    for p in range(len(downs)):  # (ii)
+        moved = np.flatnonzero(first[p] != cols)
+        step = max(1, _CHUNK // max(len(moved), 1))
+        for s in range(0, m, step):
+            chunk = labels[s:s + step]
+            refines = (chunk[:, first[p, moved]] == chunk[:, moved]).all(axis=1)
+            if not np.array_equal(refines, members[s:s + step, p]):
+                return False
     return True
 
 
@@ -669,15 +693,23 @@ def princ_order(lat: FiniteLattice) -> PrincOrder:
 
 
 def _block_counts(labels: np.ndarray) -> np.ndarray:
-    """The number of blocks of each row of a label matrix."""
+    """The number of blocks of each row of a label matrix, whatever its labels."""
     ordered = np.sort(labels, axis=1)
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _isolating(lat: FiniteLattice, labels: np.ndarray) -> np.ndarray:
-    """:func:`is_I_congruence` of each row of a label matrix."""
+def _canonical_counts(labels: np.ndarray) -> np.ndarray:
+    """:func:`_block_counts` of canonical label rows, whose blocks are
+    numbered 0, 1, ... by first occurrence: each row's largest label plus
+    1, with no sort."""
+    return labels.max(axis=1).astype(np.intp) + 1
+
+
+def _isolating(lat: FiniteLattice, labels: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """:func:`is_I_congruence` of each row of a label matrix whose row r
+    has ``blocks[r]`` blocks."""
     labels = np.asarray(labels)
-    single = _block_counts(labels) != lat.n
+    single = blocks != lat.n
     for bound in (lat.bottom, lat.top):
         own = labels[:, lat.index(bound)]
         single &= np.count_nonzero(labels == own[:, None], axis=1) == 1
@@ -686,7 +718,8 @@ def _isolating(lat: FiniteLattice, labels: np.ndarray) -> np.ndarray:
 
 def is_I_congruence(lat: FiniteLattice, theta: CongruenceRelation) -> bool:
     """Nonzero, with singleton blocks at the bottom and the top."""
-    return bool(_isolating(lat, np.array([theta.labels]))[0])
+    labels = np.array([theta.labels])
+    return bool(_isolating(lat, labels, _block_counts(labels))[0])
 
 
 def _base_rows(result: "ConstructionResult", labels: np.ndarray) -> np.ndarray:

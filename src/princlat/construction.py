@@ -48,7 +48,7 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
-    _block_counts,
+    _canonical_counts,
     _isolating,
     all_congruences,
     cover_certificate,
@@ -855,7 +855,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         rows = result.interior_down_sets
         labels, error = result.betas
         empty = ~rows[:len(labels)].any(axis=1)
-        ok = np.where(empty, _block_counts(labels) == lat.n, _isolating(lat, labels))
+        blocks = _canonical_counts(labels)
+        ok = np.where(empty, blocks == lat.n, _isolating(lat, labels, blocks))
         if not ok.all():
             k = int(ok.argmin())
             witness = "empty" if empty[k] else _member_names(P.interior, rows[k])

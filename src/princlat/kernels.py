@@ -24,7 +24,7 @@ import numpy as np
 
 from .congruence import (
     _base_rows,
-    _block_counts,
+    _canonical_counts,
     _isolating,
     _label_dtype,
     _numbered,
@@ -74,10 +74,10 @@ def con_facts(result: ConstructionResult) -> ConFacts:
     of its congruence analysis and the down sets of its interior."""
     lat = result.lattice
     labels = lat.con_analysis.con_labels
-    blocks = _block_counts(labels)
+    blocks = _canonical_counts(labels)
     rows = _base_rows(result, labels)
     return ConFacts(result.source.interior, labels, blocks == lat.n, blocks == 1,
-                    _isolating(lat, labels), rows,
+                    _isolating(lat, labels, blocks), rows,
                     RowIndex(result.interior_down_sets).find(rows))
 
 
@@ -94,8 +94,11 @@ def beta_labels(lat: FiniteLattice, contributions,
     once, in chunks of rows so that no temporary exceeds ``_CHUNK``
     elements by more than one row:
 
-    1. a pair is active iff some member contributes it: a boolean
-       product of the rows with the member x pair contribution matrix;
+    1. a pair is active iff some member contributes it: the product of
+       the rows with the member x pair contribution matrix is positive.
+       It is taken in float32, which BLAS multiplies, where a boolean
+       product runs as scalar loops; it is exact, as each entry counts
+       members and stays below 2^24;
     2. labels start as the element positions and every element takes the
        least label across its active pairs until nothing changes, so
        each block ends labelled by its least element, as with
@@ -162,9 +165,10 @@ def beta_labels(lat: FiniteLattice, contributions,
     span, premise, tz, tw = _pair_constants(lat, lo, hi)
     iota = np.arange(n)
     out = np.empty((len(rows), n), dtype=dtype)
+    weights = adds.astype(np.float32)
     step = max(1, _CHUNK // max(n, 2 * len(lo), len(premise)))
     for s in range(0, len(rows), step):
-        active = rows[s:s + step] @ adds
+        active = rows[s:s + step].astype(np.float32) @ weights > 0
         m = len(active)
         lab = np.broadcast_to(iota, (m, n)).copy()
         while True:

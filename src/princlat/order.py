@@ -33,15 +33,35 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque fixed-width key per row, equal iff the rows are equal."""
-    rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), np.uint8))
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    """One key per row, equal iff the rows are equal, for rows of one
+    dtype and width.
+
+    A boolean row of at most 64 columns is packed to bits, and then any
+    row whose bytes fit one 64-bit word is read as that word, zero-padded:
+    a ``uint64`` key.  A wider row keeps its bytes as one opaque
+    fixed-width key, compared byte by byte.  Rows are packed as one flat
+    array, zero-padded to whole bytes, because numpy packs short rows
+    along an axis many times slower.
+    """
+    if rows.dtype == bool and rows.shape[1] <= 64:
+        bits = np.zeros((len(rows), -(-rows.shape[1] // 8) * 8), dtype=bool)
+        bits[:, :rows.shape[1]] = rows
+        rows = np.packbits(bits.ravel()).reshape(len(rows), bits.shape[1] // 8)
+    rows = np.ascontiguousarray(rows).view(np.uint8)
+    if rows.shape[1] <= 8:
+        word = np.zeros((len(rows), 8), dtype=np.uint8)
+        word[:, :rows.shape[1]] = rows
+        return word.view(np.uint64).ravel()
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 class RowIndex:
     """The rows of a matrix, found by content through their sorted
-    :func:`_row_keys`.  A query of another dtype or width raises
-    ValueError: a cast could wrap a value into a false match."""
+    :func:`_row_keys`: one ``uint64`` per row when a row packs into one
+    word (any boolean row of up to 64 columns), its bytes otherwise.  The
+    index holds one key and one position per row; a query of q rows
+    takes q keys.  A query of another dtype or width raises ValueError:
+    a cast could wrap a value into a false match."""
 
     def __init__(self, rows: np.ndarray):
         keys = _row_keys(rows)

@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 
 from princlat.congruence import (
+    _block_counts,
+    _canonical_counts,
     all_congruences,
     congruence_leq,
     is_congruence,
@@ -173,6 +175,24 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             for variant in (swapped, repeated):
                 assert cover_certificate(variant, rows) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()
+
+
+def test_con_and_beta_label_rows_are_canonical(corpus, templates, poset_zoo):
+    # con_facts and the downset-congruence stage read a row's block count
+    # as its largest label plus 1, which holds because every row of
+    # con_labels and of the beta rows numbers its blocks 0, 1, 2, ... by
+    # first occurrence
+    results = [result for _, result, _, _ in corpus]
+    results += [assemble_K(P, templates) for P in poset_zoo.values()]
+    for result in results:
+        matrices = [result.lattice.con_analysis.con_labels]
+        if not result.degenerate:
+            matrices.append(result.betas[0])
+        for labels in matrices:
+            for row in labels.tolist():
+                firsts = list(dict.fromkeys(row))
+                assert firsts == list(range(len(firsts))), row
+            assert np.array_equal(_canonical_counts(labels), _block_counts(labels))
 
 
 def test_batched_kernels_match_the_scalar_loops_on_the_corpus(corpus):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from princlat.congruence import (
     CongruenceRelation,
+    _block_counts,
     _block_firsts,
+    _canonical_counts,
     _isolating,
     _label_dtype,
     all_congruences,
@@ -442,8 +444,17 @@ def test_isolating_masks_match_the_label_rows(seed):
         an = lat.con_analysis
         assert an.con_set() == set(an.con_masks)
         masks = sorted(an.con_set())
-        want = _isolating(lat, np.array([an.labels(m) for m in masks]))
+        labels = np.array([an.labels(m) for m in masks])
+        want = _isolating(lat, labels, _block_counts(labels))
         assert [an.isolating(m) for m in masks] == want.tolist()
+
+
+def test_canonical_counts_do_not_wrap_in_the_label_dtype():
+    # the zero congruence of a 256-element lattice: its labels 0..255 fit
+    # the lattice's uint8 label dtype, its block count does not
+    labels = np.arange(256, dtype=_label_dtype(256))[None]
+    assert labels.dtype == np.uint8
+    assert _canonical_counts(labels).tolist() == _block_counts(labels).tolist() == [256]
 
 
 def test_con_order_matches_the_scalar_sort_on_assembled_lattices(
@@ -602,6 +613,52 @@ def test_cover_certificate_finds_cover_partners_past_the_first_byte():
         assert (order_mismatch(labels, rows) is None) == (not broken)
 
 
+def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
+    # the 66 down sets of a 65-element chain are rows wider than one word,
+    # so the partners H u {p} are found by byte keys; theta_H has the block
+    # {0} u {1 + i : i in H}.  Swapping two rows of a chain's family breaks
+    # the order whichever two they are
+    p = validate_poset([f"x{i}" for i in range(65)], [(f"x{i}", f"x{i + 1}") for i in range(64)])
+    rows = down_set_matrix(p)
+    assert rows.shape == (66, 65)
+    labels = np.tile(np.arange(67), (len(rows), 1))
+    labels[:, 1:66][rows] = 0
+    assert cover_certificate(labels, rows) and order_mismatch(labels, rows) is None
+    for a, b in ((0, 65), (31, 32), (64, 65)):
+        swapped = labels.copy()
+        swapped[[a, b]] = labels[[b, a]]
+        assert order_mismatch(swapped, rows) is not None
+        assert not cover_certificate(swapped, rows)
+
+
+def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypatch):
+    # one row per chunk, and chunks of a few rows, give the verdict of the
+    # default budget on synthetic families, intact and perturbed, and on
+    # the beta rows of the 10-antichain, intact and with two rows swapped
+    import princlat.congruence as congruence
+
+    rng = random.Random(20260201)
+    inputs = []
+    for _ in range(40):
+        thetas, rows = synthetic_family(rng)
+        inputs.append((label_matrix(thetas), rows))
+        inputs.append((label_matrix(perturbed(thetas, rng)[1]), rows))
+    names = ["0", "1"] + [f"x{i}" for i in range(10)]
+    P = bounded(names, [("0", x) for x in names[2:]] + [(x, "1") for x in names[2:]])
+    result = assemble_K(P, templates)
+    labels, error = result.betas
+    assert error is None and labels.shape == (1 << 10, 24)
+    swapped = labels.copy()
+    swapped[[3, 700]] = labels[[700, 3]]
+    inputs += [(labels, result.interior_down_sets), (swapped, result.interior_down_sets)]
+    verdicts = [cover_certificate(labels, rows) for labels, rows in inputs]
+    assert verdicts[-2:] == [True, False]
+    assert True in verdicts[:-2] and False in verdicts[:-2]
+    for chunk in (1, 3 * 10 * 24):
+        monkeypatch.setattr(congruence, "_CHUNK", chunk)
+        assert [cover_certificate(labels, rows) for labels, rows in inputs] == verdicts, chunk
+
+
 # ------------------------------------ vectorised substitution check against the loop
 
 def scalar_is_congruence(lat, labels):
@@ -652,5 +709,6 @@ def test_isolating_rows_match_a_scalar_count(seed):
         for lab in partitions:
             ends = [lab[lat.index(b)] for b in (lat.bottom, lat.top)]
             want.append(len(set(lab)) != lat.n and all(lab.count(e) == 1 for e in ends))
-        assert _isolating(lat, np.array(partitions)).tolist() == want
+        labels = np.array(partitions)
+        assert _isolating(lat, labels, _block_counts(labels)).tolist() == want
         assert [is_I_congruence(lat, CongruenceRelation(lat, lab)) for lab in partitions] == want

@@ -14,6 +14,7 @@ from princlat.order import (
     _bool_product,
     _freeze,
     _heights,
+    _row_keys,
     _transitive_closure,
     down_set_matrix,
     down_set_rows,
@@ -309,6 +310,35 @@ def test_row_index_refuses_another_dtype_or_width():
     assert index.find(np.array([[2, 3], [0, 0]], dtype=np.uint8)).tolist() == [1, -1]
     for bad in (np.array([[256, 1]], dtype=np.uint16), np.array([[True, False]]),
                 np.array([[0, 1, 2]], dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            index.find(bad)
+
+
+@pytest.mark.parametrize("dtype, width, word", [
+    (bool, 3, True), (bool, 63, True), (bool, 64, True), (bool, 65, False), (bool, 130, False),
+    (np.uint8, 8, True), (np.uint8, 9, False), (np.uint16, 4, True), (np.uint16, 5, False)])
+def test_row_index_keys_rows_by_one_word_or_by_their_bytes(dtype, width, word):
+    # boolean rows of up to 64 columns, and rows of up to 8 bytes, are keyed
+    # by one uint64, wider rows by their bytes.  The rows differ from the
+    # first in its last column, its first or both, and the absent query in
+    # a middle column, so a key that dropped a column would merge two
+    top = 2 if dtype is bool else 1 << (8 * np.dtype(dtype).itemsize)
+
+    def flip(row, cols):
+        row = row.copy()
+        row[cols] = (row[cols].astype(np.int64) + 1) % top
+        return row
+
+    first = np.random.default_rng(width).integers(0, top, size=width).astype(dtype)
+    table = np.array([first, flip(first, [-1]), flip(first, [0]), flip(first, [0, -1])])
+    keys = _row_keys(table)
+    assert (keys.dtype == np.uint64) == word
+    assert len(set(keys.tolist())) == 4
+    index = RowIndex(table)
+    queries = np.array([*table[::-1], flip(first, [width // 2]), table[1]])
+    assert index.find(queries).tolist() == [3, 2, 1, 0, -1, 1]
+    other = np.uint8 if dtype is bool else bool
+    for bad in (table.astype(other), table[:, 1:], np.concatenate([table, table[:, :1]], axis=1)):
         with pytest.raises(ValueError):
             index.find(bad)
 
