@@ -31,7 +31,15 @@ import numpy as np
 
 from .errors import NotICongruence, ValuationDiverged
 from .lattice import FiniteLattice
-from .order import _CHUNK, Poset, RowIndex, _freeze, _member_names, _transitive_closure
+from .order import (
+    _CHUNK,
+    Poset,
+    RowIndex,
+    _blas_rows,
+    _freeze,
+    _member_names,
+    _transitive_closure,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -403,6 +411,24 @@ def cover_certificate(labels, members) -> bool:
     return True
 
 
+def _dependency(lat: FiniteLattice, joinirr, lower_cover, below: np.ndarray) -> np.ndarray:
+    """``dep[k, j]`` iff joinirr[j] D joinirr[k], for the join-irreducibles
+    of ``lat``, their lower covers and ``below[x, k]`` iff joinirr[k] <= x:
+    row k is (C[k] - C[k_]) below > 0, as :class:`ConAnalysis` defines and
+    proves it, a block of k at a time."""
+    n = lat.n
+    js, los = (np.array(ks, dtype=np.intp) for ks in (joinirr, lower_cover))
+    weights = below.astype(np.float32)
+    dep = np.empty((len(js), len(js)), dtype=bool)
+    step = _blas_rows(n, len(js))
+    for s in range(0, len(js), step):
+        slots = np.arange(len(js[s:s + step]))[:, None] * n  # n count slots per k
+        cj, clo = (np.bincount((lat.join[ks] + slots).ravel(), minlength=slots.size * n)
+                   for ks in (js[s:s + step], los[s:s + step]))
+        dep[s:s + step] = (cj - clo).reshape(-1, n).astype(np.float32) @ weights > 0
+    return dep
+
+
 class ConAnalysis:
     """Con L, Princ L and the valuation of one lattice, over J(L) bitmasks.
 
@@ -466,13 +492,27 @@ class ConAnalysis:
     every j in J below k' v w and not below w = k'_ v w has j D k', so
     j is in M (k' is); hence r(x'' v y) = r(k' v w) = r(w) = r(x' v y).
 
-    D is built a block of rows at a time: for each k, the bits j with
-    j <= k v x and not j <= k_ v x, over all x at once, from the join
-    table rows of k and k_, for as many k at once as keep the gathered
-    rows within ``_CHUNK`` bytes (at least one k); D* is the transitive
-    closure of a |J| x |J| boolean matrix.  The label-vector closure
-    (:func:`principal_congruence`) runs only as the reference the tests
-    compare cm against.
+    D is one matrix product.  Let C[k, z] = #{x in L : k v x = z}, and
+    below[z, j] = 1 if j <= z, else 0.  Then
+
+        ((C[k] - C[k_]) below)[j] = sum over x of (below[k v x, j] - below[k_ v x, j]),
+
+    and k_ <= k makes k_ v x <= k v x, so each term is 0 or 1, and 1
+    exactly when x witnesses j D k: j D k iff the entry is positive.
+    The product is taken in float32, which BLAS multiplies.  It is exact:
+    BLAS forms each entry as a sum of terms (C[k, z] - C[k_, z])
+    below[z, j] over z, grouped in some order, so every partial sum is
+    the sum of those terms over a set Z of z.  That is #{x : k v x in Z,
+    j <= k v x} minus #{x : k_ v x in Z, j <= k_ v x}, a difference of
+    two integers in [0, |L|]; each term and each count lies in the same
+    range.  So every value BLAS forms is an integer of size at most |L|,
+    which float32 holds exactly for |L| < 2^24.  Each row C[k] is one
+    ``bincount`` of the join table row of k, for a block of k at a time
+    (:func:`princlat.order._blas_rows`), and below is converted to
+    float32 once.  D* comes from
+    :func:`princlat.order._transitive_closure`, by squaring.  The
+    label-vector closure (:func:`principal_congruence`) runs only as the
+    reference the tests compare cm against.
 
     Con L and Princ L are also kept as label matrices, one canonical label
     vector per mask, built for all masks at once (``_ordered``).
@@ -495,16 +535,7 @@ class ConAnalysis:
         self.lower_cover = tuple(lower[j][0] for j in self.joinirr)
         below = lat.leq[list(self.joinirr)].T  # below[x, k]: joinirr[k] <= x
         self.jbelow = _row_masks(below)
-        # packed[x] has bit k set iff joinirr[k] <= x; dep[k] has bit j set
-        # iff j D k, and x = bottom puts k in it
-        packed = np.packbits(below, axis=1, bitorder="little")
-        dep = np.empty((len(self.joinirr), packed.shape[1]), dtype=np.uint8)
-        js, los = np.array(self.joinirr, dtype=np.intp), np.array(self.lower_cover, dtype=np.intp)
-        step = max(1, _CHUNK // max(packed.size, 1))  # k per chunk of k x n x words bytes
-        for s in range(0, len(js), step):
-            hit = packed[lat.join[js[s:s + step]]] & ~packed[lat.join[los[s:s + step]]]
-            np.bitwise_or.reduce(hit, axis=1, out=dep[s:s + step])
-        dep = np.unpackbits(dep, axis=1, count=len(self.joinirr), bitorder="little").astype(bool)
+        dep = _dependency(lat, self.joinirr, self.lower_cover, below)
         self.cm = _row_masks(_transitive_closure(dep))  # row k: {j : j D* k}
         self._principal: dict[int, int] = {}
 
@@ -530,12 +561,17 @@ class ConAnalysis:
         diff = self.jbelow[b] & ~self.jbelow[a]
         mask = self._principal.get(diff)
         if mask is None:
-            mask, rest = 0, diff
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                mask |= self.cm[k]
-                rest &= ~mask  # a bit already in a congruence mask adds nothing
-            self._principal[diff] = mask
+            mask = self._principal[diff] = self._join_of(diff)
+        return mask
+
+    def _join_of(self, diff: int) -> int:
+        """The OR of cm[k] over the bits k of ``diff``: the mask of
+        con(a, b) when ``diff`` is J(b) minus J(a), by (*)."""
+        mask, rest = 0, diff
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            mask |= self.cm[k]
+            rest &= ~mask  # a bit already in a congruence mask adds nothing
         return mask
 
     def _ordered(self, masks) -> tuple[tuple[int, ...], np.ndarray]:
@@ -595,14 +631,28 @@ class ConAnalysis:
 
     @cached_property
     def princ_witnesses(self) -> dict[int, tuple[str, str]]:
-        """Principal masks with first-seen witnesses, pairs (x, then y) in order."""
+        """Principal masks with first-seen witnesses, pairs (x, then y) in order.
+
+        The pairs come from one ``nonzero`` of the order, which lists them
+        row-major, less its diagonal, so no n x n strict order is built.
+        Each reads the ``principal`` memo
+        inline and on a miss computes its mask without storing it: J(y)
+        minus J(x) is new for nearly every pair (for 30,911 of the 32,901
+        pairs of the 32-chain's K), so storing each would grow the memo
+        by some 11 MB for a few hits.
+        """
         p = self.poset
-        els = p.elements
+        els, jbelow, memo = p.elements, self.jbelow, self._principal
         found = {0: (self.bottom, self.bottom)}
-        for x in range(p.n):
-            for y in np.nonzero(p.leq[x])[0].tolist():
-                if y != x:
-                    found.setdefault(self.principal(x, y), (els[x], els[y]))
+        xs, ys = np.nonzero(p.leq)
+        strict = xs != ys
+        for x, y in zip(xs[strict].tolist(), ys[strict].tolist()):
+            diff = jbelow[y] & ~jbelow[x]
+            mask = memo.get(diff)
+            if mask is None:
+                mask = self._join_of(diff)
+            if mask not in found:
+                found[mask] = (els[x], els[y])
         return found
 
     @cached_property

@@ -347,26 +347,32 @@ def _diamond_order() -> Poset:
 COPY_FAULTS = (None, "order", "sublattice")
 
 
-def _copy_faults(big: FiniteLattice, idx: np.ndarray, small: Poset) -> np.ndarray:
-    """Whether each row of ``idx`` lists a copy of ``small`` in ``big``.
+def _copy_faults(big: FiniteLattice, idx: np.ndarray, small: Poset, pairs=None) -> np.ndarray:
+    """Whether each row of ``idx`` lists a copy of ``small`` in ``big``, read
+    on the column pairs ``pairs``.
 
     ``idx`` is an m x |small| matrix of positions in ``big``, each row
-    listing one instance in the element order of ``small``.  The code of
-    row k indexes ``COPY_FAULTS``: 0 if the elements are a copy, 1
-    ("order") if their induced order is not ``small``'s, 2 ("sublattice")
-    if it is but they are not closed under join and meet.  The induced
-    orders are gathered in chunks of rows, so no temporary exceeds
-    ``_CHUNK`` elements by more than one row.
+    listing one instance in the element order of ``small``.  ``pairs`` is
+    two equal-length arrays (u, v) of columns, each unordered pair once;
+    by default every pair u < v, which decides the whole copy, as a pair
+    u = v holds x <= x and x v x = x ^ x = x.  On each pair the
+    elements x = row[u] and y = row[v] are compared both ways, and join
+    and meet, being symmetric, once.  The code of row k indexes
+    ``COPY_FAULTS``: 0 if every pair is as in a copy, 1 ("order") if the
+    order of some x and y is not that of u and v in ``small``, 2
+    ("sublattice") if not 1 but some join or meet of x and y is outside
+    the row.  The pairs are gathered in chunks of rows, so no temporary
+    exceeds ``_CHUNK`` elements by more than one row.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    m, t = idx.shape
-    distorted = np.empty(m, dtype=bool)
-    step = max(1, _CHUNK // max(t * t, 1))
-    for s in range(0, m, step):
-        block = idx[s:s + step]
-        induced = big.leq[block[:, :, None], block[:, None, :]]
-        distorted[s:s + step] = (induced != small.leq).any(axis=(1, 2))
-    return np.where(distorted, 1, np.where(closed_rows(big, idx), 0, 2))
+    u, v = np.triu_indices(idx.shape[1], 1) if pairs is None else pairs
+    distorted = np.empty(len(idx), dtype=bool)
+    step = max(1, _CHUNK // max(2 * len(u), 1))
+    for s in range(0, len(idx), step):
+        x, y = idx[s:s + step, u], idx[s:s + step, v]
+        distorted[s:s + step] = ((big.leq[x, y] != small.leq[u, v])
+                                 | (big.leq[y, x] != small.leq[v, u])).any(axis=1)
+    return np.where(distorted, 1, np.where(closed_rows(big, idx, (u, v)), 0, 2))
 
 
 def _amalgam_copies(s: GadgetTemplate, kind: str) -> tuple[dict[str, str], ...]:
@@ -400,18 +406,10 @@ def _glue(s: GadgetTemplate, kind: str) -> tuple[GadgetTemplate, np.ndarray]:
 
     The elements are the role names of both copies, sorted.  S's order is
     scattered through the copy index, and the union of the two images is
-    closed once, stepping only the glued elements: those that are the
-    image of more than one (copy, S element) pair.  That is the closure
+    closed once by :func:`_transitive_closure`.  That is the closure
     :func:`validate_poset` takes over the copies' covers (the order
     :func:`amalgam_covers` generates), as both close the same relations:
-    every S comparability is a chain of S covers.  Proof that the glued
-    elements suffice as intermediates.  Each step of a path in the union
-    is the image of some u <= v of S under one copy.  At an intermediate
-    x that is not glued, the step into x and the step out of it are
-    images under the one copy c and of the one S element u that reach x,
-    so they are t <= u and u <= w, and the single step from the image of
-    t to the image of w, t <= w, replaces both.  Repeating this leaves a
-    path whose intermediates are all glued.  A cycle is refused as
+    every S comparability is a chain of S covers.  A cycle is refused as
     :func:`validate_poset` refuses it, with the same text.
     """
     names = _copy_names(s, kind)
@@ -422,8 +420,7 @@ def _glue(s: GadgetTemplate, kind: str) -> tuple[GadgetTemplate, np.ndarray]:
     below, above = np.nonzero(s.poset.leq)
     rel = np.zeros((n, n), dtype=bool)
     rel[idx[:, below], idx[:, above]] = True
-    glued = np.flatnonzero(np.bincount(idx.ravel(), minlength=n) > 1)
-    closure = _transitive_closure(rel, glued.tolist())
+    closure = _transitive_closure(rel)
     both = closure & closure.T
     if np.count_nonzero(both) > n:  # more than the diagonal: a cycle
         i, j = map(int, np.argwhere(both & ~np.eye(n, dtype=bool))[0])
@@ -472,6 +469,15 @@ def load_templates(directory=None) -> dict[str, GadgetTemplate]:
     return out
 
 
+def _cross_pairs(copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column pairs (x, y) of a double gadget with x in its first S
+    copy only and y in its second only, from its :func:`_copy_index`:
+    7 x 7, as the copies share o, i and one anchor pair."""
+    first, second = (set(c) for c in copies.tolist())
+    a, b = (np.array(sorted(c), dtype=np.intp) for c in (first - second, second - first))
+    return np.repeat(a, len(b)), np.tile(b, len(a))
+
+
 def _role_names(p: str, q: str) -> dict[str, str]:
     return {
         "o": "o", "i": "i",
@@ -513,7 +519,30 @@ def _instances(P: BoundedPoset) -> list[tuple[str, str, tuple]]:
 
 
 def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> ConstructionResult:
-    """Assemble the realizing lattice for a finite bounded order."""
+    """Assemble the realizing lattice for a finite bounded order.
+
+    Every instance is checked by :func:`_copy_faults`, and the first
+    faulty one in placement order is reported.  S, Cp and frame
+    instances are read on every pair of their columns, a double gadget
+    (SC, SV, SH) on its cross-copy pairs only (:func:`_cross_pairs`):
+    x in its first S copy only and y in its second only, 49 of its 153
+    pairs.  That reports the same instance with the same fault.
+
+    * The other pairs need no check.  Any other pair of a double
+      instance lies inside one of its two S copies, that is, inside one
+      of the two S instances it is placed from, and that S instance is
+      read on all its pairs: K orders them as S does and holds their
+      joins and meets inside the S instance, so inside the double
+      instance.  The double template orders them as S does too, as
+      :func:`load_templates` checks each of its copies to be a copy of S
+      inside it.  So when both S instances pass, the double instance
+      fails on a cross-copy pair or not at all, and on the same fault as
+      when all its pairs are read.
+    * The report is unchanged.  S instances come first in placement
+      order: if one fails, the first faulty instance is an S instance,
+      read as before, and if none fails, each double instance fails
+      exactly when it did on all its pairs, with the same fault.
+    """
     if len(P.elements) <= 2:
         return _assemble_degenerate(P)
     s = templates["S"]
@@ -552,12 +581,14 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     # the instances of each template, as rows of positions in its element
     # order; a double gadget's rows scatter its two S instances' rows
     rows: dict[str, np.ndarray] = {}
+    pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # a double gadget's pairs to check
     for kind, ks in kinds.items():  # S before the double gadgets
         t = templates[kind]
         if kind in AMALGAM_COPIES:
+            copies = _copy_index(_copy_names(s, kind), t.poset.index)
             rows[kind] = np.empty((len(ks), t.poset.n), dtype=np.intp)
-            rows[kind][:, _copy_index(_copy_names(s, kind), t.poset.index)] = rows["S"][
-                [placed[k][2] for k in ks]]
+            rows[kind][:, copies] = rows["S"][[placed[k][2] for k in ks]]
+            pairs[kind] = _cross_pairs(copies)
         else:
             rows[kind] = np.array([[pos[named[k][ph]] for ph in t.poset.elements] for k in ks],
                                   dtype=np.intp)
@@ -583,7 +614,7 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
 
     faults = np.zeros(len(placed), dtype=np.intp)
     for kind, ks in kinds.items():
-        faults[ks] = _copy_faults(lat, rows[kind], templates[kind].poset)
+        faults[ks] = _copy_faults(lat, rows[kind], templates[kind].poset, pairs.get(kind))
     if faults.any():  # the first faulty instance in placement order
         k = int(np.flatnonzero(faults)[0])
         if COPY_FAULTS[faults[k]] == "order":

@@ -169,9 +169,12 @@ def prime_intervals(lat: FiniteLattice) -> list[IntervalEdge]:
     return [IntervalEdge(els[i], els[j]) for i, j in lat.poset.covers()]
 
 
-def closed_rows(lat: FiniteLattice, idx: np.ndarray) -> np.ndarray:
-    """For each row of the m x t position matrix ``idx``, whether its
-    elements are closed under join and meet.
+def closed_rows(lat: FiniteLattice, idx: np.ndarray, pairs=None) -> np.ndarray:
+    """For each row of the m x t position matrix ``idx``, whether the joins
+    and meets of its elements lie in it, read on the column pairs
+    ``pairs``: two equal-length arrays (u, v), by default every pair
+    u < v.  On every pair this is closure under join and meet, as x v x
+    = x ^ x = x and both operations are symmetric.
 
     Each row's joins and meets are looked up in a presence row of its
     own; rows go in chunks, so no temporary exceeds ``_CHUNK`` elements
@@ -179,16 +182,17 @@ def closed_rows(lat: FiniteLattice, idx: np.ndarray) -> np.ndarray:
     """
     idx = np.asarray(idx, dtype=np.intp)
     m, t = idx.shape
+    u, v = np.triu_indices(t, 1) if pairs is None else pairs
     out = np.empty(m, dtype=bool)
-    step = max(1, _CHUNK // max(lat.n, t * t, 1))
+    step = max(1, _CHUNK // max(lat.n, len(u), 1))
     for s in range(0, m, step):
         block = idx[s:s + step]
         rows = np.arange(len(block))[:, None]
         present = np.zeros((len(block), lat.n), dtype=bool)
         present[rows, block] = True
-        joins, meets = (table[block[:, :, None], block[:, None, :]].reshape(len(block), t * t)
-                        for table in (lat.join, lat.meet))
-        out[s:s + step] = present[rows, joins].all(axis=1) & present[rows, meets].all(axis=1)
+        x, y = block[:, u], block[:, v]
+        out[s:s + step] = (present[rows, lat.join[x, y]].all(axis=1)
+                           & present[rows, lat.meet[x, y]].all(axis=1))
     return out
 
 

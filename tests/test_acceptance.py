@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from princlat.congruence import (
+    ConAnalysis,
     _block_counts,
     _canonical_counts,
     all_congruences,
@@ -79,6 +80,7 @@ from test_congruence import (
     closure_masks,
     find_valuation_two_witness,
     intersect_labels,
+    princ_witnesses_by_rows,
 )
 
 FUZZ_SEED = 20260201
@@ -136,6 +138,14 @@ def test_dependency_masks_match_closures_on_the_corpus(corpus):
     # label-vector closure
     for P, result, con, downs in corpus:
         assert result.lattice.con_analysis.cm == closure_masks(result.lattice), (
+            P.poset.cover_names())
+
+
+def test_princ_witnesses_match_the_row_loop_on_the_corpus(corpus):
+    # key order and witness pairs of every corpus K, against a fresh analysis
+    for P, result, con, downs in corpus:
+        got = list(ConAnalysis(result.lattice).princ_witnesses.items())
+        assert got == list(princ_witnesses_by_rows(ConAnalysis(result.lattice)).items()), (
             P.poset.cover_names())
 
 

@@ -2,7 +2,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import princlat
 from princlat import construction, fuzzing
 from princlat.cli import main
 from princlat.construction import default_template_dir
@@ -384,3 +388,28 @@ def test_engine_requests_leave_no_cyclic_garbage(workdir, command):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_request_imports_numpy_ma(workdir):
+    # numpy.ma adds about 1 MB of peak RSS from its import on, and plain
+    # np.unique and np.setdiff1d import it; the 5-chain's K glues SC, SV
+    # and SH, so verify reads double gadgets on their cross-copy pairs
+    (workdir / "c5.json").write_text(json.dumps({
+        "name": "C5", "elements": ["0", "p", "q", "r", "1"],
+        "covers": [["0", "p"], ["p", "q"], ["q", "r"], ["r", "1"]]}))
+    k = str(workdir / "K.json")
+    requests = [["verify", "--poset", str(workdir / "c5.json")],
+                ["verify", "--poset", str(workdir / "b2.json")],
+                ["fuzz", "--max-size", "8", "--samples", "4", "--seed", "7"],
+                ["build", "--poset", str(workdir / "c5.json"), "--out", k]]
+    requests += [[command, "--lattice", lattice] for command in ("con", "princ", "valuation")
+                 for lattice in (k, str(workdir / "m3.json"))]
+    script = ("import contextlib, io, json, sys\n"
+              "from princlat.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+              "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(princlat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(requests)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == [[0] * len(requests), False]

@@ -3,10 +3,12 @@ import random
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from princlat.congruence import (
+    ConAnalysis,
     CongruenceRelation,
     _block_counts,
     _block_firsts,
@@ -25,9 +27,9 @@ from princlat.congruence import (
     principal_congruence,
     valuation,
 )
-from princlat.construction import assemble_K
+from princlat.construction import assemble_K, load_templates
 from princlat.lattice import as_lattice, chain, lattice_from_covers, m3
-from princlat.order import down_set_matrix, down_sets, validate_poset
+from princlat.order import _transitive_closure, down_set_matrix, down_sets, validate_poset
 
 from conftest import bounded, one_congruence, random_lattices, zero_congruence
 
@@ -373,6 +375,54 @@ def closure_masks(lat):
 def test_dependency_masks_match_closures(seed):
     for lat in random_lattices(seed, 3, max_size=12):
         assert lat.con_analysis.cm == closure_masks(lat)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_blas_blocks_do_not_change_masks_or_closures(budget, monkeypatch, templates, poset_zoo):
+    # blocks of one row, and of a few rows, so that the dependency product
+    # and every squaring round split where the default blocks do not
+    import princlat.order as order
+
+    lattices = random_lattices(23, 12, max_size=14)
+    lattices.append(assemble_K(poset_zoo["5-chain"], templates).lattice)
+    rng = np.random.default_rng(budget)
+    relations = [rng.random((n, n)) < 0.1 for n in (1, 5, 9, 30)]  # with cycles
+
+    def results():
+        return ([ConAnalysis(lat).cm for lat in lattices],
+                [validate_poset(lat.elements, lat.poset.cover_names()).leq for lat in lattices],
+                [_transitive_closure(r) for r in relations],
+                [t.poset.leq for t in load_templates().values()])
+
+    default = results()
+    monkeypatch.setattr(order, "_BLAS_CHUNK", budget)
+    monkeypatch.setattr(order, "_BLAS_THREADS", budget)
+    for want, got in zip(default, results()):
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+
+def princ_witnesses_by_rows(an):
+    """``ConAnalysis.princ_witnesses`` by a loop over x and then the y
+    above it, each pair through ``principal``."""
+    p = an.poset
+    found = {0: (an.bottom, an.bottom)}
+    for x in range(p.n):
+        for y in np.nonzero(p.leq[x])[0].tolist():
+            if y != x:
+                found.setdefault(an.principal(x, y), (p.elements[x], p.elements[y]))
+    return found
+
+
+def test_princ_witnesses_match_the_row_loop(templates, poset_zoo):
+    # key order and witness pairs, on random lattices and assembled K; the
+    # corpus has its own test in the acceptance suite
+    lattices = random_lattices(41, 30, max_size=14)
+    lattices += [assemble_K(P, templates).lattice for P in poset_zoo.values()]
+    for lat in lattices:
+        got = list(ConAnalysis(lat).princ_witnesses.items())
+        assert got == list(princ_witnesses_by_rows(ConAnalysis(lat)).items())
 
 
 def test_cover_principals_match_closures():

@@ -52,6 +52,7 @@ from princlat.kernels import _contributed, _pair_constants, beta_labels
 from princlat.lattice import chain, is_01_sublattice, lattice_from_covers, length
 from princlat.order import (
     DownSet,
+    Poset,
     RowIndex,
     down_set_matrix,
     down_sets,
@@ -841,8 +842,8 @@ def test_assembly_reports_the_first_faulty_instance(templates, poset_zoo, monkey
     original = construction._copy_faults
     for faulty, expect in (({"frame": 1, "SV": 2}, (placement.index("frame@0"), "order")),
                            ({"S": 2, "frame": 1}, (1, "closure"))):
-        def injected(big, idx, small, _faulty=faulty):
-            codes = original(big, idx, small)
+        def injected(big, idx, small, pairs=None, _faulty=faulty):
+            codes = original(big, idx, small, pairs)
             name = next((t.name for t in templates.values() if t.poset is small), None)
             if name in _faulty:
                 codes[-1 if name == "S" else 0:] = _faulty[name]
@@ -852,6 +853,38 @@ def test_assembly_reports_the_first_faulty_instance(templates, poset_zoo, monkey
         with pytest.raises(AssemblyNotALattice) as exc:
             assemble_K(P, templates)
         assert exc.value.witness == (placement[expect[0]], expect[1])
+
+
+@pytest.mark.parametrize("table, fault", [("join", "closure"), ("leq", "order")])
+@pytest.mark.parametrize("pair, instance", [
+    (("c@p.q", "d@p.q"), "S@p.q"),  # inside the first S copy of SV@p.q.r
+    (("c@p.q", "c@p.r"), "SV@p.q.r"),  # across its two copies
+])
+def test_double_gadget_faults_are_reported_where_their_pair_is_read(
+        templates, poset_zoo, monkeypatch, table, fault, pair, instance):
+    # K of V glues S@p.q and S@p.r into SV@p.q.r; one pair of K is corrupted,
+    # its join moved to the atom a@0, in no gadget but a frame, or its order
+    # flipped.  A pair inside one copy is read by that copy's S instance,
+    # and only by it; a cross-copy pair only by the double gadget
+    import princlat.construction as construction
+
+    original = construction.as_lattice
+
+    def corrupted(poset):
+        lat = original(poset)
+        x, y = map(lat.index, pair)
+        if table == "join":
+            join = lat.join.copy()
+            join[x, y] = join[y, x] = lat.index("a@0")
+            return dataclasses.replace(lat, join=join)
+        leq = lat.leq.copy()
+        leq[x, y] = not leq[x, y]
+        return dataclasses.replace(lat, poset=Poset(poset.elements, leq))
+
+    monkeypatch.setattr(construction, "as_lattice", corrupted)
+    with pytest.raises(AssemblyNotALattice) as exc:
+        assemble_K(poset_zoo["V"], templates)
+    assert exc.value.witness == (instance, fault)
 
 
 def scalar_forward_error(result):

@@ -11,6 +11,7 @@ from princlat.lattice import as_lattice, m3
 from princlat.order import (
     Poset,
     RowIndex,
+    _blas_rows,
     _bool_product,
     _freeze,
     _heights,
@@ -225,6 +226,10 @@ def test_bool_product_and_closure_match_matmul(n):
     a, b = rng.random((n, n)) < 0.05, rng.random((n, n)) < 0.05
     a[0] = False  # a row with no True entries
     assert np.array_equal(_bool_product(a, b), a @ b)
+    step = _blas_rows(n, n)
+    if n > step + 1:  # a cycle from the last row of the first block into the next
+        ring = [step - 1, step, n - 1]
+        a[ring, np.roll(ring, -1)] = True
     closure = a.copy()  # cycles included: the relation is not an order
     while not np.array_equal(closure | (closure @ closure), closure):
         closure |= closure @ closure
