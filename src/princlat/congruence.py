@@ -38,6 +38,7 @@ from .order import (
     _blas_rows,
     _freeze,
     _member_names,
+    _row_keys,
     _transitive_closure,
 )
 
@@ -280,6 +281,18 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
+def _bit_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as rows of 64-bit words, at least one per row: column
+    k at bit k % 64 of word k // 64, as :func:`_mask_bytes` places bit k
+    of a mask.  The rows are packed as one flat zero-padded array (see
+    :func:`princlat.order._row_keys`)."""
+    m, c = bits.shape
+    width = max(1, -(-c // 64))
+    padded = np.zeros((m, 64 * width), dtype=bool)
+    padded[:, :c] = bits
+    return np.packbits(padded.ravel(), bitorder="little").view(np.uint64).reshape(m, width)
+
+
 def _mask_bytes(masks, width: int) -> np.ndarray:
     """The inverse of :func:`_row_masks`: one row of packed bytes per int
     mask of ``width`` bits, bit i of the mask at bit i % 8 of byte i // 8."""
@@ -328,18 +341,21 @@ def order_mismatch(labels, members) -> tuple[int, int] | None:
     return None
 
 
-def cover_certificate(labels, members) -> bool:
-    """Whether refinement and containment agree on all pairs, checked on covers only.
+def cover_certificate(words, members) -> bool:
+    """Whether the subset order of word rows and containment agree on all
+    pairs, checked on covers only.
 
-    Takes the input of :func:`order_mismatch` and returns True iff it
-    finds no mismatch, provided the rows of ``members`` are all the down
-    sets of a poset on the columns, or all the nonempty ones, each once.
-    Writing theta_H for the congruence of down set H, the map H -> theta_H
-    is then an order embedding iff
+    ``words`` has one row of 64-bit words per row of ``members``, read as
+    a set of bits; row a is below row b iff a & ~b is zero in every word.
+    Returns True iff subset and containment agree on every pair, provided
+    the rows of ``members`` are all the down sets of a poset on the
+    columns, or all the nonempty ones, each once.  Writing theta_H for the
+    word row of down set H, the map H -> theta_H is then an order
+    embedding iff
 
-      (i) theta_H refines theta_{H u {p}} for every cover H < H u {p}
-          of the family, and
-      (ii) theta_{down p} refines theta_H iff p is in H, for every H and p.
+      (i) theta_H <= theta_{H u {p}} for every cover H < H u {p} of the
+          family, and
+      (ii) theta_{down p} <= theta_H iff p is in H, for every H and p.
 
     Proof.  An embedding satisfies both, as down p is in the family and
     is contained in H iff p is in H.  Conversely, if H is contained in
@@ -348,66 +364,54 @@ def cover_certificate(labels, members) -> bool:
     (i) and transitivity give theta_H <= theta_H'.  If p is in H but not
     in H', then theta_{down p} <= theta_H by (ii) and theta_{down p} is
     not <= theta_H', so theta_H is not <= theta_H'.  Only transitivity of
-    refinement is used.
+    the subset order is used.  On the word rows of congruences
+    (:meth:`ConAnalysis.label_words`), subset is refinement, by the
+    lemma in :class:`ConAnalysis`.
 
-    Refinement is read from the label vectors, as in order_mismatch, and
-    labels are nonnegative integers.  For (i), row a refines row b iff
-    no a-block holds two b-labels.  Each element writes its b-label into
-    the slot of its own a-label, and then every element reads its slot
-    back: row a refines row b iff every element reads its own b-label.
-    If a refines b, all writes into one slot carry the same value, which
-    every element of that block reads back.  If an a-block holds two
-    b-labels, its slot holds one of them, whichever write landed, and an
-    element carrying the other reads a mismatch.  For (ii), down p is
-    the smallest row holding p, and theta_{down p} refines theta_H iff
-    every element has, under H, the label of the first element of its
-    down p block; one :func:`_block_firsts` call over the rows down p
-    gives those first elements.
-
-    The inputs keep their order and nothing sorts the label matrix.  One
+    The inputs keep their order and nothing sorts them.  One
     :class:`RowIndex` over the membership rows finds the cover partners
-    H u {p}.  (i) runs in chunks of rows holding at most ``_CHUNK`` slots
-    across all their pairs (H, p not in H), at least one row per chunk,
-    a pair taking ``width`` slots, the larger of the row length and the
-    largest label plus 1; each chunk makes one find.  (ii) runs one p at
-    a time, in chunks of at most ``_CHUNK`` gathered labels.  So no
+    H u {p}.  When a row packs into one 64-bit key (up to 64 columns),
+    the key of H u {p} is H's key OR the key of {p}, as packing puts each
+    column at a fixed bit, and the partners are looked up by key; wider
+    rows are grown and looked up by their bytes.  (i) runs in chunks of
+    rows holding at most ``_CHUNK`` words across all their pairs
+    (H, p not in H), at least one row per chunk, with one lookup per
+    chunk.  For (ii), down p is the smallest row holding p, and the
+    rows go in chunks of at most ``_CHUNK`` words across all p.  So no
     temporary outgrows a chunk by more than one row's pairs, beyond the
     index and a few vectors of one entry per row.
     """
     members = np.asarray(members, dtype=bool)
-    labels = np.asarray(labels)
-    m, n = labels.shape
+    words = np.asarray(words)
+    m, n = members.shape
+    width = words.shape[1]
     index = RowIndex(members)
-    width = max(n, int(labels.max(initial=0)) + 1)
+    unit = _row_keys(np.eye(n, dtype=bool)) if index.keys.dtype == np.uint64 else None
     sizes = members.sum(axis=1)
-    ends = np.cumsum((members.shape[1] - sizes) * width)  # slots of (i) up to each row
+    ends = np.cumsum((n - sizes) * width)  # words of (i) up to each row
     s = 0
     while s < m:  # (i)
         e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
         r, p = np.nonzero(~members[s:e])
-        grown = members[s + r]
-        grown[np.arange(len(p)), p] = True
-        partner = index.find(grown)
-        r, partner = s + r[partner >= 0], partner[partner >= 0]  # each row H and its H u {p}
-        up = labels[partner]
-        slot = labels[r].astype(np.intp) + width * np.arange(len(r))[:, None]
-        value = np.empty(len(r) * width, dtype=up.dtype)
-        value[slot] = up
-        if (value[slot] != up).any():
+        r += s
+        if unit is not None:
+            partner = index.find_keys(index.keys[r] | unit[p])
+        else:
+            grown = members[r]
+            grown[np.arange(len(p)), p] = True
+            partner = index.find(grown)
+        hit = partner >= 0  # each row H and its H u {p}
+        if (words[r[hit]] & ~words[partner[hit]]).any():
             return False
         s = e
-    downs = [int(np.where(members[:, p], sizes, members.shape[1] + 1).argmin())
-             for p in range(members.shape[1])]  # the smallest row holding each p
-    first = _block_firsts(labels[downs])
-    cols = np.arange(n)
-    for p in range(len(downs)):  # (ii)
-        moved = np.flatnonzero(first[p] != cols)
-        step = max(1, _CHUNK // max(len(moved), 1))
-        for s in range(0, m, step):
-            chunk = labels[s:s + step]
-            refines = (chunk[:, first[p, moved]] == chunk[:, moved]).all(axis=1)
-            if not np.array_equal(refines, members[s:s + step, p]):
-                return False
+    downs = [int(np.where(members[:, p], sizes, n + 1).argmin())
+             for p in range(n)]  # the smallest row holding each p
+    low = words[downs]
+    step = max(1, _CHUNK // max(n * width, 1))
+    for s in range(0, m, step):  # (ii)
+        below = ~(low & ~words[s:s + step, None, :]).any(axis=2)  # below[r, p]: down p <= row
+        if not np.array_equal(below, members[s:s + step]):
+            return False
     return True
 
 
@@ -448,8 +452,18 @@ class ConAnalysis:
 
     Consequences used here, with J(x) = {j in J : j <= x}:
 
-    * theta is the join of con(j_, j) over M(theta) (apply (*) to the
-      covers j_ < j), so theta <= psi iff M(theta) is a subset of M(psi).
+    * Lemma: theta <= psi iff M(theta) is a subset of M(psi); so
+      theta = psi iff their masks are equal.  Proof, from (*) alone:
+      theta is the join of the con(a, b) with a <= b and a theta b, and
+      by (*) each is the join of the con(j_, j) with j in J(b) minus
+      J(a), where each such j has j_ theta j (the first step of the
+      proof of (*)).  So theta is the join of con(j_, j) over M(theta),
+      and theta <= psi iff psi collapses j_ and j for every j in
+      M(theta).  The proof does not use D* below.  Verification relies
+      on it: ``construction`` compares Con K and the rows of beta_H as
+      word rows (:meth:`words`, :meth:`label_words`), where equal rows
+      are equal congruences (phi's round trip) and the subset order is
+      refinement (:func:`cover_certificate`).
     * Each con(j_, j) is join-irreducible in Con L (a chain of theta and
       psi steps from j_ to j, moved into [j_, j] by z -> (z v j_) ^ j, has
       a step from j_ to j), hence join-prime, Con L being distributive.
@@ -514,8 +528,15 @@ class ConAnalysis:
     label-vector closure (:func:`principal_congruence`) runs only as the
     reference the tests compare cm against.
 
-    Con L and Princ L are also kept as label matrices, one canonical label
-    vector per mask, built for all masks at once (``_ordered``).
+    A congruence also has a word row: M(theta) as ``uint64`` words, bit
+    k % 64 of word k // 64 for joinirr[k], at least one word.
+    :meth:`words` gives the rows of masks, :meth:`label_words` those of
+    label vectors, and :meth:`word_flags` reads, from word rows, which
+    congruences are zero, one and isolating and which pairs they
+    collapse.  Con L and Princ L are also kept as label matrices in
+    ConOrder order, one canonical label vector per mask, built for all
+    masks at once (``_ordered``), for the public API and for naming a
+    failure of verify.
 
     Built once per lattice (``FiniteLattice.con_analysis``); the public
     functions below are views of it.  It holds ints, tuples, arrays and
@@ -556,6 +577,64 @@ class ConAnalysis:
         rest = [jb & ~mask for jb in self.jbelow]
         return mask != 0 and all(rest.count(rest[e]) == 1 for e in self.ends)
 
+    @cached_property
+    def _jwords(self) -> np.ndarray:
+        """J(x) as a word row, for each element x."""
+        return self.words(self.jbelow)
+
+    def words(self, masks) -> np.ndarray:
+        """The word rows of congruence masks, one per mask, in the
+        iteration order of ``masks`` (a sized collection of ints)."""
+        width = max(1, -(-len(self.joinirr) // 64))
+        if width == 1:  # every mask is below 2^64
+            return np.fromiter(masks, dtype=np.uint64, count=len(masks)).reshape(-1, 1)
+        return _mask_bytes(masks, 64 * width).view(np.uint64)
+
+    def label_words(self, labels) -> np.ndarray:
+        """The word rows of a label matrix: bit k of row r is set iff row r
+        gives joinirr[k] and its lower cover one label.  On the label
+        vector of a congruence theta that is the row of M(theta).  The
+        2 |J| gathered columns go in chunks of ``_CHUNK`` labels."""
+        labels = np.asarray(labels)
+        j, lo = (np.array(ks, dtype=np.intp) for ks in (self.joinirr, self.lower_cover))
+        out = np.empty((len(labels), self._jwords.shape[1]), dtype=np.uint64)
+        step = max(1, _CHUNK // max(2 * len(j), 1))
+        for s in range(0, len(labels), step):
+            chunk = labels[s:s + step]
+            out[s:s + step] = _bit_words(chunk[:, j] == chunk[:, lo])
+        return out
+
+    def word_flags(self, words, lo=(), hi=()):
+        """For congruences given as word rows: which are zero, which are
+        one, which are isolating (:meth:`isolating`), and, for pairs of
+        positions lo[i] <= hi[i], ``collapsed[r, i]`` iff congruence r
+        collapses the pair.
+
+        Read from r(x) = J(x) minus M, as above: the congruence is zero iff
+        M is empty and one iff M is J (it then collapses every j with
+        j_, and so 0 with 1 by (*)); it holds x alone iff no other
+        element has r(x); and lo theta hi iff J(hi) minus J(lo) lies in
+        M.  Rows go in chunks of ``_CHUNK`` words.
+        """
+        words = np.asarray(words)
+        lo, hi = (np.asarray(x, dtype=np.intp) for x in (lo, hi))
+        jw = self._jwords
+        gap = jw[hi] & ~jw[lo]  # J(hi) minus J(lo), for each pair
+        full = self.words([(1 << len(self.joinirr)) - 1])
+        zero = ~words.any(axis=1)
+        one = (words == full).all(axis=1)
+        isolating = ~zero
+        collapsed = np.empty((len(words), len(lo)), dtype=bool)
+        step = max(1, _CHUNK // (jw.size + gap.size))
+        for s in range(0, len(words), step):
+            held = ~words[s:s + step, None, :]
+            rest = jw & held  # rest[r, x]: r(x) under row s + r
+            for e in self.ends:
+                same = (rest == rest[:, e, None]).all(axis=2)
+                isolating[s:s + step] &= np.count_nonzero(same, axis=1) == 1
+            collapsed[s:s + step] = ~(gap & held).any(axis=2)
+        return zero, one, isolating, collapsed
+
     def principal(self, a: int, b: int) -> int:
         """Mask of con(a, b) for a <= b, memoised on J(b) minus J(a)."""
         diff = self.jbelow[b] & ~self.jbelow[a]
@@ -584,16 +663,15 @@ class ConAnalysis:
         orders them.
         """
         masks = tuple(masks)
-        n = len(self.jbelow)
-        words = max(1, -(-len(self.joinirr) // 64))
-        jkeys = _mask_bytes(self.jbelow, 64 * words).view(np.uint64)
-        held = _mask_bytes(masks, 64 * words).view(np.uint64)
+        jkeys = self._jwords
+        held = self.words(masks)
+        n = len(jkeys)
         labels = np.empty((len(masks), n), dtype=_label_dtype(n))
-        step = max(1, _CHUNK // (n * words))
+        step = max(1, _CHUNK // jkeys.size)
         for s in range(0, len(masks), step):
             rest = jkeys & ~held[s:s + step, None, :]  # rest[r, x]: r(x) under masks[s + r]
             labels[s:s + step] = _numbered(_block_firsts(np.moveaxis(rest, 2, 0)))
-        blocks = labels.max(axis=1).astype(np.intp) + 1
+        blocks = _canonical_counts(labels)
         order = np.lexsort(tuple(labels.T[::-1]) + (-blocks,))
         return tuple(masks[i] for i in order.tolist()), _freeze(labels[order])
 

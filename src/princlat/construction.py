@@ -12,9 +12,10 @@ contain every instance as a sublattice.
 Verification works on matrices rather than one object at a time: all
 instances of a template are checked as copies at once, and the
 congruences of K and beta_H of every down set of the interior go
-through the label-matrix kernels of :mod:`princlat.kernels`.  A failure
-is named by examining only the first failing row, in the order a scalar
-loop would have met it.
+through the kernels of :mod:`princlat.kernels` and are compared as word
+rows over J(K) (``ConAnalysis.words``).  A failure is named by
+examining only the first failing row, in the order a scalar loop would
+have met it.
 
 Only the gadget S is data (``S.json`` and ``S.roles.json``); every
 property the congruence analysis relies on is re-checked when it is
@@ -48,12 +49,10 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
-    _canonical_counts,
-    _isolating,
+    _subset_matrix,
     all_congruences,
     cover_certificate,
     order_mismatch,
-    princ_order,
 )
 from .errors import (
     AssemblyNotALattice,
@@ -130,10 +129,10 @@ class ConstructionResult:
     first use: the anchor pairs as two position columns
     (``anchor_columns``), the down sets of the interior
     (``interior_down_sets``), whose rows number the bases of Con K and
-    phi's images, Con K as a label matrix with its flags (``con_facts``),
-    the down sets' beta rows (``betas``), and the one verdict on the order
-    of H -> beta_H (``betas_embed``) that decides the down-set stage and
-    phi's order.
+    phi's images, Con K as word rows with their flags (``con_facts``),
+    the down sets' beta rows (``betas``) and their word rows
+    (``beta_words``), and the one verdict on the order of H -> beta_H
+    (``betas_embed``) that decides the down-set stage and phi's order.
     """
 
     lattice: FiniteLattice
@@ -156,7 +155,7 @@ class ConstructionResult:
 
     @cached_property
     def con_facts(self) -> ConFacts:
-        """Con K as a label matrix with the flags verify reads; built once."""
+        """Con K as word rows with the flags verify reads; built once."""
         return con_facts(self)
 
     @cached_property
@@ -173,14 +172,22 @@ class ConstructionResult:
         return beta_labels(self.lattice, self.contributions, self.interior_down_sets)
 
     @cached_property
+    def beta_words(self) -> np.ndarray:
+        """The word rows of the label rows of ``betas``
+        (``ConAnalysis.label_words``): read from beta's own labels, not
+        from the dependency relation.  Each such row is a congruence, so
+        its word row is its mask."""
+        return self.lattice.con_analysis.label_words(self.betas[0])
+
+    @cached_property
     def betas_embed(self) -> bool:
         """Whether H -> beta_H is an order embedding of the down sets of
-        the interior: one :func:`cover_certificate` over the beta rows and
-        ``interior_down_sets``, run only when ``betas`` reports no error
-        (False otherwise).  The down-set stage reads it, and so does
-        :func:`_correspondence`, where it decides the order of phi."""
-        labels, error = self.betas
-        return error is None and cover_certificate(labels, self.interior_down_sets)
+        the interior: one :func:`cover_certificate` over ``beta_words``
+        and ``interior_down_sets``, run only when ``betas`` reports no
+        error (False otherwise).  The down-set stage reads it, and so
+        does :func:`_correspondence`, where it decides the order of phi."""
+        return self.betas[1] is None and cover_certificate(self.beta_words,
+                                                           self.interior_down_sets)
 
 
 @dataclass(frozen=True)
@@ -670,6 +677,35 @@ def _blocks(lat: FiniteLattice, labels: np.ndarray) -> list[tuple[str, ...]]:
     return CongruenceRelation(lat, tuple(labels.tolist())).blocks()
 
 
+def _con_rows(result: ConstructionResult) -> np.ndarray:
+    """The row of ``result.con_facts`` of each congruence of
+    ``all_congruences``, in that order (ConOrder, most blocks first, the
+    order of ``ConAnalysis.con_masks`` and ``con_labels``).  Built only by
+    :func:`phi` and to name a failure."""
+    an = result.lattice.con_analysis
+    return result.con_facts.index.find(an.words(an.con_masks))
+
+
+def _first_failing(result: ConstructionResult, bad: np.ndarray) -> tuple[int, np.ndarray]:
+    """The first congruence in ConOrder among the rows of
+    ``result.con_facts`` that ``bad`` flags, as a congruence-by-congruence
+    loop over ``all_congruences`` meets them: its row, and its label row."""
+    rows = _con_rows(result)
+    k = int(bad[rows].argmax())
+    return int(rows[k]), result.lattice.con_analysis.con_labels[k]
+
+
+def _princ_poset(lat: FiniteLattice) -> Poset:
+    """Princ K as a poset on ``pc0, pc1, ...``, in the key order of
+    ``ConAnalysis.princ_witnesses``, ordered by the subset order of the
+    masks: isomorphic to ``princ_order(lat).as_poset()``, which lists the
+    same congruences sorted, with no label matrix and no sort."""
+    an = lat.con_analysis
+    masks = tuple(an.princ_witnesses)
+    names = tuple(f"pc{i}" for i in range(len(masks)))
+    return Poset(names, _subset_matrix(masks, len(an.joinirr)))
+
+
 def _down_set_names(result: ConstructionResult, k: int) -> tuple[str, ...]:
     """The members of down set k of P, numbered as in :func:`_correspondence`."""
     P = result.source
@@ -682,7 +718,7 @@ def _down_set_names(result: ConstructionResult, k: int) -> tuple[str, ...]:
 def _correspondence(result: ConstructionResult) -> np.ndarray:
     """Check that phi is an order isomorphism from Con K onto the nonempty
     down sets of P, on matrices alone; return the number of the image of
-    each row of ``result.con_facts`` (congruence r of ``all_congruences``).
+    each row of ``result.con_facts``.
 
     Every nonempty down set of P but P is {0} u H for a down set H of the
     interior, so number k stands for {0} u H_k, with H_k row k of
@@ -692,11 +728,13 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     congruence to {0} u its base, numbered by ``facts.base_row``; it is a
     bijection iff its sorted numbers are 0, 1, ....  The backward map
     sends {0} u H_k to beta_{H_k}, row k of ``result.betas``, and P to the
-    one congruence; the round trip compares each beta row with the label
-    row of its owner.
+    one congruence; the round trip compares the word row of each beta
+    row (``result.beta_words``) with the word row of its owner.  Every
+    beta row returned is a congruence, so equal word rows are equal
+    congruences (the lemma in ``ConAnalysis``).
 
     The order is then decided by ``result.betas_embed``, the one cover
-    certificate over the beta rows.  Proof that phi preserves and
+    certificate over the beta word rows.  Proof that phi preserves and
     reflects the order iff H -> beta_H does, once the round trip holds.
     If K has one element, Con K is one row and there is no pair to
     decide.  Otherwise the one congruence (the only row with ``one``)
@@ -709,25 +747,26 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     every row refines it and every image lies in P, and it refines only
     itself (the rows are distinct congruences) while P lies in no other
     image (the images are distinct).  Only when the certificate fails are
-    the images built as rows over P, for the pairwise check on Con K's
-    rows that names phi's witness.  A failure is reported as the first
-    one that a loop over Con K, then over the down sets, would meet.
+    Con K's label rows in ConOrder and the images built as rows over P,
+    for the pairwise check that names phi's witness.  A failure is
+    reported as the first one that a loop over Con K in ConOrder, then
+    over the down sets, would meet.
     """
     lat = result.lattice
     P = result.source
     facts = result.con_facts
     downs = result.interior_down_sets
     count = len(downs) + (lat.n > 1)  # the nonempty down sets of P
-    if len(facts.labels) != count:
+    if len(facts.words) != count:
         raise CorrespondenceBroken(
-            (len(facts.labels), count), "congruence count differs from down-set count")
+            (len(facts.words), count), "congruence count differs from down-set count")
 
     top = facts.one & (lat.n > 1)
     bad = ~(top | facts.zero | (facts.isolating & (facts.base_row >= 0)))
     if bad.any():
-        r = int(bad.argmax())
+        r, labels = _first_failing(result, bad)
         if not facts.isolating[r]:
-            raise CorrespondenceBroken(_blocks(lat, facts.labels[r]),
+            raise CorrespondenceBroken(_blocks(lat, labels),
                                        "congruence neither bound nor isolating")
         raise CorrespondenceBroken(facts.base_of(r), "base is not a down set")
     forward = np.where(top, len(downs), facts.base_row)
@@ -738,12 +777,12 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     # back to the one congruence
     owner = np.empty_like(forward)
     owner[forward] = np.arange(len(forward))
-    betas, error = result.betas
-    broken = np.flatnonzero((betas != facts.labels[owner[:len(betas)]]).any(axis=1))
+    words = result.beta_words
+    broken = np.flatnonzero((words != facts.words[owner[:len(words)]]).any(axis=1))
     if broken.size:
         raise CorrespondenceBroken(_down_set_names(result, int(broken[0])), "round trip broke")
-    if error is not None:
-        raise error
+    if result.betas[1] is not None:
+        raise result.betas[1]
     # with the round trip intact, phi's order is H -> beta_H's (see above);
     # the pairwise oracle runs only to name the first mismatch
     if not result.betas_embed:
@@ -751,9 +790,10 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
         family[:len(downs), [P.poset.index(x) for x in P.interior]] = downs
         family[:, P.poset.index(P.zero)] = True
         family[len(downs):] = True
-        bad = order_mismatch(facts.labels, family[forward])
+        image = forward[_con_rows(result)]
+        bad = order_mismatch(lat.con_analysis.con_labels, family[image])
         if bad is not None:
-            a, b = (_down_set_names(result, k) for k in forward[list(bad)].tolist())
+            a, b = (_down_set_names(result, k) for k in image[list(bad)].tolist())
             raise CorrespondenceBroken((a, b), "order not preserved")
     return forward
 
@@ -761,12 +801,13 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
 def phi(result: ConstructionResult) -> IsoCorrespondence:
     """The verified correspondence between Con K and nonempty down sets.
 
-    The checks are :func:`_correspondence`'s, on label and membership
+    The checks are :func:`_correspondence`'s, on word rows and membership
     matrices; this public form then builds one :class:`CongruenceRelation`
     (``all_congruences``) and one :class:`DownSet` per congruence, the
-    latter from the number of its image.
+    latter from the number of its image, matched to the congruence by
+    mask.
     """
-    forward = _correspondence(result)
+    forward = _correspondence(result)[_con_rows(result)]
     images = (DownSet(_down_set_names(result, k)) for k in forward.tolist())
     pairs = dict(zip(all_congruences(result.lattice).congruences, images))
     return IsoCorrespondence(pairs, {ds: theta for theta, ds in pairs.items()})
@@ -799,17 +840,19 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     Every stage reads the one congruence analysis of K
     (``FiniteLattice.con_analysis``), and the per-congruence stages read
-    its label matrix once, through ``result.con_facts``.  The down sets of
-    the interior are enumerated once (``result.interior_down_sets``); they
-    number phi's images and the bases of Con K, and their beta rows come
-    from one :func:`beta_labels` call (``result.betas``).  The order is
-    decided once, by one cover certificate over those rows
-    (``result.betas_embed``), which the down-set stage and
-    :func:`_correspondence` both read; the correspondence is checked
-    once.  No stage builds a congruence or down-set object per congruence
-    or per down set: those are built only for a failure witness.  A P of
-    at most two elements reads none of these.  An :class:`InputError`,
-    such as colliding element names, is raised, not reported as a stage.
+    Con K once, as word rows, through ``result.con_facts``; Con K and
+    Princ K are sorted into ConOrder and given label rows only to name a
+    failure.  The down sets of the interior are enumerated once
+    (``result.interior_down_sets``); they number phi's images and the
+    bases of Con K, and their beta rows come from one :func:`beta_labels`
+    call (``result.betas``).  The order is decided once, by one cover
+    certificate over those rows' word rows (``result.betas_embed``),
+    which the down-set stage and :func:`_correspondence` both read; the
+    correspondence is checked once.  No stage builds a congruence or
+    down-set object per congruence or per down set: those are built only
+    for a failure witness.  A P of at most two elements reads none of
+    these.  An :class:`InputError`, such as colliding element names, is
+    raised, not reported as a stage.
     """
     stages: list[tuple[str, bool, str]] = []
 
@@ -838,7 +881,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     if result.degenerate:
         def s_degenerate():
-            if order_iso(P.poset, princ_order(lat).as_poset()) is None:
+            if order_iso(P.poset, _princ_poset(lat)) is None:
                 raise VerificationFailed("degenerate", detail="principal order differs")
             return f"|P|={len(P.elements)}"
         stage("degenerate-realization", s_degenerate)
@@ -865,13 +908,14 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         bad = ~(facts.zero | facts.one | facts.isolating)
         if bad.any():
             raise VerificationFailed("congruence-dichotomy",
-                                     witness=_blocks(lat, facts.labels[int(bad.argmax())]))
-        return f"{len(facts.labels)} congruences"
+                                     witness=_blocks(lat, _first_failing(result, bad)[1]))
+        return f"{len(facts.words)} congruences"
 
     def s_base():
         bad = facts.isolating & (facts.base_row < 0)
         if bad.any():
-            raise VerificationFailed("base-down-set", witness=facts.base_of(int(bad.argmax())))
+            raise VerificationFailed("base-down-set",
+                                     witness=facts.base_of(_first_failing(result, bad)[0]))
         return ""
 
     # the correspondence is checked once: both correspondence stages
@@ -886,8 +930,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         rows = result.interior_down_sets
         labels, error = result.betas
         empty = ~rows[:len(labels)].any(axis=1)
-        blocks = _canonical_counts(labels)
-        ok = np.where(empty, blocks == lat.n, _isolating(lat, labels, blocks))
+        zero, _, isolating, _ = lat.con_analysis.word_flags(result.beta_words)
+        ok = np.where(empty, zero, isolating)
         if not ok.all():
             k = int(ok.argmin())
             witness = "empty" if empty[k] else _member_names(P.interior, rows[k])
@@ -904,7 +948,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     def s_phi():
         if corr_error is not None:
             raise corr_error
-        return f"|Con K| = {len(facts.labels)}"
+        return f"|Con K| = {len(facts.words)}"
 
     def s_princ_corr():
         an = lat.con_analysis
@@ -912,16 +956,14 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         principal_downs = set(down.values())
         if corr_error is not None:
             raise corr_error
-        # Con K's rows by mask (con_masks is in the row order of
-        # facts.labels): every principal congruence's row, and its image
-        row_of = {m: r for r, m in enumerate(an.con_masks)}
-        rows = [row_of[m] for m in an.princ_masks]
+        # Con K's rows by mask: every principal congruence's row, and its image
+        rows = facts.index.find(an.words(list(an.princ_witnesses)))
         image = {_down_set_names(result, k) for k in forward[rows].tolist()}
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row
-        for p, a, b in zip(P.interior, *(c.tolist() for c in result.anchor_columns)):
-            r = row_of[_con(lat, a, b)]
+        anchors = [_con(lat, a, b) for a, b in zip(*(c.tolist() for c in result.anchor_columns))]
+        for p, r in zip(P.interior, facts.index.find(an.words(anchors)).tolist()):
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)
             expect = tuple(x for x in down[p] if x != P.zero)
@@ -931,10 +973,10 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         return f"{len(rows)} principal congruences"
 
     def s_princ_iso():
-        po = princ_order(lat)
-        if order_iso(P.poset, po.as_poset()) is None:
+        po = _princ_poset(lat)
+        if order_iso(P.poset, po) is None:
             raise VerificationFailed("principal-order-isomorphism")
-        return f"|Princ K| = {len(po)}"
+        return f"|Princ K| = {po.n}"
 
     def s_length():
         # 3 on an antichain interior, 5 on one whose longest chain has two

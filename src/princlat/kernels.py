@@ -1,17 +1,17 @@
-"""Label-matrix kernels of verification.
+"""Matrix kernels of verification.
 
 ``verify`` checks the correspondence between Con K and the down sets of
 the interior.  The functions here do that work for all congruences, or
 all down sets, at once, and return matrices, never one object per row:
-:func:`con_facts` reads the flags and bases of Con K from one
-|Con K| x |K| label matrix and finds each base among the down sets of
-the interior, and :func:`beta_labels` computes the label row of beta_H
-for every row of a down-set membership matrix with one kernel.
-Congruence and down-set objects are built only by the public API
-(``phi``, ``beta_H``, ``all_congruences``, ...) and for failure
-witnesses.  Work runs in chunks of rows of at most ``order._CHUNK``
-elements.  A failure is named by examining only the first failing row,
-in the order a scalar loop would have met it.
+:func:`con_facts` reads the flags and bases of Con K from its word rows
+over J(K) (``ConAnalysis.word_flags``), with no label matrix, and finds
+each base among the down sets of the interior, and :func:`beta_labels`
+computes the label row of beta_H for every row of a down-set membership
+matrix with one kernel.  Congruence and down-set objects are built only
+by the public API (``phi``, ``beta_H``, ``all_congruences``, ...) and
+for failure witnesses.  Work runs in chunks of rows of at most
+``order._CHUNK`` elements.  A failure is named by examining only the
+first failing row, in the order a scalar loop would have met it.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .congruence import (
-    _base_rows,
-    _canonical_counts,
-    _isolating,
-    _label_dtype,
-    _numbered,
-    is_congruence,
-)
+from .congruence import _label_dtype, _numbered, is_congruence
 from .errors import AssemblyNotALattice
 from .lattice import FiniteLattice
 from .order import _CHUNK, RowIndex, _member_names
@@ -40,24 +33,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True, eq=False)
 class ConFacts:
-    """Con K as one label matrix, and what phi's forward map and the
-    per-congruence stages of verify read of it; row r is congruence r of
-    ``all_congruences``, which verify never builds: a stage finds a
-    congruence's row by its mask, whose place in
-    ``ConAnalysis.con_masks`` is its row here, and reads the flags of
-    that row.
+    """Con K as word rows over J(K), and what phi's forward map and the
+    per-congruence stages of verify read of them.
 
-    ``zero``, ``one`` and ``isolating`` flag the bound and the
-    I-congruences; ``base[r]`` marks the interior elements (in
+    ``words`` holds one row per congruence (``ConAnalysis.words``), in
+    ascending order of the masks; that is the row order of every field.
+    ``index`` finds a congruence's row by its word row, so a stage finds
+    it from a mask.  ``zero``, ``one`` and ``isolating`` flag the bound
+    and the I-congruences; ``base[r]`` marks the interior elements (in
     ``source.interior`` order) whose anchor pair row r collapses, which
     is ``congruence.base`` on the isolating rows, and ``base_row[r]`` is
     the row of that base in the result's ``interior_down_sets``, or -1
-    where it is not a down set of the interior.  It holds no reference to
-    the result that caches it, so the two form no cycle.
+    where it is not a down set of the interior.  There is no label
+    matrix: Con K in ``all_congruences`` order, with its labels, is
+    rebuilt only by ``phi`` and to name a failure.  It holds no
+    reference to the result that caches it, so the two form no cycle.
     """
 
     interior: tuple[str, ...]
-    labels: np.ndarray
+    words: np.ndarray
+    index: RowIndex
     zero: np.ndarray
     one: np.ndarray
     isolating: np.ndarray
@@ -70,15 +65,17 @@ class ConFacts:
 
 
 def con_facts(result: ConstructionResult) -> ConFacts:
-    """The :class:`ConFacts` of an assembled lattice, from the label matrix
-    of its congruence analysis and the down sets of its interior."""
+    """The :class:`ConFacts` of an assembled lattice, from the congruence
+    masks of its analysis and the down sets of its interior.  An anchor
+    pair (a, b) is collapsed iff (a ^ b, a v b) is."""
     lat = result.lattice
-    labels = lat.con_analysis.con_labels
-    blocks = _canonical_counts(labels)
-    rows = _base_rows(result, labels)
-    return ConFacts(result.source.interior, labels, blocks == lat.n, blocks == 1,
-                    _isolating(lat, labels, blocks), rows,
-                    RowIndex(result.interior_down_sets).find(rows))
+    an = lat.con_analysis
+    words = an.words(an.con_set())
+    words = words[np.lexsort(words.T)]  # the last word is the most significant
+    a, b = result.anchor_columns
+    zero, one, isolating, base = an.word_flags(words, lat.meet[a, b], lat.join[a, b])
+    return ConFacts(result.source.interior, words, RowIndex(words), zero, one, isolating,
+                    base, RowIndex(result.interior_down_sets).find(base))
 
 
 def beta_labels(lat: FiniteLattice, contributions,

@@ -77,6 +77,7 @@ from gadget_space import (
 )
 from test_construction import assert_betas_match, assert_facts_match_the_scalar_loop
 from test_congruence import (
+    assert_word_rows_match_the_label_rows,
     closure_masks,
     find_valuation_two_witness,
     intersect_labels,
@@ -151,20 +152,21 @@ def test_princ_witnesses_match_the_row_loop_on_the_corpus(corpus):
 
 def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_zoo):
     # the label matrices of phi's order check and of the downset-congruence
-    # stage, as verify builds them, then with two rows swapped or one
-    # repeated; the result's beta rows are the scalar beta_H of each down set
-    # of the interior, in down-set order, which is the order of the nonempty
-    # down sets of P other than P
+    # stage, then with two rows swapped or one repeated; the certificate
+    # reads their word rows, order_mismatch the labels; the result's beta
+    # rows are the scalar beta_H of each down set of the interior, in
+    # down-set order, which is the order of the nonempty down sets of P
+    # other than P
     rng = random.Random(20260201)
     samples = [(P, result) for P, result, _, _ in corpus]
     samples += [(P, assemble_K(P, templates)) for P in poset_zoo.values()]
     for P, result in samples:
         corr = phi(result)
         assert corr.backward == {ds: theta for theta, ds in corr.forward.items()}
-        facts = result.con_facts
+        an = result.lattice.con_analysis
         cons = all_congruences(result.lattice).congruences
         image = membership([corr.forward[t].members for t in cons], P.elements)
-        inputs = [(facts.labels, image)]
+        inputs = [(an.con_labels, image)]
         if not result.degenerate:
             family = [ds.members for ds in down_sets(P.interior_poset)]
             betas, error = result.betas
@@ -175,7 +177,7 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             assert np.array_equal(down_set_matrix(P.poset)[1:-1][:, inner], rows)
             inputs.append((betas, rows))
         for labels, rows in inputs:
-            assert cover_certificate(labels, rows), P.poset.cover_names()
+            assert cover_certificate(an.label_words(labels), rows), P.poset.cover_names()
             if len(labels) < 2:
                 continue
             a, b = rng.sample(range(len(labels)), 2)
@@ -183,8 +185,13 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             swapped[[a, b]] = labels[[b, a]]
             repeated[a] = labels[b]
             for variant in (swapped, repeated):
-                assert cover_certificate(variant, rows) == (
+                assert cover_certificate(an.label_words(variant), rows) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()
+
+
+def test_word_rows_match_the_label_rows_on_the_corpus(corpus):
+    for P, result, _, _ in corpus:
+        assert_word_rows_match_the_label_rows(result.lattice)
 
 
 def test_con_and_beta_label_rows_are_canonical(corpus, templates, poset_zoo):

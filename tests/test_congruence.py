@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
+    _base_rows,
+    _bit_words,
     _block_counts,
     _block_firsts,
     _canonical_counts,
@@ -499,6 +501,48 @@ def test_isolating_masks_match_the_label_rows(seed):
         assert [an.isolating(m) for m in masks] == want.tolist()
 
 
+def assert_word_rows_match_the_label_rows(lat):
+    # the lemma theta <= psi iff M(theta) is a subset of M(psi): the word
+    # rows of Con L's label rows are the rows of its masks, and label
+    # refinement, as order_mismatch reads it, is the subset order of the
+    # word rows on every pair; word_flags agree with the label-row flags,
+    # the collapsed pairs on every pair of elements, comparable or not, as
+    # (meet, join)
+    an = lat.con_analysis
+    labels = an.con_labels
+    words = an.words(an.con_masks)
+    assert np.array_equal(an.label_words(labels), words)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=len(an.joinirr),
+                         bitorder="little").view(bool)
+    assert [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+            for b in bits] == list(an.con_masks)
+    assert order_mismatch(labels, bits) is None
+    a, b = np.triu_indices(lat.n, 1)
+    zero, one, isolating, collapsed = an.word_flags(words, lat.meet[a, b], lat.join[a, b])
+    blocks = _block_counts(labels)
+    assert zero.tolist() == (blocks == lat.n).tolist()
+    assert one.tolist() == (blocks == 1).tolist()
+    assert isolating.tolist() == _isolating(lat, labels, blocks).tolist()
+    assert np.array_equal(collapsed, _base_rows(SimpleNamespace(anchor_columns=(a, b)), labels))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_word_rows_match_the_label_rows(seed):
+    for lat in random_lattices(seed, 3, max_size=12) + [m3(), chain(1), chain(2), chain(4)]:
+        assert_word_rows_match_the_label_rows(lat)
+
+
+def test_word_rows_match_the_label_rows_on_the_zoo(templates, poset_zoo):
+    # assembled K, the 8-chain's with more than 64 join-irreducibles, so
+    # each word row is two words
+    names = ["0"] + [f"x{i}" for i in range(8)] + ["1"]
+    chain8 = bounded(names, list(zip(names, names[1:])))
+    for P in [*poset_zoo.values(), chain8]:
+        assert_word_rows_match_the_label_rows(assemble_K(P, templates).lattice)
+    assert assemble_K(chain8, templates).lattice.con_analysis.words([0]).shape == (1, 2)
+
+
 def test_canonical_counts_do_not_wrap_in_the_label_dtype():
     # the zero congruence of a 256-element lattice: its labels 0..255 fit
     # the lattice's uint8 label dtype, its block count does not
@@ -616,6 +660,17 @@ def synthetic_family(rng):
     return thetas, rows
 
 
+def pair_words(labels):
+    """Each label row as the pairs i < j of points it puts in one block,
+    as a row of 64-bit words: one partition refines another iff its
+    pairs are a subset of the other's.  So the word rows of a family of
+    partitions, which need not be congruences of a lattice, stand in for
+    congruence masks in :func:`cover_certificate`."""
+    labels = np.asarray(labels)
+    i, j = np.triu_indices(labels.shape[1], 1)
+    return _bit_words(labels[:, i] == labels[:, j])
+
+
 def perturbed(thetas, rng):
     """thetas with two rows swapped, or with two blocks of one row merged."""
     thetas = list(thetas)
@@ -640,12 +695,12 @@ def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng):
     # --hypothesis-show-statistics
     thetas, rows = synthetic_family(rng)
     labels = label_matrix(thetas)
-    assert cover_certificate(labels, rows) and order_mismatch(labels, rows) is None
+    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
     kind, thetas = perturbed(thetas, rng)
     labels = label_matrix(thetas)
     broken = order_mismatch(labels, rows) is not None
     event(f"{kind}: {'mismatch' if broken else 'embedding'}")
-    assert cover_certificate(labels, rows) == (not broken)
+    assert cover_certificate(pair_words(labels), rows) == (not broken)
 
 
 def test_cover_certificate_finds_cover_partners_past_the_first_byte():
@@ -659,7 +714,7 @@ def test_cover_certificate_finds_cover_partners_past_the_first_byte():
         labels = np.tile(np.arange(13), (len(rows), 1))
         labels[:, 1:11][rows] = 0
         labels[rows[:, 0] & rows[:, 8] & ~rows[:, 9] & broken, 12] = 11
-        assert cover_certificate(labels, rows) == (not broken)
+        assert cover_certificate(pair_words(labels), rows) == (not broken)
         assert (order_mismatch(labels, rows) is None) == (not broken)
 
 
@@ -673,12 +728,33 @@ def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
     assert rows.shape == (66, 65)
     labels = np.tile(np.arange(67), (len(rows), 1))
     labels[:, 1:66][rows] = 0
-    assert cover_certificate(labels, rows) and order_mismatch(labels, rows) is None
+    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
     for a, b in ((0, 65), (31, 32), (64, 65)):
         swapped = labels.copy()
         swapped[[a, b]] = labels[[b, a]]
         assert order_mismatch(swapped, rows) is not None
-        assert not cover_certificate(swapped, rows)
+        assert not cover_certificate(pair_words(swapped), rows)
+
+
+def test_cover_certificate_checks_covers_on_wide_keys():
+    # 65 elements: a chain c0 < ... < c61 under a and b, both under t.  The
+    # down set H = C u {a, b} is no down p, so an extra block {0, 66} in
+    # theta_H alone keeps (ii) intact and breaks only the cover
+    # H < H u {t}, which (i) finds through a byte key grown by t
+    chain_ = [f"c{i}" for i in range(62)]
+    p = validate_poset(chain_ + ["a", "b", "t"],
+                       list(zip(chain_, chain_[1:])) + [("c61", "a"), ("c61", "b"),
+                                                        ("a", "t"), ("b", "t")])
+    rows = down_set_matrix(p)
+    assert rows.shape == (67, 65)
+    labels = np.tile(np.arange(67), (len(rows), 1))
+    labels[:, 1:66][rows] = 0
+    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
+    h = int(np.flatnonzero(rows.sum(axis=1) == 64)[0])
+    assert not rows[h, p.index("t")]
+    labels[h, 66] = 0
+    assert order_mismatch(labels, rows) is not None
+    assert not cover_certificate(pair_words(labels), rows)
 
 
 def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypatch):
@@ -691,22 +767,24 @@ def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypat
     inputs = []
     for _ in range(40):
         thetas, rows = synthetic_family(rng)
-        inputs.append((label_matrix(thetas), rows))
-        inputs.append((label_matrix(perturbed(thetas, rng)[1]), rows))
+        inputs.append((pair_words(label_matrix(thetas)), rows))
+        inputs.append((pair_words(label_matrix(perturbed(thetas, rng)[1])), rows))
     names = ["0", "1"] + [f"x{i}" for i in range(10)]
     P = bounded(names, [("0", x) for x in names[2:]] + [(x, "1") for x in names[2:]])
     result = assemble_K(P, templates)
     labels, error = result.betas
     assert error is None and labels.shape == (1 << 10, 24)
-    swapped = labels.copy()
-    swapped[[3, 700]] = labels[[700, 3]]
-    inputs += [(labels, result.interior_down_sets), (swapped, result.interior_down_sets)]
-    verdicts = [cover_certificate(labels, rows) for labels, rows in inputs]
+    words = result.beta_words
+    assert words.shape == (1 << 10, 1)
+    swapped = words.copy()
+    swapped[[3, 700]] = words[[700, 3]]
+    inputs += [(words, result.interior_down_sets), (swapped, result.interior_down_sets)]
+    verdicts = [cover_certificate(words, rows) for words, rows in inputs]
     assert verdicts[-2:] == [True, False]
     assert True in verdicts[:-2] and False in verdicts[:-2]
-    for chunk in (1, 3 * 10 * 24):
+    for chunk in (1, 3 * 10):
         monkeypatch.setattr(congruence, "_CHUNK", chunk)
-        assert [cover_certificate(labels, rows) for labels, rows in inputs] == verdicts, chunk
+        assert [cover_certificate(words, rows) for words, rows in inputs] == verdicts, chunk
 
 
 # ------------------------------------ vectorised substitution check against the loop

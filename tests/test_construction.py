@@ -433,28 +433,20 @@ def test_downset_congruence_reports_the_first_order_mismatch(
     assert stages["downset-congruence"] == (False, f"VerificationFailed: {failure}")
 
 
-def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch):
+def _swap_congruences(monkeypatch, lo, hi):
+    """Swap congruences lo and hi of K in both the forward facts (their
+    base rows) and the beta kernel: the round trip stays intact and only
+    the order breaks.  Returns the swap as a map on congruences."""
     import princlat.construction as construction
 
-    P = poset_zoo["4-chain"]
-    r = assemble_K(P, templates)
-    forward = phi(r).forward
-    lo, hi = beta_H(r, ("p",)), beta_H(r, ("p", "q"))
     swap = {lo.labels: hi.labels, hi.labels: lo.labels}
-
-    def swapped(theta):
-        return CongruenceRelation(theta.lattice, swap.get(theta.labels, theta.labels))
-
-    # swapping the two congruences in both the forward facts (their base
-    # rows) and the beta kernel keeps the round trip intact and breaks only
-    # the order
     original_facts, original_betas = construction.con_facts, construction.beta_labels
 
     def swapped_facts(result):
         facts = original_facts(result)
-        perm = np.arange(len(facts.labels))
-        k = RowIndex(facts.labels).find(
-            np.array([lo.labels, hi.labels], dtype=facts.labels.dtype)).tolist()
+        perm = np.arange(len(facts.words))
+        k = facts.index.find(result.lattice.con_analysis.label_words(
+            np.array([lo.labels, hi.labels]))).tolist()
         perm[k] = perm[k[::-1]]
         return dataclasses.replace(facts, **{
             name: getattr(facts, name)[perm]
@@ -467,6 +459,14 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
 
     monkeypatch.setattr(construction, "con_facts", swapped_facts)
     monkeypatch.setattr(construction, "beta_labels", swapped_betas)
+    return lambda theta: CongruenceRelation(theta.lattice, swap.get(theta.labels, theta.labels))
+
+
+def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch):
+    P = poset_zoo["4-chain"]
+    r = assemble_K(P, templates)
+    forward = phi(r).forward
+    swapped = _swap_congruences(monkeypatch, beta_H(r, ("p",)), beta_H(r, ("p", "q")))
     image = {t: forward[swapped(t)].members for t in forward}
     expect = next(
         (image[t1], image[t2]) for t1 in forward for t2 in forward
@@ -480,6 +480,132 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     detail = f"CorrespondenceBroken: {exc.value}"
     assert stages["congruence-correspondence"] == (False, detail)
     assert stages["principal-correspondence"] == (False, detail)
+
+
+def test_phi_reports_the_first_broken_round_trip(templates, poset_zoo, monkeypatch):
+    # beta_{p} replaced by beta_{p, q}: the forward facts are intact, so
+    # {0, p} goes to a congruence whose beta is another one; the round trip
+    # compares masks and names the first such down set
+    import princlat.construction as construction
+
+    P = poset_zoo["4-chain"]
+    original = construction.beta_labels
+    lo, hi = membership([("p",), ("p", "q")], P.interior)
+
+    def tampered(lat, contributions, members):
+        labels, error = original(lat, contributions, members)
+        labels = labels.copy()
+        at = [int(np.flatnonzero((members == row).all(axis=1))[0]) for row in (lo, hi)]
+        labels[at[0]] = labels[at[1]]
+        return labels, error
+
+    monkeypatch.setattr(construction, "beta_labels", tampered)
+    broken = CorrespondenceBroken(("0", "p"), "round trip broke")
+    with pytest.raises(CorrespondenceBroken) as exc:
+        phi(assemble_K(P, templates))
+    assert (str(exc.value), exc.value.witness) == (str(broken), broken.witness)
+    stages = _stage_details(verify_theorem(P, templates, "4-chain"))
+    assert stages["congruence-correspondence"] == (False, f"CorrespondenceBroken: {broken}")
+
+
+def _antichain3():
+    return bounded(["0", "p", "q", "r", "1"],
+                   [("0", x) for x in "pqr"] + [(x, "1") for x in "pqr"])
+
+
+def _out_of_mask_order(result):
+    """Two congruences of K, neither bound, the first of them before the
+    second in ``all_congruences`` order but with the larger mask."""
+    an = result.lattice.con_analysis
+    cons = all_congruences(result.lattice).congruences
+    masks = an.con_masks
+    i, j = next((i, j) for i in range(1, len(cons) - 1) for j in range(i + 1, len(cons) - 1)
+                if masks[i] > masks[j])
+    return cons[i], cons[j]
+
+
+@pytest.mark.parametrize("flag, value", [("isolating", False), ("base_row", -1)])
+def test_failing_con_rows_report_the_first_in_con_order(templates, monkeypatch, flag, value):
+    # two Con K rows fail the dichotomy (not isolating) or the base stage
+    # (base not a down set); the facts hold Con K in mask order, where the
+    # second congruence of all_congruences comes first, and every stage
+    # still names the first in all_congruences order, as a loop over
+    # all_congruences does
+    import princlat.construction as construction
+
+    P = _antichain3()
+    first, second = _out_of_mask_order(assemble_K(P, templates))
+    original = construction.con_facts
+
+    def failing(result):
+        facts = original(result)
+        an = result.lattice.con_analysis
+        rows = facts.index.find(an.label_words(np.array([first.labels, second.labels])))
+        assert rows[1] < rows[0]  # mask order puts the second first
+        changed = getattr(facts, flag).copy()
+        changed[rows] = value
+        return dataclasses.replace(facts, **{flag: changed})
+
+    monkeypatch.setattr(construction, "con_facts", failing)
+    stages = _stage_details(verify_theorem(P, templates, "3-antichain"))
+    result = assemble_K(P, templates)
+    if flag == "isolating":
+        witness, other = first.blocks(), second.blocks()
+        failure = VerificationFailed("congruence-dichotomy", witness=witness)
+        assert stages["congruence-dichotomy"] == (False, f"VerificationFailed: {failure}")
+        broken = CorrespondenceBroken(witness, "congruence neither bound nor isolating")
+    else:
+        witness, other = base(result, first), base(result, second)
+        failure = VerificationFailed("base-down-set", witness=witness)
+        assert stages["base-down-set"] == (False, f"VerificationFailed: {failure}")
+        broken = CorrespondenceBroken(witness, "base is not a down set")
+    assert witness != other
+    assert stages["congruence-correspondence"] == (False, f"CorrespondenceBroken: {broken}")
+    with pytest.raises(CorrespondenceBroken) as exc:
+        phi(result)
+    assert (str(exc.value), exc.value.witness) == (str(broken), broken.witness)
+
+
+def test_order_not_preserved_reports_the_first_pair_in_con_order(templates, monkeypatch):
+    # as test_phi_reports_the_first_order_mismatch, on two congruences whose
+    # mask order is not their all_congruences order: a loop over Con K in
+    # mask order meets another mismatch first, and phi names the first
+    # that a loop over all_congruences meets
+    P = _antichain3()
+    r = assemble_K(P, templates)
+    forward = phi(r).forward
+    swapped = _swap_congruences(monkeypatch, *_out_of_mask_order(r))
+    image = {t: forward[swapped(t)].members for t in forward}
+    masks = dict(zip(all_congruences(r.lattice).congruences, r.lattice.con_analysis.con_masks))
+
+    def first_mismatch(order):
+        return next((image[t1], image[t2]) for t1 in order for t2 in order
+                    if congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
+
+    expect = first_mismatch(list(forward))
+    assert first_mismatch(sorted(forward, key=masks.get)) != expect
+    with pytest.raises(CorrespondenceBroken) as exc:
+        phi(assemble_K(P, templates))
+    assert exc.value.witness == expect
+    assert str(exc.value) == str(CorrespondenceBroken(expect, "order not preserved"))
+    stages = _stage_details(verify_theorem(P, templates, "3-antichain"))
+    assert stages["congruence-correspondence"] == (False, f"CorrespondenceBroken: {exc.value}")
+
+
+def test_passing_verify_sorts_no_congruences_into_con_order(templates, poset_zoo, monkeypatch):
+    # Con K and Princ K are read as masks and word rows: a passing verify
+    # never sorts them into ConOrder or builds their label rows
+    calls = []
+    original = ConAnalysis._ordered
+
+    def counting(self, masks):
+        calls.append(len(masks))
+        return original(self, masks)
+
+    monkeypatch.setattr(ConAnalysis, "_ordered", counting)
+    for name, P in dict(poset_zoo, antichain3=_antichain3()).items():
+        assert verify_theorem(P, templates, name).passed, name
+        assert calls == [], name
 
 
 def test_verify_con_and_valuation_never_build_the_con_order_matrix(
@@ -581,14 +707,22 @@ def scalar_forward_facts(result):
 
 
 def assert_facts_match_the_scalar_loop(result):
+    # the facts' rows are Con K in ascending order of the masks, each once;
+    # matched to all_congruences by mask, each row is the word row of its
+    # congruence's labels and its flags are the scalar loop's
     facts = result.con_facts
-    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), int(k)) for z, o, i, b, k in zip(
-        facts.zero, facts.one, facts.isolating, facts.base, facts.base_row)]
-    assert got == scalar_forward_facts(result)
+    an = result.lattice.con_analysis
     cons = all_congruences(result.lattice).congruences
-    assert facts.labels.tolist() == [list(theta.labels) for theta in cons]
-    assert RowIndex(facts.labels).find(facts.labels).tolist() == list(range(len(cons)))
-    for r, theta in enumerate(cons):
+    assert [int.from_bytes(w.tobytes(), "little") for w in facts.words] == sorted(an.con_set())
+    assert RowIndex(facts.words).find(facts.words).tolist() == list(range(len(cons)))
+    rows = facts.index.find(an.words(an.con_masks)).tolist()
+    assert sorted(rows) == list(range(len(cons)))
+    assert np.array_equal(facts.words[rows], an.label_words([theta.labels for theta in cons]))
+    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), int(k)) for z, o, i, b, k in zip(
+        facts.zero[rows], facts.one[rows], facts.isolating[rows], facts.base[rows],
+        facts.base_row[rows])]
+    assert got == scalar_forward_facts(result)
+    for r, theta in zip(rows, cons):
         if facts.isolating[r]:
             assert facts.base_of(r) == base(result, theta)
 
@@ -601,8 +735,10 @@ def assert_betas_match(result):
     assert_same_beta(result.lattice, result.contributions, rows)
     labels, error = result.betas
     assert error is None
-    # every row is a congruence of K, and each is the one-row beta_H
-    assert (RowIndex(result.con_facts.labels).find(labels) >= 0).all()
+    # every row is a congruence of K, found among Con K's rows by its word
+    # row too, and each is the one-row beta_H
+    assert (RowIndex(result.lattice.con_analysis.con_labels).find(labels) >= 0).all()
+    assert (result.con_facts.index.find(result.beta_words) >= 0).all()
     assert [tuple(t) for t in labels.tolist()] == [beta_H(result, h).labels for h in family]
 
 
