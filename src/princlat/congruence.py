@@ -38,7 +38,6 @@ from .order import (
     _blas_rows,
     _freeze,
     _member_names,
-    _row_keys,
     _transitive_closure,
 )
 
@@ -284,13 +283,18 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
 def _bit_words(bits: np.ndarray) -> np.ndarray:
     """Boolean rows as rows of 64-bit words, at least one per row: column
     k at bit k % 64 of word k // 64, as :func:`_mask_bytes` places bit k
-    of a mask.  The rows are packed as one flat zero-padded array (see
-    :func:`princlat.order._row_keys`)."""
+    of a mask.  The rows are packed as one flat array, zero-padded to
+    whole bytes (see :func:`princlat.order._row_keys`), and the bytes are
+    then zero-padded to whole words, so no boolean temporary is wider
+    than the rows by more than seven columns."""
     m, c = bits.shape
     width = max(1, -(-c // 64))
-    padded = np.zeros((m, 64 * width), dtype=bool)
+    padded = np.zeros((m, -(-c // 8) * 8), dtype=bool)
     padded[:, :c] = bits
-    return np.packbits(padded.ravel(), bitorder="little").view(np.uint64).reshape(m, width)
+    out = np.zeros((m, 8 * width), dtype=np.uint8)
+    size = padded.shape[1] // 8
+    out[:, :size] = np.packbits(padded.ravel(), bitorder="little").reshape(m, size)
+    return out.view(np.uint64)
 
 
 def _mask_bytes(masks, width: int) -> np.ndarray:
@@ -368,38 +372,33 @@ def cover_certificate(words, members) -> bool:
     (:meth:`ConAnalysis.label_words`), subset is refinement, by the
     lemma in :class:`ConAnalysis`.
 
-    The inputs keep their order and nothing sorts them.  One
-    :class:`RowIndex` over the membership rows finds the cover partners
-    H u {p}.  When a row packs into one 64-bit key (up to 64 columns),
-    the key of H u {p} is H's key OR the key of {p}, as packing puts each
-    column at a fixed bit, and the partners are looked up by key; wider
-    rows are grown and looked up by their bytes.  (i) runs in chunks of
+    The inputs keep their order and nothing sorts them.  The membership
+    rows are packed to rows of 64-bit words (:func:`_bit_words`), and one
+    :class:`RowIndex` over them finds the cover partners H u {p}: the
+    packed row of H u {p} is H's packed row OR that of {p}, as packing
+    puts each column at a fixed bit.  (i) runs in chunks of
     rows holding at most ``_CHUNK`` words across all their pairs
     (H, p not in H), at least one row per chunk, with one lookup per
     chunk.  For (ii), down p is the smallest row holding p, and the
     rows go in chunks of at most ``_CHUNK`` words across all p.  So no
     temporary outgrows a chunk by more than one row's pairs, beyond the
-    index and a few vectors of one entry per row.
+    packed rows, the index and a few vectors of one entry per row.
     """
     members = np.asarray(members, dtype=bool)
     words = np.asarray(words)
     m, n = members.shape
     width = words.shape[1]
-    index = RowIndex(members)
-    unit = _row_keys(np.eye(n, dtype=bool)) if index.keys.dtype == np.uint64 else None
+    packed = _bit_words(members)
+    index = RowIndex(packed)
+    unit = _bit_words(np.eye(n, dtype=bool))
     sizes = members.sum(axis=1)
-    ends = np.cumsum((n - sizes) * width)  # words of (i) up to each row
+    ends = np.cumsum((n - sizes) * max(width, packed.shape[1]))  # words of (i) up to each row
     s = 0
     while s < m:  # (i)
         e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
         r, p = np.nonzero(~members[s:e])
         r += s
-        if unit is not None:
-            partner = index.find_keys(index.keys[r] | unit[p])
-        else:
-            grown = members[r]
-            grown[np.arange(len(p)), p] = True
-            partner = index.find(grown)
+        partner = index.find(packed[r] | unit[p])
         hit = partner >= 0  # each row H and its H u {p}
         if (words[r[hit]] & ~words[partner[hit]]).any():
             return False
@@ -565,18 +564,6 @@ class ConAnalysis:
         ids: dict[int, int] = {}
         return tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
 
-    def isolating(self, mask: int) -> bool:
-        """Whether the congruence of ``mask`` is nonzero and holds the bottom
-        and the top each in a block of its own (:func:`is_I_congruence`),
-        read from r(x) = J(x) minus M as its labels are.
-
-        x theta y iff r(x) = r(y) (see above), so the block of x holds x
-        alone iff no other element has r(x); and the congruence is zero
-        iff its mask is.
-        """
-        rest = [jb & ~mask for jb in self.jbelow]
-        return mask != 0 and all(rest.count(rest[e]) == 1 for e in self.ends)
-
     @cached_property
     def _jwords(self) -> np.ndarray:
         """J(x) as a word row, for each element x."""
@@ -606,15 +593,17 @@ class ConAnalysis:
 
     def word_flags(self, words, lo=(), hi=()):
         """For congruences given as word rows: which are zero, which are
-        one, which are isolating (:meth:`isolating`), and, for pairs of
-        positions lo[i] <= hi[i], ``collapsed[r, i]`` iff congruence r
-        collapses the pair.
+        one, which are isolating (nonzero, holding the bottom and the top
+        each in a block of its own, as :func:`is_I_congruence` reads it),
+        and, for pairs of positions lo[i] <= hi[i], ``collapsed[r, i]``
+        iff congruence r collapses the pair.
 
         Read from r(x) = J(x) minus M, as above: the congruence is zero iff
         M is empty and one iff M is J (it then collapses every j with
-        j_, and so 0 with 1 by (*)); it holds x alone iff no other
-        element has r(x); and lo theta hi iff J(hi) minus J(lo) lies in
-        M.  Rows go in chunks of ``_CHUNK`` words.
+        j_, and so 0 with 1 by (*)); x theta y iff r(x) = r(y), so it
+        holds x alone iff no other element has r(x); and lo theta hi iff
+        J(hi) minus J(lo) lies in M.  Rows go in chunks of ``_CHUNK``
+        words.
         """
         words = np.asarray(words)
         lo, hi = (np.asarray(x, dtype=np.intp) for x in (lo, hi))

@@ -265,8 +265,9 @@ def gadget_battery(t: GadgetTemplate) -> None:
 
     Congruences are masks of the lattice's analysis (:func:`_con`):
     equality is mask equality, refinement is the subset test, whether a
-    congruence is isolating is ``ConAnalysis.isolating`` of its mask, and
-    which pairs it collapses is read from its label vector.
+    congruence is isolating is read from its word row
+    (``ConAnalysis.word_flags``), and which pairs it collapses is read
+    from its label vector.
 
     Three checks are not run, because the ones before them imply them:
 
@@ -305,12 +306,13 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "upper-rail-pair")
     if tp & ~tq or tp == tq:
         raise TemplateInvalid(t.name, "congruence-comparability")
-    if not (an.isolating(tp) and an.isolating(tq)):
+    isolating = an.word_flags(an.words([tp, tq, *an.con_set()]))[2]
+    if not isolating[:2].all():
         raise TemplateInvalid(t.name, "isolating")
     witness = an.labels(_con(lat, r["b_p"], r["g"]))
     if witness[r["o"]] != witness[r["c"]]:
         raise TemplateInvalid(t.name, "collapse-witness")
-    count = sum(map(an.isolating, an.con_set()))
+    count = int(isolating[2:].sum())
     if count != 2:
         raise TemplateInvalid(t.name, "isolating-congruence-count", str(count))
     ends = (lat.index(lat.bottom), lat.index(lat.top))
@@ -683,7 +685,7 @@ def _con_rows(result: ConstructionResult) -> np.ndarray:
     order of ``ConAnalysis.con_masks`` and ``con_labels``).  Built only by
     :func:`phi` and to name a failure."""
     an = result.lattice.con_analysis
-    return result.con_facts.index.find(an.words(an.con_masks))
+    return result.con_facts.rows(an.words(an.con_masks))
 
 
 def _first_failing(result: ConstructionResult, bad: np.ndarray) -> tuple[int, np.ndarray]:
@@ -957,13 +959,13 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         if corr_error is not None:
             raise corr_error
         # Con K's rows by mask: every principal congruence's row, and its image
-        rows = facts.index.find(an.words(list(an.princ_witnesses)))
+        rows = facts.rows(an.words(list(an.princ_witnesses)))
         image = {_down_set_names(result, k) for k in forward[rows].tolist()}
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row
         anchors = [_con(lat, a, b) for a, b in zip(*(c.tolist() for c in result.anchor_columns))]
-        for p, r in zip(P.interior, facts.index.find(an.words(anchors)).tolist()):
+        for p, r in zip(P.interior, facts.rows(an.words(anchors)).tolist()):
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)
             expect = tuple(x for x in down[p] if x != P.zero)

@@ -38,8 +38,9 @@ class ConFacts:
 
     ``words`` holds one row per congruence (``ConAnalysis.words``), in
     ascending order of the masks; that is the row order of every field.
-    ``index`` finds a congruence's row by its word row, so a stage finds
-    it from a mask.  ``zero``, ``one`` and ``isolating`` flag the bound
+    ``index`` finds a congruence's row by its word row, and :meth:`rows`
+    does so for congruences that must be in Con K, so a stage finds a
+    row from a mask.  ``zero``, ``one`` and ``isolating`` flag the bound
     and the I-congruences; ``base[r]`` marks the interior elements (in
     ``source.interior`` order) whose anchor pair row r collapses, which
     is ``congruence.base`` on the isolating rows, and ``base_row[r]`` is
@@ -58,6 +59,18 @@ class ConFacts:
     isolating: np.ndarray
     base: np.ndarray
     base_row: np.ndarray
+
+    def rows(self, words: np.ndarray) -> np.ndarray:
+        """The row of each congruence given by its word row.  Raises
+        KeyError if one is not in Con K, which only a fault of the engine
+        can cause: a stage that reads the row fails rather than reading
+        row -1."""
+        rows = self.index.find(words)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            raise KeyError(f"{missing.size} of {len(rows)} congruences not in Con K, "
+                           f"first at query row {int(missing[0])}")
+        return rows
 
     def base_of(self, r: int) -> tuple[str, ...]:
         """``congruence.base`` of congruence r."""

@@ -65,29 +65,25 @@ class RowIndex:
     """The rows of a matrix, found by content through their sorted
     :func:`_row_keys`: one ``uint64`` per row when a row packs into one
     word (any boolean row of up to 64 columns), its bytes otherwise.  The
-    index holds two keys and one position per row, ``keys`` being the
-    rows' keys in row order; a query of q rows takes q keys.  A query of
-    another dtype or width raises ValueError: a cast could wrap a value
-    into a false match."""
+    index holds one key and one position per row; a query of q rows
+    takes q keys.  A query of another dtype or width raises ValueError:
+    a cast could wrap a value into a false match."""
 
     def __init__(self, rows: np.ndarray):
-        self.keys = _row_keys(rows)
-        self._order = np.argsort(self.keys, kind="stable")
-        self._sorted = self.keys[self._order]
+        keys = _row_keys(rows)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
         self._form = rows.dtype, rows.shape[1]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The row of each query row, or -1 where no row equals it."""
         if (rows.dtype, rows.shape[1]) != self._form:
             raise ValueError(f"query rows {rows.dtype} x {rows.shape[1]}, index {self._form}")
-        return self.find_keys(_row_keys(rows))
-
-    def find_keys(self, want: np.ndarray) -> np.ndarray:
-        """:meth:`find` on query keys of the dtype of ``keys``."""
-        if not len(self._sorted):
+        want = _row_keys(rows)
+        if not len(self._keys):
             return np.full(len(want), -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
-        return np.where(self._sorted[at] == want, self._order[at], -1)
+        at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
+        return np.where(self._keys[at] == want, self._order[at], -1)
 
 
 def _member_names(elements, row) -> tuple[str, ...]:

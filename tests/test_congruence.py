@@ -490,7 +490,7 @@ def test_con_order_matches_the_scalar_sort(seed):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_isolating_masks_match_the_label_rows(seed):
-    # ConAnalysis.isolating reads a mask as _isolating reads its label row,
+    # word_flags reads a mask's word row as _isolating reads its label row,
     # on every congruence; con_set is Con L unordered
     for lat in random_lattices(seed, 3, max_size=12) + [m3(), chain(1), chain(4)]:
         an = lat.con_analysis
@@ -498,7 +498,7 @@ def test_isolating_masks_match_the_label_rows(seed):
         masks = sorted(an.con_set())
         labels = np.array([an.labels(m) for m in masks])
         want = _isolating(lat, labels, _block_counts(labels))
-        assert [an.isolating(m) for m in masks] == want.tolist()
+        assert an.word_flags(an.words(masks))[2].tolist() == want.tolist()
 
 
 def assert_word_rows_match_the_label_rows(lat):
@@ -719,8 +719,8 @@ def test_cover_certificate_finds_cover_partners_past_the_first_byte():
 
 
 def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
-    # the 66 down sets of a 65-element chain are rows wider than one word,
-    # so the partners H u {p} are found by byte keys; theta_H has the block
+    # the 66 down sets of a 65-element chain pack to rows of two words, so
+    # the partners H u {p} are found by byte keys; theta_H has the block
     # {0} u {1 + i : i in H}.  Swapping two rows of a chain's family breaks
     # the order whichever two they are
     p = validate_poset([f"x{i}" for i in range(65)], [(f"x{i}", f"x{i + 1}") for i in range(64)])
@@ -740,7 +740,8 @@ def test_cover_certificate_checks_covers_on_wide_keys():
     # 65 elements: a chain c0 < ... < c61 under a and b, both under t.  The
     # down set H = C u {a, b} is no down p, so an extra block {0, 66} in
     # theta_H alone keeps (ii) intact and breaks only the cover
-    # H < H u {t}, which (i) finds through a byte key grown by t
+    # H < H u {t}, which (i) finds through H's packed row OR that of {t},
+    # t being column 64, bit 0 of the second word
     chain_ = [f"c{i}" for i in range(62)]
     p = validate_poset(chain_ + ["a", "b", "t"],
                        list(zip(chain_, chain_[1:])) + [("c61", "a"), ("c61", "b"),

@@ -566,6 +566,33 @@ def test_failing_con_rows_report_the_first_in_con_order(templates, monkeypatch, 
     assert (str(exc.value), exc.value.witness) == (str(broken), broken.witness)
 
 
+def test_a_congruence_missing_from_con_facts_fails_the_stage(templates, poset_zoo, monkeypatch):
+    # the index of Con K's word rows loses the row of one anchor congruence,
+    # which is principal: the principal stage and phi raise on the lookup
+    # instead of reading row -1, the last row
+    import princlat.construction as construction
+
+    P = poset_zoo["4-chain"]
+    original = construction.con_facts
+
+    def missing(result):
+        facts = original(result)
+        lat = result.lattice
+        a, b = (int(c[0]) for c in result.anchor_columns)
+        mask = lat.con_analysis.principal(int(lat.meet[a, b]), int(lat.join[a, b]))
+        words = facts.words.copy()
+        words[facts.index.find(lat.con_analysis.words([mask]))] = np.iinfo(np.uint64).max
+        return dataclasses.replace(facts, index=RowIndex(words))
+
+    monkeypatch.setattr(construction, "con_facts", missing)
+    stages = _stage_details(verify_theorem(P, templates, "4-chain"))
+    assert stages["congruence-correspondence"][0]
+    ok, detail = stages["principal-correspondence"]
+    assert not ok and detail.startswith("KeyError: ") and "not in Con K" in detail
+    with pytest.raises(KeyError, match="1 of .* not in Con K"):
+        phi(assemble_K(P, templates))
+
+
 def test_order_not_preserved_reports_the_first_pair_in_con_order(templates, monkeypatch):
     # as test_phi_reports_the_first_order_mismatch, on two congruences whose
     # mask order is not their all_congruences order: a loop over Con K in
