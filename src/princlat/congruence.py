@@ -547,12 +547,14 @@ class ConAnalysis:
     def __init__(self, lat: FiniteLattice):
         self.poset = lat.poset
         self.bottom = lat.bottom
-        self.ends = (lat.index(lat.bottom), lat.index(lat.top))
         lower: dict[int, list[int]] = {}
         for i, j in lat.poset.covers():
             lower.setdefault(j, []).append(i)
         self.joinirr = tuple(j for j in range(lat.n) if len(lower.get(j, ())) == 1)
         self.lower_cover = tuple(lower[j][0] for j in self.joinirr)
+        zero = lat.index(lat.bottom)
+        self.atom_mask = sum(1 << k for k, c in enumerate(self.lower_cover) if c == zero)
+        self.coatoms = tuple(lower.get(lat.index(lat.top), ()))  # positions
         below = lat.leq[list(self.joinirr)].T  # below[x, k]: joinirr[k] <= x
         self.jbelow = _row_masks(below)
         dep = _dependency(lat, self.joinirr, self.lower_cover, below)
@@ -600,27 +602,38 @@ class ConAnalysis:
 
         Read from r(x) = J(x) minus M, as above: the congruence is zero iff
         M is empty and one iff M is J (it then collapses every j with
-        j_, and so 0 with 1 by (*)); x theta y iff r(x) = r(y), so it
-        holds x alone iff no other element has r(x); and lo theta hi iff
-        J(hi) minus J(lo) lies in M.  Rows go in chunks of ``_CHUNK``
-        words.
+        j_, and so 0 with 1 by (*)); lo theta hi iff J(hi) minus J(lo)
+        lies in M.  The isolating test reads the covers of the bounds only:
+
+        * 0's block is {0} iff no atom is in M.  An atom a is
+          join-irreducible with a_ = 0, so a in M puts a /= 0 in 0's
+          block.  Conversely, x theta 0 iff r(x) = r(0), which is empty,
+          i.e. J(x) lies in M; if x /= 0, some atom a <= x, and J(a) = {a}
+          lies in J(x), so a is in M.
+        * 1's block is {1} iff J minus J(c) is not a subset of M for any
+          coatom c.  For x <= 1, x theta 1 iff r(x) = r(1), i.e.
+          J minus J(x) lies in M; so a coatom c with J minus J(c) in M
+          lies in 1's block.  Conversely, if x /= 1 and x theta 1, some
+          coatom c >= x has J minus J(c) within J minus J(x), within M.
+
+        So the test is one AND with the atoms' word row and one subset
+        test per coatom.  Rows go in chunks of ``_CHUNK`` words across
+        the coatoms and the pairs.
         """
         words = np.asarray(words)
         lo, hi = (np.asarray(x, dtype=np.intp) for x in (lo, hi))
         jw = self._jwords
         gap = jw[hi] & ~jw[lo]  # J(hi) minus J(lo), for each pair
         full = self.words([(1 << len(self.joinirr)) - 1])
+        top_gap = full & ~jw[np.array(self.coatoms, dtype=np.intp)]  # J minus J(c), each coatom c
         zero = ~words.any(axis=1)
         one = (words == full).all(axis=1)
-        isolating = ~zero
+        isolating = ~zero & ~(words & self.words([self.atom_mask])).any(axis=1)
         collapsed = np.empty((len(words), len(lo)), dtype=bool)
-        step = max(1, _CHUNK // (jw.size + gap.size))
+        step = max(1, _CHUNK // max(top_gap.size + gap.size, 1))
         for s in range(0, len(words), step):
             held = ~words[s:s + step, None, :]
-            rest = jw & held  # rest[r, x]: r(x) under row s + r
-            for e in self.ends:
-                same = (rest == rest[:, e, None]).all(axis=2)
-                isolating[s:s + step] &= np.count_nonzero(same, axis=1) == 1
+            isolating[s:s + step] &= (top_gap & held).any(axis=2).all(axis=1)
             collapsed[s:s + step] = ~(gap & held).any(axis=2)
         return zero, one, isolating, collapsed
 

@@ -110,10 +110,15 @@ def beta_labels(lat: FiniteLattice, contributions,
        product runs as scalar loops; it is exact, as each entry counts
        members and stays below 2^24;
     2. labels start as the element positions and every element takes the
-       least label across its active pairs until nothing changes, so
-       each block ends labelled by its least element, as with
-       ``congruence._merge``; numbering those by position is the
-       canonical form;
+       least label across its active pairs until the two ends of every
+       active pair share a label.  Then each block is labelled by its
+       least element, as with ``congruence._merge``: a label never rises,
+       and it is always the position of an element of its block, so it
+       never falls below the block's least element m, whose label thus
+       stays m; once every active pair agrees, labels are constant on
+       blocks, so every label of m's block is m.  The test runs before
+       each round, so no round runs that changes nothing.  Numbering the
+       labels by position is the canonical form;
     3. a block may hold at most three elements, and the relation is
        transitive iff the sum of C(s, 2) over the block sizes s equals
        the number of distinct active pairs, because every active pair
@@ -182,12 +187,12 @@ def beta_labels(lat: FiniteLattice, contributions,
         m = len(active)
         lab = np.broadcast_to(iota, (m, n)).copy()
         while True:
-            low = np.where(active, np.minimum(lab[:, lo], lab[:, hi]), n)
-            low = np.minimum.reduceat(low[:, pair_at], starts, axis=1)
-            cur = lab[:, touched]
-            if not (low < cur).any():
+            a, b = lab[:, lo], lab[:, hi]
+            if not (active & (a != b)).any():
                 break
-            lab[:, touched] = np.minimum(cur, low)
+            low = np.minimum.reduceat(np.where(active, np.minimum(a, b), n)[:, pair_at],
+                                      starts, axis=1)
+            lab[:, touched] = np.minimum(lab[:, touched], low)
         flat = lab + n * np.arange(m)[:, None]  # each entry's block as a flat index
         sizes = np.bincount(flat.ravel(), minlength=m * n)
         block = sizes.reshape(m, n)  # block[r, i]: size of the block i is first of

@@ -66,8 +66,12 @@ class RowIndex:
     :func:`_row_keys`: one ``uint64`` per row when a row packs into one
     word (any boolean row of up to 64 columns), its bytes otherwise.  The
     index holds one key and one position per row; a query of q rows
-    takes q keys.  A query of another dtype or width raises ValueError:
-    a cast could wrap a value into a false match."""
+    takes q keys, which are looked up in ascending order and scattered
+    back, so the binary searches walk the index from one end to the
+    other instead of landing at random places in it.  Each answer
+    depends on its key alone, so the sort need not be stable.  A query
+    of another dtype or width raises ValueError: a cast could wrap a
+    value into a false match."""
 
     def __init__(self, rows: np.ndarray):
         keys = _row_keys(rows)
@@ -82,8 +86,12 @@ class RowIndex:
         want = _row_keys(rows)
         if not len(self._keys):
             return np.full(len(want), -1, dtype=np.intp)
+        by_key = np.argsort(want)
+        want = want[by_key]
         at = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
-        return np.where(self._keys[at] == want, self._order[at], -1)
+        found = np.empty(len(want), dtype=np.intp)
+        found[by_key] = np.where(self._keys[at] == want, self._order[at], -1)
+        return found
 
 
 def _member_names(elements, row) -> tuple[str, ...]:
@@ -364,8 +372,12 @@ def down_set_matrix(p: Poset) -> np.ndarray:
     hold everything strictly below it, so each down set is produced once,
     one vectorised selection per element.  Of two down sets of one size,
     the one holding the least element of their symmetric difference has
-    the smaller member indices, so one lexsort, by size and then column by
-    column with members first, gives the order.
+    the smaller member indices.  So the rows sort by size and then by the
+    negated membership read as a binary number with column 0 most
+    significant: the complemented bits packed into big-endian 64-bit
+    words, compared word by word, whatever the width.  The sizes are
+    summed in the narrowest unsigned type that holds ``p.n``, which
+    lexsort sorts faster than a 64-bit count.
     """
     strict = p.leq & ~np.eye(p.n, dtype=bool)
     rows = np.zeros((1, p.n), dtype=bool)
@@ -373,7 +385,12 @@ def down_set_matrix(p: Poset) -> np.ndarray:
         grown = rows[rows[:, strict[:, x]].all(axis=1)]
         grown[:, x] = True
         rows = np.vstack([rows, grown])
-    order = np.lexsort(tuple(~rows.T[::-1]) + (rows.sum(axis=1),))
+    size = -(-p.n // 8)
+    packed = np.zeros((len(rows), -(-size // 8) * 8), dtype=np.uint8)
+    packed[:, :size] = ~np.packbits(rows, axis=1)  # along the rows: no padded copy of them
+    keys = packed.view(">u8").astype(np.uint64)  # byte 0, so column 0, most significant
+    sizes = rows.sum(axis=1, dtype=np.min_scalar_type(p.n))
+    order = np.lexsort(tuple(keys.T[::-1]) + (sizes,))
     return _freeze(rows[order])
 
 

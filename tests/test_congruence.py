@@ -30,7 +30,7 @@ from princlat.congruence import (
     valuation,
 )
 from princlat.construction import assemble_K, load_templates
-from princlat.lattice import as_lattice, chain, lattice_from_covers, m3
+from princlat.lattice import as_lattice, c2_times_c3, chain, lattice_from_covers, m3
 from princlat.order import _transitive_closure, down_set_matrix, down_sets, validate_poset
 
 from conftest import bounded, one_congruence, random_lattices, zero_congruence
@@ -491,8 +491,11 @@ def test_con_order_matches_the_scalar_sort(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_isolating_masks_match_the_label_rows(seed):
     # word_flags reads a mask's word row as _isolating reads its label row,
-    # on every congruence; con_set is Con L unordered
-    for lat in random_lattices(seed, 3, max_size=12) + [m3(), chain(1), chain(4)]:
+    # on every congruence; con_set is Con L unordered.  In chain(2) the top
+    # is the only atom and the bottom the only coatom; c2_times_c3 has two
+    # atoms and two coatoms
+    for lat in random_lattices(seed, 3, max_size=12) + [m3(), chain(1), chain(2), chain(4),
+                                                        c2_times_c3()]:
         an = lat.con_analysis
         assert an.con_set() == set(an.con_masks)
         masks = sorted(an.con_set())

@@ -936,6 +936,36 @@ def test_beta_kernel_chunks_do_not_change_the_result(templates, poset_zoo, monke
         assert str(narrow_error) == str(error)
 
 
+def test_beta_labels_spread_along_a_path_of_pairs(monkeypatch):
+    # the chain c0 < c1 < c2 < c3 < c4, with c4 listed second, so the
+    # positions are c0 0, c4 1, c1 2, c2 3, c3 4.  The pairs (c2, c3),
+    # (c1, c2) and (c0, c1) form a path over four elements: one round of
+    # taking the least label across active pairs leaves c2 and c3 labelled
+    # 2 and 3, not 0, so the kernel spreads for three rounds before every
+    # active pair agrees.  Stopped after one round, c3's block would be
+    # numbered with c4's, whose position lies between.  Rows with one pair,
+    # or two apart, pass; the row with the whole path is one block of four,
+    # and the row after it is not reached.  Same rows and witness at any
+    # chunk size
+    import princlat.kernels as kernels
+
+    five = lattice_from_covers(["c0", "c4", "c1", "c2", "c3"],
+                               [("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c3", "c4")])
+    ix = five.index
+    contributions = tuple(((ix(a), ix(b)),) for a, b in (("c2", "c3"), ("c1", "c2"), ("c0", "c1")))
+    rows = np.array([[False, False, False], [True, False, False], [False, False, True],
+                     [True, False, True], [True, True, True], [False, True, False]])
+    pairs = [p for c in contributions for p in c]
+    after_one = [min([i] + [min(p) for p in pairs if i in p]) for i in range(five.n)]
+    assert after_one == [0, 1, 0, 2, 3]
+    for chunk in (kernels._CHUNK, 1):
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        error = assert_same_beta(five, contributions, rows)
+        assert str(error).endswith("down-set congruence block too large")
+        assert error.witness == ("c0", "c1", "c2", "c3")
+        assert len(beta_labels(five, contributions, rows)[0]) == 4
+
+
 def test_beta_h_reports_a_non_down_set(templates, poset_zoo):
     # beta_H checks its one row before the kernel runs
     result = assemble_K(poset_zoo["4-chain"], templates)

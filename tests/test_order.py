@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -359,3 +360,28 @@ def test_down_set_matrix_matches_a_subset_filter(p):
     assert down_set_matrix(p).tolist() == want
     assert [d.members for d in down_sets(p)] == [
         tuple(sorted(x for x, m in zip(p.elements, row) if m)) for row in want]
+
+
+@pytest.mark.parametrize("k, beside", [(70, 0), (65, 2)])
+def test_down_set_matrix_sorts_rows_wider_than_a_word(k, beside):
+    # a k-chain, and the k-chain beside `beside` incomparable elements, on
+    # more than 64 columns, so the sort key spans two words: the chain's
+    # elements sit at shuffled positions and the others at 30 and at the
+    # end, so rows of one size first differ in either word.  The down sets
+    # are a chain prefix with any subset of the others, sorted in Python by
+    # (size, member indices)
+    chain = [f"c{i}" for i in range(k)]
+    others = [f"x{i}" for i in range(beside)]
+    names = chain[:]
+    random.Random(k).shuffle(names)
+    for at, x in zip((30, len(names) + 1), others):
+        names.insert(at, x)
+    p = validate_poset(names, list(zip(chain, chain[1:])))
+    pos = {x: i for i, x in enumerate(names)}
+    want = sorted((sorted(pos[x] for x in chain[:i] + list(extra))
+                   for i in range(k + 1)
+                   for r in range(beside + 1) for extra in itertools.combinations(others, r)),
+                  key=lambda members: (len(members), members))
+    rows = down_set_matrix(p)
+    assert rows.shape == (len(want), len(names)) and len(names) > 64
+    assert [np.flatnonzero(row).tolist() for row in rows] == want
