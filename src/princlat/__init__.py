@@ -8,7 +8,7 @@ once (``FiniteLattice.con_analysis``): inside that analysis a congruence
 is an int bitmask over the join-irreducibles J(L), bit j set iff it
 collapses j with its lower cover, so join is OR and refinement is the
 subset test; the masks come from the join-dependency relation on J(L),
-and the worklist closure is kept as a reference for the tests.  The
+and the tests check them against a worklist closure of their own.  The
 construction half realizes any finite bounded order P as the order of
 principal congruences of a lattice built from per-comparability gadgets,
 and ships a verifier that re-checks every structural property of the

@@ -12,13 +12,13 @@ ORs); its docstring proves the facts used.
 
 At the API boundary a congruence is a :class:`CongruenceRelation`, a
 canonical label vector: ``labels[i]`` is the block id of element ``i``,
-with blocks numbered by first occurrence.  The closure engine
-(:func:`principal_congruence`, :func:`join_congruences`) is a worklist
-algorithm on label vectors: merging two blocks enqueues the merged pair,
-and processing a pair enforces the substitution property against all
-elements at once via the dense join/meet tables.  The analysis never
-runs it; it is the independent reference the tests check the analysis
-against.
+with blocks numbered by first occurrence.  :func:`principal_congruence`,
+:func:`join_congruences` and :func:`congruence_leq` read masks too: the
+label vector of con(x ^ y, x v y), that of the OR of two masks, and the
+subset test.  The worklist closure on label vectors, which needs only
+the join and meet tables, is the independent oracle in
+``tests/reference.py`` that the tests check the analysis against; the
+package does not run it.
 """
 
 from __future__ import annotations
@@ -140,54 +140,31 @@ class Valuation:
     values: tuple[int, ...]
 
 
-def _merge(labels: np.ndarray, i: int, j: int) -> bool:
-    """Merge the blocks of i and j in place, keeping the smaller label:
-    labels that name each block's least element stay so.
-
-    Returns False when i and j already share a block.
-    """
-    li, lj = int(labels[i]), int(labels[j])
-    if li == lj:
-        return False
-    keep, drop = (li, lj) if li < lj else (lj, li)
-    labels[labels == drop] = keep
-    return True
+def _con_mask(lat: FiniteLattice, i: int, j: int) -> int:
+    """The mask of con(i, j) = con(i ^ j, i v j), for positions i and j,
+    read from the lattice's analysis."""
+    return lat.con_analysis.principal(int(lat.meet[i, j]), int(lat.join[i, j]))
 
 
-def _sp_closure(lat: FiniteLattice, labels: np.ndarray, pairs) -> np.ndarray:
-    """Merge each pair into ``labels``, then close under the substitution property.
-
-    Each merge enqueues one pair; processing a pair compares whole
-    join/meet table rows, so the total work is a few vector operations
-    per merge.
-    """
-    join, meet = lat.join, lat.meet
-    queue = [(i, j) for i, j in pairs if _merge(labels, i, j)]
-    while queue:
-        a, b = queue.pop()
-        for table in (join, meet):
-            la = labels[table[a]]
-            lb = labels[table[b]]
-            diff = np.nonzero(la != lb)[0]
-            for z in diff:
-                u, v = int(table[a, z]), int(table[b, z])
-                if _merge(labels, u, v):
-                    queue.append((u, v))
-    return labels
+def _lattice_of(a: CongruenceRelation, b: CongruenceRelation) -> FiniteLattice:
+    """The lattice of two congruences, which must be the same."""
+    if a.lattice is not b.lattice and a.lattice != b.lattice:
+        raise ValueError(f"congruences of two lattices: {a.lattice!r} and {b.lattice!r}")
+    return a.lattice
 
 
 def principal_congruence(lat: FiniteLattice, x: str, y: str) -> CongruenceRelation:
-    """The smallest congruence collapsing x and y, by worklist closure."""
-    labels = _sp_closure(lat, np.arange(lat.n), [(lat.index(x), lat.index(y))])
-    return CongruenceRelation(lat, tuple(_numbered(labels[None])[0].tolist()))
+    """The smallest congruence collapsing x and y, con(x ^ y, x v y)."""
+    mask = _con_mask(lat, lat.index(x), lat.index(y))
+    return CongruenceRelation(lat, lat.con_analysis.labels(mask))
 
 
 def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> CongruenceRelation:
-    """Smallest congruence above both: merge partitions, then re-close."""
-    # each element of b paired with the least element of its b-block
-    labels, firsts = _block_firsts(np.array([a.labels, b.labels]))
-    labels = _sp_closure(a.lattice, labels, enumerate(firsts.tolist()))
-    return CongruenceRelation(a.lattice, tuple(_numbered(labels[None])[0].tolist()))
+    """The smallest congruence above both: the OR of their masks."""
+    lat = _lattice_of(a, b)
+    an = lat.con_analysis
+    row = np.bitwise_or.reduce(an.label_words([a.labels, b.labels]))
+    return CongruenceRelation(lat, an.labels(int.from_bytes(row.tobytes(), "little")))
 
 
 def _label_dtype(n: int) -> np.dtype:
@@ -254,17 +231,10 @@ def is_congruence(lat: FiniteLattice, labels) -> tuple[bool, tuple[str, str, str
 
 
 def congruence_leq(a: CongruenceRelation, b: CongruenceRelation) -> bool:
-    """Refinement: every a-block lies inside a b-block."""
-    la, lb = a.labels, b.labels
-    rep: dict[int, int] = {}
-    for i in range(len(la)):
-        l = la[i]
-        if l in rep:
-            if lb[i] != lb[rep[l]]:
-                return False
-        else:
-            rep[l] = i
-    return True
+    """Refinement: every a-block lies inside a b-block, i.e. the mask of a
+    is a subset of the mask of b."""
+    words = _lattice_of(a, b).con_analysis.label_words([a.labels, b.labels])
+    return not (words[0] & ~words[1]).any()
 
 
 def cover_principals(lat: FiniteLattice) -> dict[tuple[int, int], CongruenceRelation]:
@@ -282,8 +252,8 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
 
 def _bit_words(bits: np.ndarray) -> np.ndarray:
     """Boolean rows as rows of 64-bit words, at least one per row: column
-    k at bit k % 64 of word k // 64, as :func:`_mask_bytes` places bit k
-    of a mask.  The rows are packed as one flat array, zero-padded to
+    k at bit k % 64 of word k // 64, as :meth:`ConAnalysis.words` places
+    bit k of a mask.  The rows are packed as one flat array, zero-padded to
     whole bytes (see :func:`princlat.order._row_keys`), and the bytes are
     then zero-padded to whole words, so no boolean temporary is wider
     than the rows by more than seven columns."""
@@ -297,25 +267,14 @@ def _bit_words(bits: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _mask_bytes(masks, width: int) -> np.ndarray:
-    """The inverse of :func:`_row_masks`: one row of packed bytes per int
-    mask of ``width`` bits, bit i of the mask at bit i % 8 of byte i // 8."""
-    size = (width + 7) // 8
-    data = b"".join(m.to_bytes(size, "little") for m in masks)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+def _subset_matrix(words: np.ndarray) -> np.ndarray:
+    """Read-only ``leq[x, y]`` iff word row x is a subset of word row y.
 
-
-def _subset_matrix(masks: tuple[int, ...], width: int) -> np.ndarray:
-    """Read-only ``leq[x, y]`` iff ``masks[x]`` is a subset of ``masks[y]``.
-
-    Filled a row at a time, so no temporary is larger than len(masks) x
-    width booleans.
+    Filled a row at a time, so no temporary is larger than the word rows.
     """
-    member = np.unpackbits(_mask_bytes(masks, width), axis=1, count=width,
-                           bitorder="little").view(bool)
-    outside = ~member
-    leq = np.empty((len(masks), len(masks)), dtype=bool)
-    for x, row in enumerate(member):
+    outside = ~words
+    leq = np.empty((len(words), len(words)), dtype=bool)
+    for x, row in enumerate(words):
         leq[x] = ~(outside & row).any(axis=1)
     leq.setflags(write=False)
     return leq
@@ -524,8 +483,8 @@ class ConAnalysis:
     (:func:`princlat.order._blas_rows`), and below is converted to
     float32 once.  D* comes from
     :func:`princlat.order._transitive_closure`, by squaring.  The
-    label-vector closure (:func:`principal_congruence`) runs only as the
-    reference the tests compare cm against.
+    label-vector worklist closure, the oracle in ``tests/reference.py``,
+    is what the tests compare cm against.
 
     A congruence also has a word row: M(theta) as ``uint64`` words, bit
     k % 64 of word k // 64 for joinirr[k], at least one word.
@@ -538,10 +497,10 @@ class ConAnalysis:
     failure of verify.
 
     Built once per lattice (``FiniteLattice.con_analysis``); the public
-    functions below are views of it.  It holds ints, tuples, arrays and
-    the lattice's poset, never the lattice itself: a reference back would
-    make a cycle that keeps every analysed lattice alive until the
-    cyclic garbage collector runs.
+    functions of this module are views of it.  It holds ints, tuples,
+    arrays and the lattice's poset, never the lattice itself: a reference
+    back would make a cycle that keeps every analysed lattice alive until
+    the cyclic garbage collector runs.
     """
 
     def __init__(self, lat: FiniteLattice):
@@ -577,7 +536,8 @@ class ConAnalysis:
         width = max(1, -(-len(self.joinirr) // 64))
         if width == 1:  # every mask is below 2^64
             return np.fromiter(masks, dtype=np.uint64, count=len(masks)).reshape(-1, 1)
-        return _mask_bytes(masks, 64 * width).view(np.uint64)
+        data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+        return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), width)
 
     def label_words(self, labels) -> np.ndarray:
         """The word rows of a label matrix: bit k of row r is set iff row r
@@ -707,7 +667,7 @@ class ConAnalysis:
 
     @cached_property
     def con_leq(self) -> np.ndarray:
-        return _subset_matrix(self.con_masks, len(self.joinirr))
+        return _subset_matrix(self.words(self.con_masks))
 
     @cached_property
     def princ_witnesses(self) -> dict[int, tuple[str, str]]:
@@ -750,7 +710,7 @@ class ConAnalysis:
 
     @cached_property
     def princ_leq(self) -> np.ndarray:
-        return _subset_matrix(self.princ_masks, len(self.joinirr))
+        return _subset_matrix(self.words(self.princ_masks))
 
     @cached_property
     def values(self) -> dict[int, int]:

@@ -49,6 +49,7 @@ import numpy as np
 
 from .congruence import (
     CongruenceRelation,
+    _con_mask,
     _subset_matrix,
     all_congruences,
     cover_certificate,
@@ -244,13 +245,6 @@ def _check_gadget(t: GadgetTemplate) -> None:
     gadget_battery(t)
 
 
-def _con(lat: FiniteLattice, i: int, j: int) -> int:
-    """The mask of con(i, j) = con(i ^ j, i v j), for positions i and j,
-    read from the lattice's analysis: the one form in which construction
-    names a congruence."""
-    return lat.con_analysis.principal(int(lat.meet[i, j]), int(lat.join[i, j]))
-
-
 def gadget_battery(t: GadgetTemplate) -> None:
     """The congruence battery of the comparability gadget.
 
@@ -263,7 +257,7 @@ def gadget_battery(t: GadgetTemplate) -> None:
     ``scripts/derive_gadget.py`` and ``scripts/make_templates.py`` read
     its result.
 
-    Congruences are masks of the lattice's analysis (:func:`_con`):
+    Congruences are masks of the lattice's analysis (:func:`_con_mask`):
     equality is mask equality, refinement is the subset test, whether a
     congruence is isolating is read from its word row
     (``ConAnalysis.word_flags``), and which pairs it collapses is read
@@ -297,9 +291,9 @@ def gadget_battery(t: GadgetTemplate) -> None:
     covers = set(lat.poset.covers())
     if (r["d"], r["e"]) not in covers or (r["b_p"], r["g"]) not in covers:
         raise TemplateInvalid(t.name, "required-prime-intervals")
-    tp = _con(lat, r["a_p"], r["b_p"])
-    tq = _con(lat, r["a_q"], r["b_q"])
-    if _con(lat, r["d"], r["e"]) != tp:
+    tp = _con_mask(lat, r["a_p"], r["b_p"])
+    tq = _con_mask(lat, r["a_q"], r["b_q"])
+    if _con_mask(lat, r["d"], r["e"]) != tp:
         raise TemplateInvalid(t.name, "lower-congruence-generators")
     lp, lq = an.labels(tp), an.labels(tq)
     if lp[r["f"]] != lp[r["g"]]:
@@ -309,7 +303,7 @@ def gadget_battery(t: GadgetTemplate) -> None:
     isolating = an.word_flags(an.words([tp, tq, *an.con_set()]))[2]
     if not isolating[:2].all():
         raise TemplateInvalid(t.name, "isolating")
-    witness = an.labels(_con(lat, r["b_p"], r["g"]))
+    witness = an.labels(_con_mask(lat, r["b_p"], r["g"]))
     if witness[r["o"]] != witness[r["c"]]:
         raise TemplateInvalid(t.name, "collapse-witness")
     count = int(isolating[2:].sum())
@@ -560,7 +554,7 @@ def assemble_K(P: BoundedPoset, templates: dict[str, GadgetTemplate]) -> Constru
     # the nontrivial pairs of theta_p = con(a_p, b_p) and theta_q of S, as S positions
     theta_pairs = []
     for a, b in (("a_p", "b_p"), ("a_q", "b_q")):
-        labels = an.labels(_con(s.lattice, rs[a], rs[b]))
+        labels = an.labels(_con_mask(s.lattice, rs[a], rs[b]))
         theta_pairs.append([(x, y) for x, y in itertools.combinations(range(s.lattice.n), 2)
                             if labels[x] == labels[y]])
 
@@ -705,7 +699,7 @@ def _princ_poset(lat: FiniteLattice) -> Poset:
     an = lat.con_analysis
     masks = tuple(an.princ_witnesses)
     names = tuple(f"pc{i}" for i in range(len(masks)))
-    return Poset(names, _subset_matrix(masks, len(an.joinirr)))
+    return Poset(names, _subset_matrix(an.words(masks)))
 
 
 def _down_set_names(result: ConstructionResult, k: int) -> tuple[str, ...]:
@@ -964,7 +958,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         if image != principal_downs:
             raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
         # each anchor congruence con(a_p, b_p) is principal: read its row
-        anchors = [_con(lat, a, b) for a, b in zip(*(c.tolist() for c in result.anchor_columns))]
+        anchors = [_con_mask(lat, a, b)
+                   for a, b in zip(*(c.tolist() for c in result.anchor_columns))]
         for p, r in zip(P.interior, facts.rows(an.words(anchors)).tolist()):
             if not facts.isolating[r]:
                 raise VerificationFailed("principal-correspondence", witness=p)

@@ -112,11 +112,12 @@ def beta_labels(lat: FiniteLattice, contributions,
     2. labels start as the element positions and every element takes the
        least label across its active pairs until the two ends of every
        active pair share a label.  Then each block is labelled by its
-       least element, as with ``congruence._merge``: a label never rises,
-       and it is always the position of an element of its block, so it
-       never falls below the block's least element m, whose label thus
-       stays m; once every active pair agrees, labels are constant on
-       blocks, so every label of m's block is m.  The test runs before
+       least element, as in the worklist closure that the tests use as
+       their oracle (``tests/reference.py``): a label never rises, and it
+       is always the position of an element of its block, so it never
+       falls below the block's least element m, whose label thus stays m;
+       once every active pair agrees, labels are constant on blocks, so
+       every label of m's block is m.  The test runs before
        each round, so no round runs that changes nothing.  Numbering the
        labels by position is the canonical form;
     3. a block may hold at most three elements, and the relation is

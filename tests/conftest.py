@@ -7,7 +7,7 @@ import pytest
 
 from princlat.cli import main
 from princlat.congruence import CongruenceRelation
-from princlat.construction import load_templates
+from princlat.construction import assemble_K, load_templates
 from princlat.lattice import as_lattice
 from princlat.order import to_bounded, validate_poset
 
@@ -17,6 +17,14 @@ from gadget_space import grid_lattices
 @pytest.fixture(scope="session")
 def templates():
     return load_templates()
+
+
+@pytest.fixture(scope="session")
+def chain8_k(templates):
+    """K of the 8-element interior chain: 160 elements and 89
+    join-irreducibles, so each congruence mask is two 64-bit words."""
+    names = ["0"] + [f"x{i}" for i in range(8)] + ["1"]
+    return assemble_K(bounded(names, list(zip(names, names[1:]))), templates).lattice
 
 
 @pytest.fixture(scope="session")

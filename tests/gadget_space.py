@@ -66,12 +66,13 @@ from princlat.congruence import (
     all_congruences,
     is_congruence,
     is_I_congruence,
-    principal_congruence,
 )
 from princlat.construction import GadgetTemplate, gadget_battery
 from princlat.errors import NotALattice, TemplateInvalid
 from princlat.lattice import as_lattice
 from princlat.order import validate_poset
+
+import reference as ref
 
 MIDDLE = ("01", "02", "10", "11")
 MIDDLE_COVERS = (("01", "02"), ("01", "11"), ("10", "11"))
@@ -141,7 +142,7 @@ def _generating_pairs(lat, theta, lower):
     """The ordered pairs of distinct elements in one block of theta that
     generate lower, and those that generate theta."""
     pairs = [pair for b in theta.blocks() for pair in itertools.permutations(b, 2)]
-    generated = {pair: principal_congruence(lat, *pair) for pair in pairs}
+    generated = {pair: ref.principal_congruence(lat, *pair) for pair in pairs}
     return ([pair for pair in pairs if generated[pair] == lower],
             [pair for pair in pairs if generated[pair] == theta])
 

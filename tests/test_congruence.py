@@ -33,6 +33,7 @@ from princlat.construction import assemble_K, load_templates
 from princlat.lattice import as_lattice, c2_times_c3, chain, lattice_from_covers, m3
 from princlat.order import _transitive_closure, down_set_matrix, down_sets, validate_poset
 
+import reference as ref
 from conftest import bounded, one_congruence, random_lattices, zero_congruence
 
 
@@ -61,24 +62,13 @@ def congruences_by_brute_force(lat):
                 labels[x] = bid
         ok, _ = is_congruence(lat, labels)
         if ok:
-            canon = _canon(labels)
-            out.add(canon)
+            out.add(ref.canonical(labels))
     return out
-
-
-def _canon(labels):
-    seen = {}
-    out = []
-    for l in labels:
-        if l not in seen:
-            seen[l] = len(seen)
-        out.append(seen[l])
-    return tuple(out)
 
 
 def intersect_labels(a, b):
     pair = list(zip(a, b))
-    return _canon([pair.index(p) for p in pair])
+    return ref.canonical([pair.index(p) for p in pair])
 
 
 def label_matrix(thetas):
@@ -137,16 +127,26 @@ def test_principal_equals_intersection_of_containing():
                 assert theta.labels == acc
 
 
-def test_join_congruences_is_least_upper_bound():
-    lat = chain(4)
-    con = all_congruences(lat)
-    for a in con.congruences:
-        for b in con.congruences:
-            j = join_congruences(a, b)
-            assert congruence_leq(a, j) and congruence_leq(b, j)
-            for c in con.congruences:
-                if congruence_leq(a, c) and congruence_leq(b, c):
-                    assert congruence_leq(j, c)
+def test_join_congruences_is_least_upper_bound(chain8_k):
+    # the views join_congruences and congruence_leq agree with the closure
+    # and the scalar refinement loop, and the join is the least upper bound
+    # under the loop.  K of the 8-chain has two words per mask; so has a
+    # 70-chain, whose cover principals are single bits, two of those
+    # taken here in the second word
+    long_chain = chain(70)
+    cases = [(lat, all_congruences(lat).congruences) for lat in (chain(4), chain8_k)]
+    cases.append((long_chain, [ref.principal_congruence(long_chain, x, y)
+                               for x, y in long_chain.poset.cover_names()[::4]]))
+    for lat, con in cases:
+        for a in con:
+            for b in con:
+                j = ref.join_congruences(a, b)
+                assert join_congruences(a, b) == j
+                assert congruence_leq(a, b) == ref.congruence_leq(a, b)
+                assert ref.congruence_leq(a, j) and ref.congruence_leq(b, j)
+                for c in con:
+                    if ref.congruence_leq(a, c) and ref.congruence_leq(b, c):
+                        assert ref.congruence_leq(j, c)
 
 
 # --------------------------------------------------------------- Princ
@@ -168,7 +168,7 @@ def test_princ_witnesses_generate():
                               [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")])
     po = princ_order(lat)
     for theta, (x, y) in zip(po.congruences, po.witnesses):
-        assert principal_congruence(lat, x, y) == theta
+        assert ref.principal_congruence(lat, x, y) == theta
 
 
 # ------------------------------------------------------------ I-congruences
@@ -286,14 +286,14 @@ def test_con_order_is_bounded_lattice_under_refinement():
         # refinement order has all joins: closure guarantees membership
         for a in con.congruences:
             for b in con.congruences:
-                assert join_congruences(a, b).labels in {t.labels for t in con.congruences}
+                assert ref.join_congruences(a, b).labels in {t.labels for t in con.congruences}
 
 
 # ------------------------------------- bitmask engine against label vectors
 
 def layered_valuation(lat, con):
     """v by breadth-first joins of principal congruences, on label vectors."""
-    principals = {principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
+    principals = {ref.principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
                   for x in range(lat.n) for y in range(lat.n)}
     by_labels = {t.labels: t for t in con.congruences}
     values = {zero_congruence(lat).labels: 0}
@@ -308,7 +308,7 @@ def layered_valuation(lat, con):
         new = []
         for theta in frontier:
             for labels in principals:
-                j = join_congruences(theta, by_labels[labels])
+                j = ref.join_congruences(theta, by_labels[labels])
                 if j.labels not in values:
                     values[j.labels] = layer
                     new.append(j)
@@ -325,7 +325,7 @@ def test_engine_con_matches_brute_force(seed):
         got = [t.labels for t in con.congruences]
         assert len(got) == len(set(got))
         assert set(got) == congruences_by_brute_force(lat)
-        leq = [[congruence_leq(a, b) for b in con.congruences] for a in con.congruences]
+        leq = [[ref.congruence_leq(a, b) for b in con.congruences] for a in con.congruences]
         assert con.leq.tolist() == leq
         # zero and one are the only congruences below, and above, all others
         assert [t for t, row in zip(con.congruences, leq) if all(row)] == [con.zero]
@@ -338,16 +338,16 @@ def test_engine_princ_matches_direct_closure(seed):
     for lat in random_lattices(seed, 1, max_size=10):
         po = princ_order(lat)
         for theta, (x, y) in zip(po.congruences, po.witnesses):
-            assert principal_congruence(lat, x, y) == theta
+            assert ref.principal_congruence(lat, x, y) == theta
         direct = {
-            principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
+            ref.principal_congruence(lat, lat.elements[x], lat.elements[y]).labels
             for x in range(lat.n) for y in range(lat.n) if lat.leq[x, y]
         }
         assert [t.labels for t in po.congruences] == sorted(
             direct, key=lambda labels: (-len(set(labels)), labels))
         for x, a in enumerate(po.congruences):
             for y, b in enumerate(po.congruences):
-                assert po.leq[x, y] == congruence_leq(a, b)
+                assert po.leq[x, y] == ref.congruence_leq(a, b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -367,7 +367,7 @@ def closure_masks(lat):
     covers = list(zip(an.joinirr, an.lower_cover))
     masks = []
     for j, lo in covers:
-        labels = principal_congruence(lat, els[lo], els[j]).labels
+        labels = ref.principal_congruence(lat, els[lo], els[j]).labels
         masks.append(sum(1 << k for k, (x, y) in enumerate(covers) if labels[x] == labels[y]))
     return tuple(masks)
 
@@ -427,12 +427,16 @@ def test_princ_witnesses_match_the_row_loop(templates, poset_zoo):
         assert got == list(princ_witnesses_by_rows(ConAnalysis(lat)).items())
 
 
-def test_cover_principals_match_closures():
-    for lat in random_lattices(17, 10, max_size=12):
+def test_cover_principals_match_closures(chain8_k):
+    # cover_principals and the view principal_congruence against the
+    # closure, on every prime interval; K of the 8-chain has two words per
+    # mask
+    for lat in random_lattices(17, 10, max_size=12) + [chain8_k]:
         covers = cover_principals(lat)
         assert sorted(covers) == sorted(lat.poset.covers())
         for (x, y), theta in covers.items():
-            assert theta == principal_congruence(lat, lat.elements[x], lat.elements[y])
+            x, y = lat.elements[x], lat.elements[y]
+            assert theta == principal_congruence(lat, x, y) == ref.principal_congruence(lat, x, y)
 
 
 def test_one_analysis_per_lattice(monkeypatch):
@@ -454,6 +458,52 @@ def test_one_analysis_per_lattice(monkeypatch):
         assert lat.con_analysis is analysis
         assert len(calls) == 0
         calls.clear()
+
+
+def test_reference_closure_never_reads_the_analysis(monkeypatch):
+    # the oracle runs unchanged on lattices whose analysis raises, fresh
+    # ones and ones analysed before, and gives what it gave with it
+    from princlat.lattice import FiniteLattice
+
+    def run(lats):
+        out = []
+        for lat in lats:
+            thetas = [ref.principal_congruence(lat, x, y)
+                      for x in lat.elements for y in lat.elements]
+            pairs = [(a, b) for a in thetas[::3] for b in thetas[::5]]
+            out.append([t.labels for t in thetas])
+            out.append([ref.join_congruences(a, b).labels for a, b in pairs])
+            out.append([ref.congruence_leq(a, b) for a, b in pairs])
+        return out
+
+    analysed = [m3(), chain(4)] + random_lattices(5, 3, max_size=9)
+    for lat in analysed:
+        assert lat.con_analysis is not None
+    want = run(analysed)
+
+    def refuse(self):
+        raise AssertionError("the reference closure read the analysis")
+
+    monkeypatch.setattr(FiniteLattice, "con_analysis", property(refuse))
+    with pytest.raises(AssertionError, match="read the analysis"):
+        analysed[0].con_analysis
+    assert run(analysed) == want
+    assert run([m3(), chain(4)] + random_lattices(5, 3, max_size=9)) == want
+
+
+def test_join_and_leq_refuse_congruences_of_two_lattices():
+    # chain(4) and the 2x2 lattice both have four elements, m3 has five
+    b2 = lattice_from_covers(["0", "p", "q", "1"],
+                             [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")])
+    for a, b in ((zero_congruence(chain(4)), one_congruence(b2)),
+                 (zero_congruence(chain(4)), zero_congruence(m3()))):
+        with pytest.raises(ValueError, match="two lattices"):
+            join_congruences(a, b)
+        with pytest.raises(ValueError, match="two lattices"):
+            congruence_leq(a, b)
+    # equal lattices built apart are one lattice
+    assert congruence_leq(zero_congruence(chain(4)), one_congruence(chain(4)))
+    assert join_congruences(zero_congruence(m3()), zero_congruence(m3())).is_zero()
 
 
 # --------------------------------------------- Con order against the scalar sort
@@ -578,7 +628,7 @@ def first_order_mismatch(thetas, members):
     """The row-major scalar reference for ``order_mismatch``."""
     for a, ta in enumerate(thetas):
         for b, tb in enumerate(thetas):
-            if congruence_leq(ta, tb) != bool((members[a] <= members[b]).all()):
+            if ref.congruence_leq(ta, tb) != bool((members[a] <= members[b]).all()):
                 return a, b
     return None
 
@@ -590,7 +640,7 @@ def test_order_mismatch_matches_a_scalar_double_loop(seed, rng):
         thetas = all_congruences(lat).congruences
         # row a holds the congruences below thetas[a], so containment of
         # rows is refinement
-        members = np.array([[congruence_leq(t, s) for t in thetas] for s in thetas])
+        members = np.array([[ref.congruence_leq(t, s) for t in thetas] for s in thetas])
         assert order_mismatch(label_matrix(thetas), members) is None
         a, k = rng.randrange(len(thetas)), rng.randrange(len(thetas))
         members[a, k] = not members[a, k]

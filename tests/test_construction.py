@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
-    _merge,
     all_congruences,
     base,
-    congruence_leq,
     is_I_congruence,
     princ_order,
     principal_congruence,
@@ -60,6 +58,7 @@ from princlat.order import (
     validate_poset,
 )
 
+import reference as ref
 from conftest import (
     bounded,
     join_of,
@@ -69,7 +68,7 @@ from conftest import (
     random_lattices,
     zero_congruence,
 )
-from test_congruence import _canon, scalar_is_congruence
+from test_congruence import scalar_is_congruence
 
 
 def test_degenerate_sizes(templates, poset_zoo):
@@ -176,7 +175,7 @@ def test_contributions_are_fixed_at_assembly(templates, poset_zoo):
 def test_beta_equals_principal_closure(templates, poset_zoo):
     r = assemble_K(poset_zoo["4-chain"], templates)
     theta = beta_H(r, ("p", "q"))
-    assert theta == principal_congruence(r.lattice, "a@q", "b@q")
+    assert theta == ref.principal_congruence(r.lattice, "a@q", "b@q")
 
 
 def test_beta_rejects_non_down_set(templates, poset_zoo):
@@ -426,7 +425,7 @@ def test_downset_congruence_reports_the_first_order_mismatch(
     betas = [CongruenceRelation(r.lattice, tuple(row)) for row in labels.tolist()]
     expect = next(
         (m1, m2) for m1, t1 in zip(family, betas) for m2, t2 in zip(family, betas)
-        if (set(m1) <= set(m2)) != congruence_leq(t1, t2))
+        if (set(m1) <= set(m2)) != ref.congruence_leq(t1, t2))
     assert expect == (("p",), ("p", "q"))
     stages = _stage_details(verify_theorem(P, templates, "4-chain"))
     failure = VerificationFailed("downset-congruence", witness=expect)
@@ -470,7 +469,7 @@ def test_phi_reports_the_first_order_mismatch(templates, poset_zoo, monkeypatch)
     image = {t: forward[swapped(t)].members for t in forward}
     expect = next(
         (image[t1], image[t2]) for t1 in forward for t2 in forward
-        if congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
+        if ref.congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
     assert expect == (("0", "p", "q"), ("0", "p"))
     with pytest.raises(CorrespondenceBroken) as exc:
         phi(assemble_K(P, templates))  # a fresh result: r has its facts cached
@@ -607,7 +606,7 @@ def test_order_not_preserved_reports_the_first_pair_in_con_order(templates, monk
 
     def first_mismatch(order):
         return next((image[t1], image[t2]) for t1 in order for t2 in order
-                    if congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
+                    if ref.congruence_leq(t1, t2) != (set(image[t1]) <= set(image[t2])))
 
     expect = first_mismatch(list(forward))
     assert first_mismatch(sorted(forward, key=masks.get)) != expect
@@ -667,7 +666,7 @@ def scalar_beta(lat, contributions, row):
             pairs.update(contributed)
     labels = np.arange(lat.n)
     for a, b in pairs:
-        _merge(labels, a, b)
+        ref.merge(labels, a, b)
     related = {frozenset(p) for p in pairs}
     by_label = {}
     for idx, l in enumerate(labels.tolist()):
@@ -682,7 +681,7 @@ def scalar_beta(lat, contributions, row):
                 return None, AssemblyNotALattice((na, nb), "down-set relation not transitive")
             if not (lat.leq[a, b] or lat.leq[b, a]):
                 return None, AssemblyNotALattice((na, nb), "down-set congruence block not a chain")
-    labels = _canon(labels.tolist())
+    labels = ref.canonical(labels.tolist())
     ok, witness = scalar_is_congruence(lat, labels)
     if not ok:
         return None, AssemblyNotALattice(witness, "down-set relation fails substitution")
