@@ -34,7 +34,6 @@ from .lattice import FiniteLattice
 from .order import (
     _CHUNK,
     Poset,
-    RowIndex,
     _blas_rows,
     _freeze,
     _member_names,
@@ -304,71 +303,52 @@ def order_mismatch(labels, members) -> tuple[int, int] | None:
     return None
 
 
-def cover_certificate(words, members) -> bool:
+def principal_certificate(words, members) -> bool:
     """Whether the subset order of word rows and containment agree on all
-    pairs, checked on covers only.
+    pairs, checked against the principal rows only.
 
     ``words`` has one row of 64-bit words per row of ``members``, read as
     a set of bits; row a is below row b iff a & ~b is zero in every word.
-    Returns True iff subset and containment agree on every pair, provided
-    the rows of ``members`` are all the down sets of a poset on the
-    columns, or all the nonempty ones, each once.  Writing theta_H for the
-    word row of down set H, the map H -> theta_H is then an order
-    embedding iff
+    For each column p, let D_p be the smallest row holding p: down p,
+    when the rows are the down sets of a poset on the columns.  Writing
+    theta_H for the word row of row H, the certificate holds iff, for
+    every row H and column p,
 
-      (i) theta_H <= theta_{H u {p}} for every cover H < H u {p} of the
-          family, and
-      (ii) theta_{down p} <= theta_H iff p is in H, for every H and p.
+      (a) theta_H is the OR of theta_{D_p} over the p in H, and
+      (b) theta_{D_p} <= theta_H iff p is in H.
 
-    Proof.  An embedding satisfies both, as down p is in the family and
-    is contained in H iff p is in H.  Conversely, if H is contained in
-    H', adding the elements of H' minus H in a linear-extension order
-    passes through down sets only (nonempty ones, if H is nonempty), so
-    (i) and transitivity give theta_H <= theta_H'.  If p is in H but not
-    in H', then theta_{down p} <= theta_H by (ii) and theta_{down p} is
-    not <= theta_H', so theta_H is not <= theta_H'.  Only transitivity of
-    the subset order is used.  On the word rows of congruences
+    Proof that it is sufficient, for any rows.  If H is contained in H',
+    the OR over H is a subset of the OR over H', so theta_H <= theta_H'
+    by (a).  If p is in H but not in H', then theta_{D_p} <= theta_H and
+    theta_{D_p} is not <= theta_H' by (b), so theta_H is not
+    <= theta_H'.  Only set algebra and transitivity of the subset order
+    are used.  It is also necessary when the rows are all the down sets
+    of a poset, or all the nonempty ones, and each theta_H is the OR of
+    the theta_{down p}, p in H: then (a) is that union, and down p is
+    contained in H iff p is in H, so an embedding satisfies (b).  On
+    other families the certificate may fail where the order embeds, and
+    :func:`order_mismatch` decides.  On the word rows of congruences
     (:meth:`ConAnalysis.label_words`), subset is refinement, by the
     lemma in :class:`ConAnalysis`.
 
-    The inputs keep their order and nothing sorts them.  The membership
-    rows are packed to rows of 64-bit words (:func:`_bit_words`), and one
-    :class:`RowIndex` over them finds the cover partners H u {p}: the
-    packed row of H u {p} is H's packed row OR that of {p}, as packing
-    puts each column at a fixed bit.  (i) runs in chunks of
-    rows holding at most ``_CHUNK`` words across all their pairs
-    (H, p not in H), at least one row per chunk, with one lookup per
-    chunk.  For (ii), down p is the smallest row holding p, and the
-    rows go in chunks of at most ``_CHUNK`` words across all p.  So no
-    temporary outgrows a chunk by more than one row's pairs, beyond the
-    packed rows, the index and a few vectors of one entry per row.
+    The inputs keep their order and nothing sorts them.  The n principal
+    rows are gathered once; then the rows go in chunks of at most
+    ``_CHUNK`` words across all p, with one pass of (a) and (b) each, so
+    no temporary outgrows a chunk by more than one row's n words, beyond
+    a vector of one entry per row.
     """
     members = np.asarray(members, dtype=bool)
     words = np.asarray(words)
     m, n = members.shape
-    width = words.shape[1]
-    packed = _bit_words(members)
-    index = RowIndex(packed)
-    unit = _bit_words(np.eye(n, dtype=bool))
     sizes = members.sum(axis=1)
-    ends = np.cumsum((n - sizes) * max(width, packed.shape[1]))  # words of (i) up to each row
-    s = 0
-    while s < m:  # (i)
-        e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _CHUNK, "right")))
-        r, p = np.nonzero(~members[s:e])
-        r += s
-        partner = index.find(packed[r] | unit[p])
-        hit = partner >= 0  # each row H and its H u {p}
-        if (words[r[hit]] & ~words[partner[hit]]).any():
-            return False
-        s = e
-    downs = [int(np.where(members[:, p], sizes, n + 1).argmin())
-             for p in range(n)]  # the smallest row holding each p
-    low = words[downs]
-    step = max(1, _CHUNK // max(n * width, 1))
-    for s in range(0, m, step):  # (ii)
-        below = ~(low & ~words[s:s + step, None, :]).any(axis=2)  # below[r, p]: down p <= row
-        if not np.array_equal(below, members[s:s + step]):
+    low = words[[int(np.where(members[:, p], sizes, n + 1).argmin())
+                 for p in range(n)]]  # the smallest row holding each p
+    step = max(1, _CHUNK // max(n * words.shape[1], 1))
+    for s in range(0, m, step):
+        rows, held = words[s:s + step], members[s:s + step]
+        union = np.bitwise_or.reduce(low * held[:, :, None], axis=1)  # (a)
+        below = ~(low & ~rows[:, None, :]).any(axis=2)  # (b): below[r, p] iff D_p's row <= row r
+        if not (np.array_equal(union, rows) and np.array_equal(below, held)):
             return False
     return True
 
@@ -421,7 +401,7 @@ class ConAnalysis:
       on it: ``construction`` compares Con K and the rows of beta_H as
       word rows (:meth:`words`, :meth:`label_words`), where equal rows
       are equal congruences (phi's round trip) and the subset order is
-      refinement (:func:`cover_certificate`).
+      refinement (:func:`principal_certificate`).
     * Each con(j_, j) is join-irreducible in Con L (a chain of theta and
       psi steps from j_ to j, moved into [j_, j] by z -> (z v j_) ^ j, has
       a step from j_ to j), hence join-prime, Con L being distributive.

@@ -52,8 +52,8 @@ from .congruence import (
     _con_mask,
     _subset_matrix,
     all_congruences,
-    cover_certificate,
     order_mismatch,
+    principal_certificate,
 )
 from .errors import (
     AssemblyNotALattice,
@@ -132,8 +132,8 @@ class ConstructionResult:
     (``interior_down_sets``), whose rows number the bases of Con K and
     phi's images, Con K as word rows with their flags (``con_facts``),
     the down sets' beta rows (``betas``) and their word rows
-    (``beta_words``), and the one verdict on the order of H -> beta_H
-    (``betas_embed``) that decides the down-set stage and phi's order.
+    (``beta_words``), and the one certificate of the order of H -> beta_H
+    (``betas_embed``) that the down-set stage and phi's order read.
     """
 
     lattice: FiniteLattice
@@ -183,12 +183,23 @@ class ConstructionResult:
     @cached_property
     def betas_embed(self) -> bool:
         """Whether H -> beta_H is an order embedding of the down sets of
-        the interior: one :func:`cover_certificate` over ``beta_words``
-        and ``interior_down_sets``, run only when ``betas`` reports no
-        error (False otherwise).  The down-set stage reads it, and so
-        does :func:`_correspondence`, where it decides the order of phi."""
-        return self.betas[1] is None and cover_certificate(self.beta_words,
-                                                           self.interior_down_sets)
+        the interior, by one :func:`principal_certificate` over
+        ``beta_words`` and ``interior_down_sets``, run only when ``betas``
+        reports no error (False otherwise).
+
+        The certificate is sufficient on any rows, and here it is exact.
+        With no error, the kernel's transitivity check makes the relation
+        of each beta_H exactly its active pairs, the union of the pairs
+        that its members contribute.  Each p in H lies in down p, which
+        lies in H, so beta_H's relation is the union of those of the
+        beta_{down p}, p in H, and its word row, whose bits are pairs of
+        the relation, is the OR of their word rows.  So the certificate
+        fails only where the order does not embed.  The down-set stage
+        reads it, and so does :func:`_correspondence`, where it decides
+        the order of phi; where it is False, both run
+        :func:`order_mismatch`, which decides and names the witness."""
+        return self.betas[1] is None and principal_certificate(self.beta_words,
+                                                               self.interior_down_sets)
 
 
 @dataclass(frozen=True)
@@ -729,9 +740,10 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     beta row returned is a congruence, so equal word rows are equal
     congruences (the lemma in ``ConAnalysis``).
 
-    The order is then decided by ``result.betas_embed``, the one cover
-    certificate over the beta word rows.  Proof that phi preserves and
-    reflects the order iff H -> beta_H does, once the round trip holds.
+    The order is then read from ``result.betas_embed``, the one
+    certificate over the beta word rows, which reads their principal
+    rows only.  Proof that phi preserves and reflects the order iff
+    H -> beta_H does, once the round trip holds.
     If K has one element, Con K is one row and there is no pair to
     decide.  Otherwise the one congruence (the only row with ``one``)
     maps to P.  Every other Con K row is the owner of {0} u H for a down
@@ -744,9 +756,9 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     itself (the rows are distinct congruences) while P lies in no other
     image (the images are distinct).  Only when the certificate fails are
     Con K's label rows in ConOrder and the images built as rows over P,
-    for the pairwise check that names phi's witness.  A failure is
-    reported as the first one that a loop over Con K in ConOrder, then
-    over the down sets, would meet.
+    for the pairwise check, which decides and names phi's witness.  A
+    failure is reported as the first one that a loop over Con K in
+    ConOrder, then over the down sets, would meet.
     """
     lat = result.lattice
     P = result.source
@@ -841,14 +853,15 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     failure.  The down sets of the interior are enumerated once
     (``result.interior_down_sets``); they number phi's images and the
     bases of Con K, and their beta rows come from one :func:`beta_labels`
-    call (``result.betas``).  The order is decided once, by one cover
-    certificate over those rows' word rows (``result.betas_embed``),
-    which the down-set stage and :func:`_correspondence` both read; the
-    correspondence is checked once.  No stage builds a congruence or
-    down-set object per congruence or per down set: those are built only
-    for a failure witness.  A P of at most two elements reads none of
-    these.  An :class:`InputError`, such as colliding element names, is
-    raised, not reported as a stage.
+    call (``result.betas``).  The order is decided once, by one
+    certificate over those rows' word rows that reads the principal rows
+    beta_{down p} (``result.betas_embed``), which the down-set stage and
+    :func:`_correspondence` both read; the correspondence is checked
+    once.  No stage builds a congruence or down-set object per
+    congruence or per down set: those are built only for a failure
+    witness.  A P of at most two elements reads none of these.  An
+    :class:`InputError`, such as colliding element names, is raised, not
+    reported as a stage.
     """
     stages: list[tuple[str, bool, str]] = []
 

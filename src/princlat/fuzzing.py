@@ -8,6 +8,7 @@ that stdout stays byte-stable across runs.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -73,12 +74,13 @@ def run_fuzz(max_size: int, samples: int, seed: int, jobs: int = 1,
 
     The templates are loaded and validated once; every work item carries
     them (they pickle, for ``jobs > 1``).  A pool starts only for more
-    than one worker, and never with more workers than samples: under the
-    ``fork`` start method it launches all of them at the first submit.
+    than one worker, and never with more workers than samples or CPUs
+    (``os.cpu_count()``, 1 if unknown): under the ``fork`` start method
+    it launches all of them at the first submit.
     """
     templates = load_templates(template_dir)
     work = [(seed, i, max_size, templates) for i in range(samples)]
-    workers = min(jobs, samples)
+    workers = min(jobs, samples, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_sample, work))

@@ -7,11 +7,15 @@ all down sets, at once, and return matrices, never one object per row:
 over J(K) (``ConAnalysis.word_flags``), with no label matrix, and finds
 each base among the down sets of the interior, and :func:`beta_labels`
 computes the label row of beta_H for every row of a down-set membership
-matrix with one kernel.  Congruence and down-set objects are built only
-by the public API (``phi``, ``beta_H``, ``all_congruences``, ...) and
-for failure witnesses.  Work runs in chunks of rows of at most
-``order._CHUNK`` elements.  A failure is named by examining only the
-first failing row, in the order a scalar loop would have met it.
+matrix with one kernel, its labels in the narrowest unsigned dtype that
+holds them.  ``construction`` decides the order of H -> beta_H from the
+word rows of those labels, reading the rows of the principal down sets
+(``congruence.principal_certificate``).  Congruence and down-set
+objects are built only by the public API (``phi``, ``beta_H``,
+``all_congruences``, ...) and for failure witnesses.  Work runs in
+chunks of rows of at most ``order._CHUNK`` elements.  A failure is named
+by examining only the first failing row, in the order a scalar loop
+would have met it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .congruence import _label_dtype, _numbered, is_congruence
+from .congruence import _label_dtype, is_congruence
 from .errors import AssemblyNotALattice
 from .lattice import FiniteLattice
 from .order import _CHUNK, RowIndex, _member_names
@@ -118,8 +122,12 @@ def beta_labels(lat: FiniteLattice, contributions,
        falls below the block's least element m, whose label thus stays m;
        once every active pair agrees, labels are constant on blocks, so
        every label of m's block is m.  The test runs before
-       each round, so no round runs that changes nothing.  Numbering the
-       labels by position is the canonical form;
+       each round, so no round runs that changes nothing.  Labels stay
+       in the narrowest unsigned dtype that holds n, the value an
+       inactive pair offers.  The canonical form numbers the blocks by
+       first occurrence, in one gather: a running count, along the row,
+       of the elements that are their block's least, read at each
+       entry's label;
     3. a block may hold at most three elements, and the relation is
        transitive iff the sum of C(s, 2) over the block sizes s equals
        the number of distinct active pairs, because every active pair
@@ -179,7 +187,8 @@ def beta_labels(lat: FiniteLattice, contributions,
     touched, starts = np.unique(ends[by_end], return_index=True)
     pair_at = by_end % len(lo)
     span, premise, tz, tw = _pair_constants(lat, lo, hi)
-    iota = np.arange(n)
+    label = _label_dtype(n + 1)  # holds the positions and the sentinel n
+    iota = np.arange(n, dtype=label)
     out = np.empty((len(rows), n), dtype=dtype)
     weights = adds.astype(np.float32)
     step = max(1, _CHUNK // max(n, 2 * len(lo), len(premise)))
@@ -197,11 +206,11 @@ def beta_labels(lat: FiniteLattice, contributions,
         flat = lab + n * np.arange(m)[:, None]  # each entry's block as a flat index
         sizes = np.bincount(flat.ravel(), minlength=m * n)
         block = sizes.reshape(m, n)  # block[r, i]: size of the block i is first of
-        bad = (block > 3).any(axis=1) | (
-            (block * (block - 1) // 2).sum(axis=1) != active.sum(axis=1))
+        bad = (block > 3).any(axis=1) | (  # twice the sum of C(s, 2), against the pairs
+            (block * (block - 1)).sum(axis=1) != 2 * active.sum(axis=1))
         bad |= (active & ((span == 0) | (span > sizes[flat[:, lo]]))).any(axis=1)
         bad |= (active[:, premise] & (lab[:, tz] != lab[:, tw])).any(axis=1)
-        canon = _numbered(lab)
+        canon = (np.cumsum(lab == iota, axis=1, dtype=label) - 1).ravel()[flat]
         if bad.any():
             r = int(bad.argmax())
             out[s:s + r] = canon[:r]

@@ -33,8 +33,8 @@ from princlat.congruence import (
     princ_order,
     valuation,
     base,
-    cover_certificate,
     order_mismatch,
+    principal_certificate,
 )
 from princlat.construction import (
     AMALGAM_COPIES,
@@ -42,6 +42,7 @@ from princlat.construction import (
     beta_H,
     double_gadget,
     phi,
+    verify_theorem,
 )
 from princlat.errors import AssemblyNotALattice
 from princlat.fuzzing import random_bounded_poset, run_fuzz
@@ -151,10 +152,13 @@ def test_princ_witnesses_match_the_row_loop_on_the_corpus(corpus):
 def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_zoo):
     # the label matrices of phi's order check and of the downset-congruence
     # stage, then with two rows swapped or one repeated; the certificate
-    # reads their word rows, order_mismatch the labels; the result's beta
-    # rows are the scalar beta_H of each down set of the interior, in
-    # down-set order, which is the order of the nonempty down sets of P
-    # other than P
+    # reads their word rows, order_mismatch the labels.  Both families are
+    # joins of their principal rows (Con K's as phi is a lattice
+    # isomorphism, beta's by construction), and a swap that keeps the order
+    # is an automorphism of the family, so the certificate is exact on all
+    # of them.  The result's beta rows are the scalar beta_H of each down
+    # set of the interior, in down-set order, which is the order of the
+    # nonempty down sets of P other than P
     rng = random.Random(20260201)
     samples = [(P, result) for P, result, _, _ in corpus]
     samples += [(P, assemble_K(P, templates)) for P in poset_zoo.values()]
@@ -175,7 +179,7 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             assert np.array_equal(down_set_matrix(P.poset)[1:-1][:, inner], rows)
             inputs.append((betas, rows))
         for labels, rows in inputs:
-            assert cover_certificate(an.label_words(labels), rows), P.poset.cover_names()
+            assert principal_certificate(an.label_words(labels), rows), P.poset.cover_names()
             if len(labels) < 2:
                 continue
             a, b = rng.sample(range(len(labels)), 2)
@@ -183,8 +187,40 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             swapped[[a, b]] = labels[[b, a]]
             repeated[a] = labels[b]
             for variant in (swapped, repeated):
-                assert cover_certificate(an.label_words(variant), rows) == (
+                assert principal_certificate(an.label_words(variant), rows) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()
+
+
+def test_the_pairwise_fallback_gives_the_same_reports(corpus, templates, poset_zoo,
+                                                     monkeypatch):
+    # with the certificate refuted everywhere, order_mismatch decides the
+    # order at both sites that read betas_embed (the downset-congruence
+    # stage and phi): every verify report and every phi result of the
+    # corpus and the zoo is the one that the certificate gives
+    import princlat.construction as construction
+
+    posets = dict(poset_zoo)
+    posets.update((f"sample{i}", P) for i, (P, _, _, _) in enumerate(corpus))
+
+    def outcomes():
+        out = {}
+        for name, P in posets.items():
+            corr = phi(assemble_K(P, templates))
+            out[name] = (verify_theorem(P, templates, name), corr.forward, corr.backward)
+        return out
+
+    certified = outcomes()
+    assert all(report.passed for report, _, _ in certified.values())
+    refuted = []
+
+    def refute(words, members):
+        refuted.append(len(words))
+        return False
+
+    monkeypatch.setattr(construction, "principal_certificate", refute)
+    assert outcomes() == certified
+    # one per phi, and one per verify of a P of more than two elements
+    assert len(refuted) == len(posets) + sum(len(P.elements) > 2 for P in posets.values())
 
 
 def test_word_rows_match_the_label_rows_on_the_corpus(corpus):

@@ -310,7 +310,9 @@ def test_fuzz_jobs_match_sequential():
 
 def test_fuzz_pool_has_no_more_workers_than_samples(monkeypatch):
     # under the fork start method a pool starts every worker at the first
-    # submit, so asking for more workers than samples forks idle ones
+    # submit, so asking for more workers than samples, or than CPUs, forks
+    # idle ones; the pool runs in-process here and os.cpu_count is stubbed,
+    # so no process starts
     asked = []
 
     class InProcessPool:
@@ -327,9 +329,17 @@ def test_fuzz_pool_has_no_more_workers_than_samples(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(fuzzing, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(fuzzing.os, "cpu_count", lambda: 16)
     assert [o.index for o in fuzzing.run_fuzz(5, 3, seed=99, jobs=8)] == [0, 1, 2]
     assert [o.index for o in fuzzing.run_fuzz(5, 1, seed=99, jobs=8)] == [0]
     assert asked == [3]
+    # --samples 5000 --jobs 5000 on two CPUs asks for two workers, not
+    # 5000; on one CPU, or with the count unknown, no pool starts
+    monkeypatch.setattr(fuzzing, "run_sample", lambda args: args[1])
+    for cpus in (2, 1, None):
+        monkeypatch.setattr(fuzzing.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert fuzzing.run_fuzz(5, 5000, seed=99, jobs=5000) == list(range(5000))
+    assert asked == [3, 2]
 
 
 # sha256 of the stdout of the criterion-1 fuzz's first 30 samples when the

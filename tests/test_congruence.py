@@ -19,13 +19,13 @@ from princlat.congruence import (
     _label_dtype,
     all_congruences,
     congruence_leq,
-    cover_certificate,
     cover_principals,
     is_congruence,
     is_I_congruence,
     join_congruences,
     order_mismatch,
     princ_order,
+    principal_certificate,
     principal_congruence,
     valuation,
 )
@@ -685,16 +685,19 @@ def test_block_firsts_chunks_do_not_change_the_result(monkeypatch):
             assert np.array_equal(first, whole), (shape, chunk)
 
 
-# ------------------------------------------- cover certificate on synthetic orders
+# --------------------------------------- principal certificate on synthetic orders
 
-def synthetic_family(rng):
+def synthetic_family(rng, union=False):
     """A random poset's down sets as membership rows, with label vectors
     whose refinement is containment.
 
     theta_H has one block {0} u {1 + i : i in H} on the points 0..k + 1 and
-    singletons elsewhere; labels are renumbered at random per row, so
-    refinement can only be read from the partition.  The family is all
-    down sets or all nonempty ones.
+    singletons elsewhere.  With ``union``, it has instead a block
+    {2i + 1, 2i + 2} for each i in H, on the points 0..2k: then its pairs
+    are the union of those of the theta_{down p}, p in H, as for beta_H.
+    Labels are renumbered at random per row, so refinement can only be
+    read from the partition.  The family is all down sets or all
+    nonempty ones.
     """
     k = rng.randrange(0, 11)
     names = [f"x{i}" for i in range(k)]
@@ -706,11 +709,26 @@ def synthetic_family(rng):
                     dtype=bool).reshape(len(family), k)
     thetas = []
     for row in rows:
-        block = [0] + [1 + i for i in np.flatnonzero(row).tolist()]
-        ids = rng.sample(range(100), k + 2)
-        thetas.append(SimpleNamespace(
-            labels=tuple(ids[0] if x in block else ids[x] for x in range(k + 2))))
+        held = np.flatnonzero(row).tolist()
+        if union:
+            points, blocks = 2 * k + 1, [[2 * i + 1, 2 * i + 2] for i in held]
+        else:
+            points, blocks = k + 2, [[0] + [1 + i for i in held]]
+        ids = rng.sample(range(100), points)
+        for block in blocks:
+            for x in block:
+                ids[x] = ids[block[0]]
+        thetas.append(SimpleNamespace(labels=tuple(ids)))
     return thetas, rows
+
+
+def union_labels(rows):
+    """The label rows of the union family of :func:`synthetic_family`,
+    numbered by position: the block {2i + 1, 2i + 2} for each member i."""
+    m, k = rows.shape
+    labels = np.tile(np.arange(2 * k + 1), (m, 1))
+    labels[:, 2::2][rows] -= 1
+    return labels
 
 
 def pair_words(labels):
@@ -718,7 +736,7 @@ def pair_words(labels):
     as a row of 64-bit words: one partition refines another iff its
     pairs are a subset of the other's.  So the word rows of a family of
     partitions, which need not be congruences of a lattice, stand in for
-    congruence masks in :func:`cover_certificate`."""
+    congruence masks in :func:`principal_certificate`."""
     labels = np.asarray(labels)
     i, j = np.triu_indices(labels.shape[1], 1)
     return _bit_words(labels[:, i] == labels[:, j])
@@ -740,75 +758,83 @@ def perturbed(thetas, rng):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng):
-    # about 70 % of the valid draws break the order: a swap does unless it
-    # is an automorphism of the family, a merge unless the merged blocks
-    # already lie in one block above; event() counts each kind under
-    # --hypothesis-show-statistics
-    thetas, rows = synthetic_family(rng)
-    labels = label_matrix(thetas)
-    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
-    kind, thetas = perturbed(thetas, rng)
-    labels = label_matrix(thetas)
-    broken = order_mismatch(labels, rows) is not None
-    event(f"{kind}: {'mismatch' if broken else 'embedding'}")
-    assert cover_certificate(pair_words(labels), rows) == (not broken)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng, union):
+    # sound on every family, intact or perturbed: where the certificate
+    # holds, the order embeds.  Exact on the intact union family, whose
+    # rows are the unions of its principal rows: it holds there.  The
+    # shared-block family embeds too, but theta_H is not the union of its
+    # principal rows once H has two incomparable elements, so there the
+    # certificate may fail and order_mismatch decides.  event() counts
+    # each outcome under --hypothesis-show-statistics
+    thetas, rows = synthetic_family(rng, union)
+    kind, broken = perturbed(thetas, rng)
+    for family, label in ((thetas, "intact"), (broken, kind)):
+        labels = label_matrix(family)
+        embeds = order_mismatch(labels, rows) is None
+        certified = principal_certificate(pair_words(labels), rows)
+        event(f"{'union' if union else 'shared'} {label}: "
+              f"{'embedding' if embeds else 'mismatch'}, certified {certified}")
+        assert embeds or not certified
+        if union and family is thetas:
+            assert certified
 
 
-def test_cover_certificate_finds_cover_partners_past_the_first_byte():
-    # on an antichain of ten, theta_H has the block {0} u {1 + i : i in H};
-    # the broken family also merges points 11 and 12 when H holds x0 and x8
-    # but not x9.  Only the covers H < H u {x9} then break the order, and x9
-    # is in the second byte of a packed row
+def test_principal_certificate_finds_a_broken_principal_row_past_the_first_byte():
+    # the union family on an antichain of ten: theta_H has the block
+    # {2i + 1, 2i + 2} for each x_i in H.  The broken family also merges
+    # the spare point 0 into the block of x9 in the principal row {x9}
+    # alone, so {x9} is contained in {x0, x9} but its row is not a subset
+    # of that row's; x9 is column 9, in the second byte of a membership row
     p = validate_poset([f"x{i}" for i in range(10)], [])
     rows = down_set_matrix(p)
-    for broken in (False, True):
-        labels = np.tile(np.arange(13), (len(rows), 1))
-        labels[:, 1:11][rows] = 0
-        labels[rows[:, 0] & rows[:, 8] & ~rows[:, 9] & broken, 12] = 11
-        assert cover_certificate(pair_words(labels), rows) == (not broken)
-        assert (order_mismatch(labels, rows) is None) == (not broken)
+    labels = union_labels(rows)
+    assert principal_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
+    h = int(np.flatnonzero(rows[:, 9] & (rows.sum(axis=1) == 1))[0])
+    labels[h, 0] = labels[h, 19]
+    assert order_mismatch(labels, rows) is not None
+    assert not principal_certificate(pair_words(labels), rows)
 
 
 def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
-    # the 66 down sets of a 65-element chain pack to rows of two words, so
-    # the partners H u {p} are found by byte keys; theta_H has the block
-    # {0} u {1 + i : i in H}.  Swapping two rows of a chain's family breaks
-    # the order whichever two they are
+    # the 66 down sets of a 65-element chain are the principal rows and
+    # the empty row, so theta_H with the block {0} u {1 + i : i in H} is
+    # the union of its principal rows.  Swapping two rows of a chain's
+    # family breaks the order whichever two they are
     p = validate_poset([f"x{i}" for i in range(65)], [(f"x{i}", f"x{i + 1}") for i in range(64)])
     rows = down_set_matrix(p)
     assert rows.shape == (66, 65)
     labels = np.tile(np.arange(67), (len(rows), 1))
     labels[:, 1:66][rows] = 0
-    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
+    assert principal_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
     for a, b in ((0, 65), (31, 32), (64, 65)):
         swapped = labels.copy()
         swapped[[a, b]] = labels[[b, a]]
         assert order_mismatch(swapped, rows) is not None
-        assert not cover_certificate(pair_words(swapped), rows)
+        assert not principal_certificate(pair_words(swapped), rows)
 
 
-def test_cover_certificate_checks_covers_on_wide_keys():
-    # 65 elements: a chain c0 < ... < c61 under a and b, both under t.  The
-    # down set H = C u {a, b} is no down p, so an extra block {0, 66} in
-    # theta_H alone keeps (ii) intact and breaks only the cover
-    # H < H u {t}, which (i) finds through H's packed row OR that of {t},
-    # t being column 64, bit 0 of the second word
-    chain_ = [f"c{i}" for i in range(62)]
-    p = validate_poset(chain_ + ["a", "b", "t"],
-                       list(zip(chain_, chain_[1:])) + [("c61", "a"), ("c61", "b"),
-                                                        ("a", "t"), ("b", "t")])
+def test_principal_certificate_finds_a_broken_principal_row_in_the_second_word():
+    # the union family on 65 elements, a chain c0 < ... < c63 and u apart:
+    # 130 down sets, and u is column 64, bit 0 of the second 64-bit word of
+    # a packed membership row.  Its block {129, 130} lies past the first
+    # word of the pair words too.  The broken family also merges the spare
+    # point 0 into that block in the principal row {u} alone, so {u} is
+    # contained in {c0, u} but its row is not a subset of that row's
+    chain_ = [f"c{i}" for i in range(64)]
+    p = validate_poset(chain_ + ["u"], list(zip(chain_, chain_[1:])))
     rows = down_set_matrix(p)
-    assert rows.shape == (67, 65)
-    labels = np.tile(np.arange(67), (len(rows), 1))
-    labels[:, 1:66][rows] = 0
-    assert cover_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
-    h = int(np.flatnonzero(rows.sum(axis=1) == 64)[0])
-    assert not rows[h, p.index("t")]
-    labels[h, 66] = 0
+    assert rows.shape == (130, 65)
+    labels = union_labels(rows)
+    words = pair_words(labels)
+    assert words.shape[1] > 1
+    assert principal_certificate(words, rows) and order_mismatch(labels, rows) is None
+    u = p.index("u")
+    assert u == 64
+    h = int(np.flatnonzero(rows[:, u] & (rows.sum(axis=1) == 1))[0])
+    labels[h, 0] = labels[h, 2 * u + 1]
     assert order_mismatch(labels, rows) is not None
-    assert not cover_certificate(pair_words(labels), rows)
+    assert not principal_certificate(pair_words(labels), rows)
 
 
 def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypatch):
@@ -833,12 +859,12 @@ def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypat
     swapped = words.copy()
     swapped[[3, 700]] = words[[700, 3]]
     inputs += [(words, result.interior_down_sets), (swapped, result.interior_down_sets)]
-    verdicts = [cover_certificate(words, rows) for words, rows in inputs]
+    verdicts = [principal_certificate(words, rows) for words, rows in inputs]
     assert verdicts[-2:] == [True, False]
     assert True in verdicts[:-2] and False in verdicts[:-2]
     for chunk in (1, 3 * 10):
         monkeypatch.setattr(congruence, "_CHUNK", chunk)
-        assert [cover_certificate(words, rows) for words, rows in inputs] == verdicts, chunk
+        assert [principal_certificate(words, rows) for words, rows in inputs] == verdicts, chunk
 
 
 # ------------------------------------ vectorised substitution check against the loop

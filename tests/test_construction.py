@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
+    _label_dtype,
     all_congruences,
     base,
     is_I_congruence,
@@ -354,7 +355,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     for module in (order, construction):
         monkeypatch.setattr(module, "down_sets", refuse, raising=False)
     calls = {"con_facts": 0, "_correspondence": 0, "beta_labels": 0, "beta_H": 0,
-             "cover_certificate": 0}
+             "principal_certificate": 0}
     rows = []
     for fname in calls:
         original = getattr(construction, fname)
@@ -394,7 +395,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         assert report.passed, report.lines()
         runs = 0 if len(P.elements) <= 2 else 1
         assert calls == {"con_facts": runs, "_correspondence": runs, "beta_labels": runs,
-                         "beta_H": 0, "cover_certificate": runs}, name
+                         "beta_H": 0, "principal_certificate": runs}, name
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
         assert len(enumerated) == runs, name
         assert all(p is P.interior_poset for p in enumerated), name
@@ -963,6 +964,33 @@ def test_beta_labels_spread_along_a_path_of_pairs(monkeypatch):
         assert str(error).endswith("down-set congruence block too large")
         assert error.witness == ("c0", "c1", "c2", "c3")
         assert len(beta_labels(five, contributions, rows)[0]) == 4
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_beta_labels_at_the_label_dtype_boundary(n):
+    # chains of 255, 256 and 257 elements, whose label rows are uint8,
+    # uint8 and uint16, while the spreading labels must also hold the value
+    # n that an inactive pair offers, which uint8 does not at 256: a
+    # sentinel that wrapped to 0 would pull the ends of every inactive pair
+    # into 0's block.  Four members contribute pairs at the bottom, in the
+    # middle and at the top, where c(n - 1) sits at position 256 when
+    # n = 257: one cover each, but the third the three pairs of the top
+    # three elements.  Every subset of them passes, the empty row numbers
+    # n singletons, and a last row with a fifth member, the cover below
+    # those three, makes a block of four
+    lat = chain(n)
+    ix = lat.index
+    pairs = [[(i, i + 1)] for i in (0, n - 3, n - 2, n // 2, n - 4)]
+    pairs[2] += [(n - 3, n - 2), (n - 3, n - 1)]
+    contributions = tuple(tuple((ix(f"c{a}"), ix(f"c{b}")) for a, b in p) for p in pairs)
+    rows = np.array([bits + (False,) for bits in itertools.product((False, True), repeat=4)]
+                    + [(True,) * 5])
+    labels, _ = beta_labels(lat, contributions, rows)
+    assert labels.dtype == _label_dtype(n)
+    error = assert_same_beta(lat, contributions, rows)
+    assert str(error).endswith("down-set congruence block too large")
+    assert error.witness == tuple(f"c{i}" for i in range(n - 4, n))
+    assert labels.shape == (16, n) and labels[0].tolist() == list(range(n))
 
 
 def test_beta_h_reports_a_non_down_set(templates, poset_zoo):
