@@ -38,6 +38,7 @@ from .order import (
     _freeze,
     _member_names,
     _transitive_closure,
+    principal_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -309,8 +310,9 @@ def principal_certificate(words, members) -> bool:
 
     ``words`` has one row of 64-bit words per row of ``members``, read as
     a set of bits; row a is below row b iff a & ~b is zero in every word.
-    For each column p, let D_p be the smallest row holding p: down p,
-    when the rows are the down sets of a poset on the columns.  Writing
+    For each column p, let D_p be the smallest row holding p
+    (:func:`princlat.order.principal_rows`): down p, when the rows are
+    the down sets of a poset on the columns.  Writing
     theta_H for the word row of row H, the certificate holds iff, for
     every row H and column p,
 
@@ -340,9 +342,7 @@ def principal_certificate(words, members) -> bool:
     members = np.asarray(members, dtype=bool)
     words = np.asarray(words)
     m, n = members.shape
-    sizes = members.sum(axis=1)
-    low = words[[int(np.where(members[:, p], sizes, n + 1).argmin())
-                 for p in range(n)]]  # the smallest row holding each p
+    low = words[principal_rows(members)]  # the smallest row holding each p
     step = max(1, _CHUNK // max(n * words.shape[1], 1))
     for s in range(0, m, step):
         rows, held = words[s:s + step], members[s:s + step]

@@ -24,7 +24,8 @@ lattice.  The other templates are built from it here: each double
 gadget glues two copies of S as ``AMALGAM_COPIES`` states, its order
 S's order scattered through the copy index and closed once
 (:func:`_glue`), and the chains Cp and frame are written down over
-their roles, order and tables, as no check could fail on them.
+their roles, order and tables, as no check could fail on them
+(``lattice._chain_lattice``, as ``lattice.chain`` is).
 
 Only S, Cp and frame instances are named: S(p, q) by :func:`_role_names`
 on (p, q), Cp and frame on (p, p).  A double gadget is the two S
@@ -58,6 +59,7 @@ from .congruence import (
 from .errors import (
     AssemblyNotALattice,
     CorrespondenceBroken,
+    CycleDetected,
     InputError,
     InvalidInput,
     NotADownSet,
@@ -70,6 +72,9 @@ from .kernels import ConFacts, beta_labels, con_facts
 from .lattice import (
     FiniteLattice,
     _block_order,
+    _chain_lattice,
+    _diamond_order,
+    _grid_order,
     as_lattice,
     closed_rows,
     length,
@@ -82,11 +87,11 @@ from .order import (
     _bool_product,
     _freeze,
     _member_names,
-    _transitive_closure,
+    closed_poset,
     down_set_matrix,
     is_down_set,
     order_iso,
-    principal_down_set,
+    principal_rows,
     validate_poset,
 )
 
@@ -129,11 +134,16 @@ class ConstructionResult:
     The analyses that verify reads are cached here, each built once on
     first use: the anchor pairs as two position columns
     (``anchor_columns``), the down sets of the interior
-    (``interior_down_sets``), whose rows number the bases of Con K and
-    phi's images, Con K as word rows with their flags (``con_facts``),
-    the down sets' beta rows (``betas``) and their word rows
-    (``beta_words``), and the one certificate of the order of H -> beta_H
-    (``betas_embed``) that the down-set stage and phi's order read.
+    (``interior_down_sets``), whose rows number the bases of Con K,
+    phi's images and, through ``order.principal_rows``, the principal
+    down sets, Con K as word rows with their flags and base rows
+    (``con_facts``), the down sets' beta rows (``betas``) and their word
+    rows (``beta_words``), and the one certificate of the order of
+    H -> beta_H (``betas_embed``) that the down-set stage and phi's order
+    read.  Each fact is kept once, as row numbers where it can be; a
+    failure witness names what it needs from them.  The error of
+    ``betas`` is raised only as a copy (:func:`_copied`), so no traceback
+    ties a frame to the result.
     """
 
     lattice: FiniteLattice
@@ -333,30 +343,6 @@ def gadget_battery(t: GadgetTemplate) -> None:
         raise TemplateInvalid(t.name, "quotient-shape")
 
 
-def _chain_order(n: int) -> np.ndarray:
-    """The order of the n-element chain over positions, an upper triangular
-    matrix: i <= j iff i <= j."""
-    at = np.arange(n)
-    return at[:, None] <= at
-
-
-def _grid_order() -> Poset:
-    """The order of the 2x3 grid, elements ``ab`` in ``c2_times_c3`` order:
-    ab <= a'b' iff a <= a' and b <= b', the Kronecker product of the 2-
-    and 3-element chain orders."""
-    names = tuple(f"{a}{b}" for a in range(2) for b in range(3))
-    leq = _chain_order(2)[:, None, :, None] & _chain_order(3)[None, :, None, :]
-    return Poset(names, _freeze(leq.reshape(6, 6)))
-
-
-def _diamond_order() -> Poset:
-    """The order of the diamond M3 in ``m3``'s element order: a bottom, three
-    incomparable atoms, a top."""
-    leq = np.eye(5, dtype=bool)
-    leq[0] = leq[:, 4] = True
-    return Poset(("o", "x", "y", "z", "i"), _freeze(leq))
-
-
 # what _copy_faults reports for a row, by code
 COPY_FAULTS = (None, "order", "sublattice")
 
@@ -420,26 +406,23 @@ def _glue(s: GadgetTemplate, kind: str) -> tuple[GadgetTemplate, np.ndarray]:
 
     The elements are the role names of both copies, sorted.  S's order is
     scattered through the copy index, and the union of the two images is
-    closed once by :func:`_transitive_closure`.  That is the closure
+    closed once by :func:`closed_poset`, the closure that
     :func:`validate_poset` takes over the copies' covers (the order
     :func:`amalgam_covers` generates), as both close the same relations:
-    every S comparability is a chain of S covers.  A cycle is refused as
-    :func:`validate_poset` refuses it, with the same text.
+    every S comparability is a chain of S covers.  A cycle fails the
+    template's "poset" check with the text of its CycleDetected.
     """
     names = _copy_names(s, kind)
     elements = tuple(sorted({x for row in names for x in row}))
-    n = len(elements)
     pos = {x: i for i, x in enumerate(elements)}
     idx = _copy_index(names, pos.__getitem__)
     below, above = np.nonzero(s.poset.leq)
-    rel = np.zeros((n, n), dtype=bool)
-    rel[idx[:, below], idx[:, above]] = True
-    closure = _transitive_closure(rel)
-    both = closure & closure.T
-    if np.count_nonzero(both) > n:  # more than the diagonal: a cycle
-        i, j = map(int, np.argwhere(both & ~np.eye(n, dtype=bool))[0])
-        raise TemplateInvalid(kind, "poset", f"cycle through {elements[i]!r} and {elements[j]!r}")
-    poset = Poset(elements, _freeze(closure))
+    rel = np.zeros((len(elements), len(elements)), dtype=bool)
+    rel[idx[:, below], idx[:, above]] = True  # reflexive: each element is in a copy
+    try:
+        poset = closed_poset(elements, rel)
+    except CycleDetected as exc:
+        raise TemplateInvalid(kind, "poset", str(exc)) from exc
     try:
         lat = as_lattice(poset)
     except NotALattice as exc:
@@ -451,16 +434,6 @@ def double_gadget(s: GadgetTemplate, kind: str) -> GadgetTemplate:
     """The double gadget ``kind``: the two S copies glued over their shared
     roles, with the role names as placeholders (see :func:`_glue`)."""
     return _glue(s, kind)[0]
-
-
-def _chain(kind: str, roles: tuple[str, ...]) -> GadgetTemplate:
-    """The chain over ``roles``, in that order, with its lattice written
-    down: in a chain, join is the later position and meet the earlier."""
-    at = np.arange(len(roles), dtype=np.int32)  # as_lattice's table dtype
-    poset = Poset(roles, _freeze(_chain_order(len(roles))))
-    lat = FiniteLattice(poset, _freeze(np.maximum.outer(at, at)),
-                        _freeze(np.minimum.outer(at, at)), roles[0], roles[-1])
-    return GadgetTemplate(kind, poset, {x: x for x in roles}, lat)
 
 
 def load_templates(directory=None) -> dict[str, GadgetTemplate]:
@@ -478,8 +451,9 @@ def load_templates(directory=None) -> dict[str, GadgetTemplate]:
         codes = _copy_faults(out[kind].lattice, idx, s.poset)
         if codes.any():  # the first faulty copy
             raise TemplateInvalid(kind, f"copy-{COPY_FAULTS[codes[codes > 0][0]]}")
-    out["Cp"] = _chain("Cp", ("o", "a_p", "b_p", "i"))
-    out["frame"] = _chain("frame", ("o", "a_p", "i"))
+    for kind, roles in (("Cp", ("o", "a_p", "b_p", "i")), ("frame", ("o", "a_p", "i"))):
+        lat = _chain_lattice(roles)
+        out[kind] = GadgetTemplate(kind, lat.poset, {x: x for x in roles}, lat)
     return out
 
 
@@ -702,6 +676,29 @@ def _first_failing(result: ConstructionResult, bad: np.ndarray) -> tuple[int, np
     return int(rows[k]), result.lattice.con_analysis.con_labels[k]
 
 
+def _base_names(result: ConstructionResult, r: int) -> tuple[str, ...]:
+    """``congruence.base`` of row r of ``result.con_facts``, rebuilt from
+    its word row as :func:`~princlat.kernels.con_facts` reads every base:
+    the interior elements whose anchor pair it collapses
+    (``ConAnalysis.word_flags``).  Built only to name a failure."""
+    lat = result.lattice
+    a, b = result.anchor_columns
+    collapsed = lat.con_analysis.word_flags(result.con_facts.words[r:r + 1],
+                                            lat.meet[a, b], lat.join[a, b])[3]
+    return _member_names(result.source.interior, collapsed[0])
+
+
+def _copied(exc: Exception) -> Exception:
+    """An unraised copy of an exception: its type, arguments and
+    attributes, with no traceback, and without calling ``__init__``
+    again.  A kept exception is raised only as a copy: raising attaches a
+    traceback, whose frames would hold what keeps the exception, a
+    reference cycle; the raised copy is named by no frame."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(vars(exc))
+    return copy
+
+
 def _princ_poset(lat: FiniteLattice) -> Poset:
     """Princ K as a poset on ``pc0, pc1, ...``, in the key order of
     ``ConAnalysis.princ_witnesses``, ordered by the subset order of the
@@ -776,7 +773,7 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
         if not facts.isolating[r]:
             raise CorrespondenceBroken(_blocks(lat, labels),
                                        "congruence neither bound nor isolating")
-        raise CorrespondenceBroken(facts.base_of(r), "base is not a down set")
+        raise CorrespondenceBroken(_base_names(result, r), "base is not a down set")
     forward = np.where(top, len(downs), facts.base_row)
     if not np.array_equal(np.sort(forward), np.arange(count)):
         raise CorrespondenceBroken(None, "forward image is not the down-set family")
@@ -790,7 +787,7 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     if broken.size:
         raise CorrespondenceBroken(_down_set_names(result, int(broken[0])), "round trip broke")
     if result.betas[1] is not None:
-        raise result.betas[1]
+        raise _copied(result.betas[1])
     # with the round trip intact, phi's order is H -> beta_H's (see above);
     # the pairwise oracle runs only to name the first mismatch
     if not result.betas_embed:
@@ -851,14 +848,18 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     Con K once, as word rows, through ``result.con_facts``; Con K and
     Princ K are sorted into ConOrder and given label rows only to name a
     failure.  The down sets of the interior are enumerated once
-    (``result.interior_down_sets``); they number phi's images and the
-    bases of Con K, and their beta rows come from one :func:`beta_labels`
-    call (``result.betas``).  The order is decided once, by one
-    certificate over those rows' word rows that reads the principal rows
-    beta_{down p} (``result.betas_embed``), which the down-set stage and
-    :func:`_correspondence` both read; the correspondence is checked
-    once.  No stage builds a congruence or down-set object per
-    congruence or per down set: those are built only for a failure
+    (``result.interior_down_sets``); they number phi's images, the bases
+    of Con K and the principal down sets of P, and their beta rows come
+    from one :func:`beta_labels` call (``result.betas``).  The order is
+    decided once, by one certificate over those rows' word rows that
+    reads the principal rows beta_{down p} (``result.betas_embed``),
+    which the down-set stage and :func:`_correspondence` both read; the
+    correspondence is checked once, and its failure kept unraised.  The
+    principal stage compares row numbers: the images of the principal
+    congruences with 0 for {0}, the row of down p for each interior p,
+    and one past the last row for P, and the base row of each anchor
+    congruence with the row of down p.  A passing verify builds no
+    congruence or down-set object: names are built only for a failure
     witness.  A P of at most two elements reads none of these.  An
     :class:`InputError`, such as colliding element names, is raised, not
     reported as a stage.
@@ -924,20 +925,20 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         bad = facts.isolating & (facts.base_row < 0)
         if bad.any():
             raise VerificationFailed("base-down-set",
-                                     witness=facts.base_of(_first_failing(result, bad)[0]))
+                                     witness=_base_names(result, _first_failing(result, bad)[0]))
         return ""
 
     # the correspondence is checked once: both correspondence stages
-    # report its result or its exception
+    # report its result or its exception, kept unraised
     try:
         forward = _correspondence(result)
         corr_error = None
     except Exception as exc:  # noqa: BLE001 - reported by the stages below
-        corr_error = exc
+        corr_error = _copied(exc)
 
     def s_beta():
         rows = result.interior_down_sets
-        labels, error = result.betas
+        labels = result.betas[0]
         empty = ~rows[:len(labels)].any(axis=1)
         zero, _, isolating, _ = lat.con_analysis.word_flags(result.beta_words)
         ok = np.where(empty, zero, isolating)
@@ -945,8 +946,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
             k = int(ok.argmin())
             witness = "empty" if empty[k] else _member_names(P.interior, rows[k])
             raise VerificationFailed("downset-congruence", witness=witness)
-        if error is not None:
-            raise error
+        if result.betas[1] is not None:
+            raise _copied(result.betas[1])
         # an order embedding is injective
         bad = None if result.betas_embed else order_mismatch(labels, rows)
         if bad is not None:
@@ -956,30 +957,31 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_phi():
         if corr_error is not None:
-            raise corr_error
+            raise _copied(corr_error)
         return f"|Con K| = {len(facts.words)}"
 
     def s_princ_corr():
-        an = lat.con_analysis
-        down = {p: tuple(sorted(principal_down_set(P.poset, p).members)) for p in P.elements}
-        principal_downs = set(down.values())
         if corr_error is not None:
-            raise corr_error
+            raise _copied(corr_error)
+        an = lat.con_analysis
+        below = principal_rows(result.interior_down_sets)  # the row of each down p
+        # the numbers of the principal down sets of P: {0}, {0} u down p, and P
+        principal = {0, *below.tolist(), len(result.interior_down_sets)}
         # Con K's rows by mask: every principal congruence's row, and its image
         rows = facts.rows(an.words(list(an.princ_witnesses)))
-        image = {_down_set_names(result, k) for k in forward[rows].tolist()}
-        if image != principal_downs:
-            raise VerificationFailed("principal-correspondence", witness=image ^ principal_downs)
-        # each anchor congruence con(a_p, b_p) is principal: read its row
-        anchors = [_con_mask(lat, a, b)
-                   for a, b in zip(*(c.tolist() for c in result.anchor_columns))]
-        for p, r in zip(P.interior, facts.rows(an.words(anchors)).tolist()):
-            if not facts.isolating[r]:
-                raise VerificationFailed("principal-correspondence", witness=p)
-            expect = tuple(x for x in down[p] if x != P.zero)
-            if facts.base_of(r) != expect:
-                raise VerificationFailed("principal-correspondence",
-                                         witness=(p, facts.base_of(r)))
+        image = set(forward[rows].tolist())
+        if image != principal:
+            witness = tuple(sorted(_down_set_names(result, k) for k in image ^ principal))
+            raise VerificationFailed("principal-correspondence", witness=witness)
+        # each anchor congruence con(a_p, b_p) is principal, isolating, and
+        # its base is down p: read its row
+        anchors = [_con_mask(lat, a, b) for a, b in zip(*result.anchor_columns)]
+        at = facts.rows(an.words(anchors))
+        bad = ~(facts.isolating[at] & (facts.base_row[at] == below))
+        if bad.any():  # the first failing p
+            p, r = P.interior[int(bad.argmax())], int(at[bad.argmax()])
+            witness = (p, _base_names(result, r)) if facts.isolating[r] else p
+            raise VerificationFailed("principal-correspondence", witness=witness)
         return f"{len(rows)} principal congruences"
 
     def s_princ_iso():

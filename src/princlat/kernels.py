@@ -4,18 +4,19 @@
 the interior.  The functions here do that work for all congruences, or
 all down sets, at once, and return matrices, never one object per row:
 :func:`con_facts` reads the flags and bases of Con K from its word rows
-over J(K) (``ConAnalysis.word_flags``), with no label matrix, and finds
-each base among the down sets of the interior, and :func:`beta_labels`
-computes the label row of beta_H for every row of a down-set membership
-matrix with one kernel, its labels in the narrowest unsigned dtype that
-holds them.  ``construction`` decides the order of H -> beta_H from the
-word rows of those labels, reading the rows of the principal down sets
-(``congruence.principal_certificate``).  Congruence and down-set
-objects are built only by the public API (``phi``, ``beta_H``,
-``all_congruences``, ...) and for failure witnesses.  Work runs in
-chunks of rows of at most ``order._CHUNK`` elements.  A failure is named
-by examining only the first failing row, in the order a scalar loop
-would have met it.
+over J(K) (``ConAnalysis.word_flags``), with no label matrix, and keeps
+of each base only its row among the down sets of the interior, and
+:func:`beta_labels` computes the label row of beta_H for every row of a
+down-set membership matrix with one kernel, its labels in the narrowest
+unsigned dtype that holds them.  ``construction`` decides the order of
+H -> beta_H from the word rows of those labels, reading the rows of the
+principal down sets (``congruence.principal_certificate``).  Congruence
+and down-set objects are built only by the public API (``phi``,
+``beta_H``, ``all_congruences``, ...) and for failure witnesses, which
+rebuild the one base they name from its word row.  Work runs in chunks
+of rows of at most ``order._CHUNK`` elements.  A failure is named by
+examining only the first failing row, in the order a scalar loop would
+have met it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .congruence import _label_dtype, is_congruence
 from .errors import AssemblyNotALattice
 from .lattice import FiniteLattice
-from .order import _CHUNK, RowIndex, _member_names
+from .order import _CHUNK, RowIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construction import ConstructionResult
@@ -45,23 +46,22 @@ class ConFacts:
     ``index`` finds a congruence's row by its word row, and :meth:`rows`
     does so for congruences that must be in Con K, so a stage finds a
     row from a mask.  ``zero``, ``one`` and ``isolating`` flag the bound
-    and the I-congruences; ``base[r]`` marks the interior elements (in
-    ``source.interior`` order) whose anchor pair row r collapses, which
-    is ``congruence.base`` on the isolating rows, and ``base_row[r]`` is
-    the row of that base in the result's ``interior_down_sets``, or -1
-    where it is not a down set of the interior.  There is no label
-    matrix: Con K in ``all_congruences`` order, with its labels, is
-    rebuilt only by ``phi`` and to name a failure.  It holds no
-    reference to the result that caches it, so the two form no cycle.
+    and the I-congruences.  ``base_row[r]`` is the row, in the result's
+    ``interior_down_sets``, of the base of congruence r (the interior
+    elements whose anchor pair it collapses, ``congruence.base`` on the
+    isolating rows), or -1 where that is not a down set of the interior.
+    Each fact is kept once: the bases themselves are not kept, and a
+    failure witness rebuilds its one base from the word row.  There is
+    no label matrix either: Con K in ``all_congruences`` order, with its
+    labels, is rebuilt only by ``phi`` and to name a failure.  It holds
+    no reference to the result that caches it, so the two form no cycle.
     """
 
-    interior: tuple[str, ...]
     words: np.ndarray
     index: RowIndex
     zero: np.ndarray
     one: np.ndarray
     isolating: np.ndarray
-    base: np.ndarray
     base_row: np.ndarray
 
     def rows(self, words: np.ndarray) -> np.ndarray:
@@ -76,23 +76,20 @@ class ConFacts:
                            f"first at query row {int(missing[0])}")
         return rows
 
-    def base_of(self, r: int) -> tuple[str, ...]:
-        """``congruence.base`` of congruence r."""
-        return _member_names(self.interior, self.base[r])
-
 
 def con_facts(result: ConstructionResult) -> ConFacts:
     """The :class:`ConFacts` of an assembled lattice, from the congruence
     masks of its analysis and the down sets of its interior.  An anchor
-    pair (a, b) is collapsed iff (a ^ b, a v b) is."""
+    pair (a, b) is collapsed iff (a ^ b, a v b) is.  The |Con K| x
+    |interior| matrix of the bases lives only until their rows are found."""
     lat = result.lattice
     an = lat.con_analysis
     words = an.words(an.con_set())
     words = words[np.lexsort(words.T)]  # the last word is the most significant
     a, b = result.anchor_columns
     zero, one, isolating, base = an.word_flags(words, lat.meet[a, b], lat.join[a, b])
-    return ConFacts(result.source.interior, words, RowIndex(words), zero, one, isolating,
-                    base, RowIndex(result.interior_down_sets).find(base))
+    return ConFacts(words, RowIndex(words), zero, one, isolating,
+                    RowIndex(result.interior_down_sets).find(base))
 
 
 def beta_labels(lat: FiniteLattice, contributions,

@@ -263,29 +263,51 @@ def lattice_iso(a: FiniteLattice, b: FiniteLattice) -> dict[str, str] | None:
     return order_iso(a.poset, b.poset)
 
 
+def _chain_order(n: int) -> np.ndarray:
+    """The order of the n-element chain over positions, an upper triangular
+    matrix: i <= j iff i <= j."""
+    at = np.arange(n)
+    return at[:, None] <= at
+
+
+def _chain_lattice(names: tuple[str, ...]) -> FiniteLattice:
+    """The chain over ``names``, in that order, with its lattice written
+    down: in a chain, join is the later position and meet the earlier."""
+    if not names:
+        raise InvalidInput("an empty order is not a lattice")
+    at = np.arange(len(names), dtype=np.int32)  # as_lattice's table dtype
+    return FiniteLattice(Poset(names, _freeze(_chain_order(len(names)))),
+                         _freeze(np.maximum.outer(at, at)), _freeze(np.minimum.outer(at, at)),
+                         names[0], names[-1])
+
+
+def _grid_order() -> Poset:
+    """The order of the 2x3 grid, elements ``ab`` for a < 2 and b < 3:
+    ab <= a'b' iff a <= a' and b <= b', the Kronecker product of the 2-
+    and 3-element chain orders."""
+    names = tuple(f"{a}{b}" for a in range(2) for b in range(3))
+    leq = _chain_order(2)[:, None, :, None] & _chain_order(3)[None, :, None, :]
+    return Poset(names, _freeze(leq.reshape(6, 6)))
+
+
+def _diamond_order() -> Poset:
+    """The order of the diamond M3: a bottom, three incomparable atoms, a
+    top."""
+    leq = np.eye(5, dtype=bool)
+    leq[0] = leq[:, 4] = True
+    return Poset(("o", "x", "y", "z", "i"), _freeze(leq))
+
+
 def chain(k: int, prefix: str = "c") -> FiniteLattice:
     """The k-element chain c0 < c1 < ... ."""
-    names = [f"{prefix}{i}" for i in range(k)]
-    covers = [(names[i], names[i + 1]) for i in range(k - 1)]
-    return lattice_from_covers(names, covers)
+    return _chain_lattice(tuple(f"{prefix}{i}" for i in range(k)))
 
 
 def m3() -> FiniteLattice:
     """The diamond: three incomparable atoms between bounds; simple."""
-    return lattice_from_covers(
-        ["o", "x", "y", "z", "i"],
-        [("o", "x"), ("o", "y"), ("o", "z"), ("x", "i"), ("y", "i"), ("z", "i")],
-    )
+    return as_lattice(_diamond_order())
 
 
 def c2_times_c3() -> FiniteLattice:
     """The 2x3 grid lattice."""
-    els = [f"{a}{b}" for a in range(2) for b in range(3)]
-    covers = []
-    for a in range(2):
-        for b in range(3):
-            if b + 1 < 3:
-                covers.append((f"{a}{b}", f"{a}{b+1}"))
-            if a + 1 < 2:
-                covers.append((f"{a}{b}", f"{a+1}{b}"))
-    return lattice_from_covers(els, covers)
+    return as_lattice(_grid_order())

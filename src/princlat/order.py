@@ -228,16 +228,22 @@ def validate_poset(elements, covers) -> Poset:
             raise DuplicateElement(f"duplicate element {e!r}")
         seen.add(e)
     pos = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    rel = np.eye(n, dtype=bool)
+    rel = np.eye(len(elements), dtype=bool)
     for lo, hi in covers:
         if lo not in pos:
             raise UnknownElement(f"cover references undeclared element {lo!r}")
         if hi not in pos:
             raise UnknownElement(f"cover references undeclared element {hi!r}")
         rel[pos[lo], pos[hi]] = True
+    return closed_poset(elements, rel)
+
+
+def closed_poset(elements: tuple[str, ...], rel: np.ndarray) -> Poset:
+    """The poset on ``elements`` whose order is the transitive closure of
+    the reflexive relation ``rel``; raises CycleDetected, naming the
+    first pair in row-major order that the closure relates both ways."""
     closure = _transitive_closure(rel)
-    cyc = closure & closure.T & ~np.eye(n, dtype=bool)
+    cyc = closure & closure.T & ~np.eye(len(elements), dtype=bool)
     if cyc.any():
         i, j = map(int, np.argwhere(cyc)[0])
         raise CycleDetected(f"cycle through {elements[i]!r} and {elements[j]!r}")
@@ -392,6 +398,16 @@ def down_set_matrix(p: Poset) -> np.ndarray:
     sizes = rows.sum(axis=1, dtype=np.min_scalar_type(p.n))
     order = np.lexsort(tuple(keys.T[::-1]) + (sizes,))
     return _freeze(rows[order])
+
+
+def principal_rows(members: np.ndarray) -> np.ndarray:
+    """For each column p of a boolean membership matrix, the first of its
+    smallest rows holding p: the row of down p when the rows are the down
+    sets of a poset on the columns, as every down set holding p holds
+    down p.  One pass over the rows per column."""
+    sizes = members.sum(axis=1)
+    return np.array([int(np.where(members[:, p], sizes, members.shape[1] + 1).argmin())
+                     for p in range(members.shape[1])], dtype=np.intp)
 
 
 def down_sets(p: Poset, nonempty_only: bool = False) -> list[DownSet]:

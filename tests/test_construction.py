@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -27,6 +28,7 @@ from princlat.construction import (
     COPY_FAULTS,
     S_ROLE_SET,
     GadgetTemplate,
+    _base_names,
     _copy_faults,
     _instances,
     _role_names,
@@ -337,10 +339,10 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     # congruence_leq refusing to run; it builds the
     # forward facts once, checks the correspondence once, enumerates down
     # sets once, those of the interior, runs the beta kernel once over them,
-    # decides the order with one cover certificate and never calls the
-    # one-row beta_H; a P of at most two elements reads none of these; the
-    # congruence and down-set objects it does build are O(|P|), not one per
-    # congruence (the 6-antichain has |Con K| = 65)
+    # decides the order with one principal certificate and never calls the
+    # one-row beta_H; a P of at most two elements reads none of these; it
+    # builds no congruence or down-set object at all, as the principal
+    # stage compares row numbers (the 6-antichain has |Con K| = 65)
     import princlat.construction as construction
     import princlat.kernels as kernels
     import princlat.order as order
@@ -399,8 +401,8 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
         assert len(enumerated) == runs, name
         assert all(p is P.interior_poset for p in enumerated), name
-        assert built.count(CongruenceRelation) <= len(P.elements) + 2, name
-        assert built.count(DownSet) <= 2 * len(P.elements), name
+        assert built.count(CongruenceRelation) == 0, name
+        assert built.count(DownSet) == 0, name
 
 
 def test_downset_congruence_reports_the_first_order_mismatch(
@@ -450,7 +452,7 @@ def _swap_congruences(monkeypatch, lo, hi):
         perm[k] = perm[k[::-1]]
         return dataclasses.replace(facts, **{
             name: getattr(facts, name)[perm]
-            for name in ("zero", "one", "isolating", "base", "base_row")})
+            for name in ("zero", "one", "isolating", "base_row")})
 
     def swapped_betas(lat, contributions, members):
         labels, error = original_betas(lat, contributions, members)
@@ -591,6 +593,53 @@ def test_a_congruence_missing_from_con_facts_fails_the_stage(templates, poset_zo
     assert not ok and detail.startswith("KeyError: ") and "not in Con K" in detail
     with pytest.raises(KeyError, match="1 of .* not in Con K"):
         phi(assemble_K(P, templates))
+
+
+def test_principal_image_mismatch_names_the_sorted_difference(
+        templates, poset_zoo, monkeypatch):
+    # Princ K loses the principal congruences of the anchors of q and r, so
+    # the principal images miss down q and down r: the witness is the down
+    # sets of the difference as a sorted tuple, whatever PYTHONHASHSEED is
+    from princlat.congruence import _con_mask
+
+    P = poset_zoo["V"]
+    lat = assemble_K(P, templates).lattice
+    lost = {_con_mask(lat, lat.index(f"a@{p}"), lat.index(f"b@{p}")) for p in "qr"}
+    original = ConAnalysis.princ_witnesses.func
+    monkeypatch.setattr(ConAnalysis, "princ_witnesses", property(
+        lambda self: {m: w for m, w in original(self).items() if m not in lost}))
+    stages = _stage_details(verify_theorem(P, templates, "V"))
+    assert stages["congruence-correspondence"][0]
+    assert stages["principal-correspondence"] == (False, (
+        "VerificationFailed: verification failed at stage 'principal-correspondence' "
+        "(witness: (('0', 'p', 'q'), ('0', 'p', 'r')))"))
+
+
+@pytest.mark.parametrize("read_as, witness", [
+    (("a@q", "b@q"), "('p', ('p', 'q'))"),  # isolating, its base is down q
+    (("o", "i"), "p"),                      # the one congruence, not isolating
+])
+def test_principal_stage_names_the_first_anchor_off_its_down_set(
+        templates, poset_zoo, monkeypatch, read_as, witness):
+    # the principal stage reads the anchor congruence of p as another
+    # congruence of K; the correspondence, which never reads the anchors,
+    # still holds, and the stage names p, with the base it found when
+    # that congruence is isolating
+    import princlat.construction as construction
+
+    original = construction._con_mask
+
+    def misread(lat, i, j):
+        if (lat.elements[i], lat.elements[j]) == ("a@p", "b@p"):
+            i, j = map(lat.index, read_as)
+        return original(lat, i, j)
+
+    monkeypatch.setattr(construction, "_con_mask", misread)
+    stages = _stage_details(verify_theorem(poset_zoo["4-chain"], templates, "4-chain"))
+    assert stages["congruence-correspondence"][0]
+    assert stages["principal-correspondence"] == (False, (
+        "VerificationFailed: verification failed at stage 'principal-correspondence' "
+        f"(witness: {witness})"))
 
 
 def test_order_not_preserved_reports_the_first_pair_in_con_order(templates, monkeypatch):
@@ -745,13 +794,17 @@ def assert_facts_match_the_scalar_loop(result):
     rows = facts.index.find(an.words(an.con_masks)).tolist()
     assert sorted(rows) == list(range(len(cons)))
     assert np.array_equal(facts.words[rows], an.label_words([theta.labels for theta in cons]))
-    got = [(bool(z), bool(o), bool(i), tuple(b.tolist()), int(k)) for z, o, i, b, k in zip(
-        facts.zero[rows], facts.one[rows], facts.isolating[rows], facts.base[rows],
-        facts.base_row[rows])]
-    assert got == scalar_forward_facts(result)
-    for r, theta in zip(rows, cons):
-        if facts.isolating[r]:
-            assert facts.base_of(r) == base(result, theta)
+    got = [(bool(z), bool(o), bool(i), int(k)) for z, o, i, k in zip(
+        facts.zero[rows], facts.one[rows], facts.isolating[rows], facts.base_row[rows])]
+    want = scalar_forward_facts(result)
+    assert got == [(z, o, i, k) for z, o, i, _, k in want]
+    # the facts keep no base: each row's is rebuilt from its word row, on
+    # every row, and is the scalar loop's anchor-collapse row
+    interior = result.source.interior
+    for r, theta, (_, _, isolating, row, _) in zip(rows, cons, want):
+        assert _base_names(result, r) == tuple(sorted(itertools.compress(interior, row)))
+        if isolating:
+            assert _base_names(result, r) == base(result, theta)
 
 
 def assert_betas_match(result):
@@ -1211,6 +1264,51 @@ def test_failing_verify_reports_are_golden(templates, poset_zoo):
             failing.update(stage for stage, ok, _ in report.stages if not ok)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest, dict(failing)) == GOLDEN_SWAP_REPORTS
+
+
+def test_a_failing_verify_or_phi_leaves_no_reference_cycles(templates, poset_zoo, monkeypatch):
+    # reference counting alone frees everything a failing verify_theorem or
+    # phi allocates: no kept exception holds a traceback whose frames hold
+    # K.  S with the roles a_p -> a_q -> b_p -> a_p, its double gadgets
+    # glued by double_gadget, fails downset-congruence and both
+    # correspondence stages on the 4-chain and on V; phi also fails with
+    # the beta error of the last down set, which result.betas keeps and
+    # phi raises after the round trip of the rows before it
+    import princlat.construction as construction
+
+    s = templates["S"]
+    turn = {"a_p": "a_q", "a_q": "b_p", "b_p": "a_p"}
+    t = GadgetTemplate("S", s.poset, {ph: turn.get(r, r) for ph, r in s.role_map.items()},
+                       s.lattice)
+    rotated = dict(templates, S=t, **{k: double_gadget(t, k) for k in AMALGAM_COPIES})
+    original = construction.beta_labels
+
+    def failing_last(lat, contributions, members):
+        labels, _ = original(lat, contributions, members)
+        return labels[:-1], AssemblyNotALattice(("x", "y"), "down-set relation not transitive")
+
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("4-chain", "V"):
+            P = poset_zoo[name]
+            assert not verify_theorem(P, rotated, name).passed
+            assert gc.collect() == 0, name
+            with pytest.raises(CorrespondenceBroken):
+                phi(assemble_K(P, rotated))
+            assert gc.collect() == 0, name
+        monkeypatch.setattr(construction, "beta_labels", failing_last)
+        failed = ""
+        try:
+            phi(assemble_K(poset_zoo["V"], templates))
+        except AssemblyNotALattice as exc:
+            failed = str(exc)
+        assert failed.endswith("at ('x', 'y'): down-set relation not transitive")
+        assert gc.collect() == 0
+        assert not verify_theorem(poset_zoo["V"], templates, "V").passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------- failure paths of two stages

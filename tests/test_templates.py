@@ -29,10 +29,13 @@ from princlat.construction import (
     gadget_battery,
     load_templates,
 )
-from princlat.errors import CycleDetected, NotALattice, TemplateInvalid
+from princlat.errors import CycleDetected, InputError, NotALattice, TemplateInvalid
 from princlat.lattice import (
+    _diamond_order,
+    _grid_order,
     as_lattice,
     c2_times_c3,
+    chain,
     lattice_from_covers,
     lattice_iso,
     length,
@@ -40,7 +43,7 @@ from princlat.lattice import (
     prime_intervals,
     quotient,
 )
-from princlat.order import order_iso, validate_poset
+from princlat.order import validate_poset
 
 import reference as ref
 from gadget_space import battery_candidates, gadgets
@@ -220,20 +223,49 @@ def test_double_gadgets_match_the_closure_of_their_covers(templates, monkeypatch
     assert set(seen) == {"ok", "poset", "lattice"}
 
 
+def assert_same_lattice(got, want):
+    """The same elements in the same order, order, bounds, and join and
+    meet tables with their dtype."""
+    assert got.poset == want.poset and (got.bottom, got.top) == (want.bottom, want.top)
+    for table in ("join", "meet"):
+        assert np.array_equal(getattr(got, table), getattr(want, table))
+        assert getattr(got, table).dtype == getattr(want, table).dtype
+
+
 def test_chains_and_literal_orders_match_their_lattices(templates):
-    # Cp and frame are written down, not analysed; the grid and diamond
-    # orders that load and verify compare against are literals
-    for kind, roles in (("Cp", ("o", "a_p", "b_p", "i")), ("frame", ("o", "a_p", "i"))):
-        want = as_lattice(validate_poset(roles, list(zip(roles, roles[1:]))))
-        got = templates[kind].lattice
-        assert got.poset == want.poset and (got.bottom, got.top) == (want.bottom, want.top)
-        for table in ("join", "meet"):
-            assert np.array_equal(getattr(got, table), getattr(want, table))
-            assert getattr(got, table).dtype == getattr(want, table).dtype
-    for literal, lat in ((construction._grid_order(), c2_times_c3()),
-                         (construction._diamond_order(), m3())):
-        assert literal == lat.poset  # same elements, in the same order
-        assert order_iso(literal, lat.poset) is not None
+    # the chains (Cp, frame, lattice.chain) are written down, tables and
+    # all, and the grid and diamond orders that load and verify compare
+    # against, and that c2_times_c3 and m3 are built from, are literals;
+    # each is checked against the closure of its covers, built here
+    chains = [(templates["Cp"].lattice, ("o", "a_p", "b_p", "i")),
+              (templates["frame"].lattice, ("o", "a_p", "i"))]
+    chains += [(chain(k), tuple(f"c{i}" for i in range(k))) for k in (1, 2, 5)]
+    for got, names in chains:
+        assert_same_lattice(got, lattice_from_covers(names, list(zip(names, names[1:]))))
+    grid = [f"{a}{b}" for a in range(2) for b in range(3)]
+    grid_covers = [(f"{a}{b}", f"{a}{b + 1}") for a in range(2) for b in range(2)]
+    grid_covers += [(f"0{b}", f"1{b}") for b in range(3)]
+    diamond_covers = [("o", x) for x in "xyz"] + [(x, "i") for x in "xyz"]
+    for literal, built, want in (
+            (_grid_order(), c2_times_c3(), lattice_from_covers(grid, grid_covers)),
+            (_diamond_order(), m3(), lattice_from_covers(["o", "x", "y", "z", "i"],
+                                                         diamond_covers))):
+        assert literal == want.poset  # same elements, in the same order
+        assert_same_lattice(built, want)
+    with pytest.raises(InputError, match="empty order"):
+        chain(0)
+
+
+def test_a_cycle_in_a_glued_order_fails_the_poset_check(monkeypatch):
+    # SV's second copy swaps a_p and b_p: the glued order relates them both
+    # ways, and the closure that validate_poset runs names the cycle
+    first, second = AMALGAM_COPIES["SV"]
+    monkeypatch.setattr(construction, "AMALGAM_COPIES", MappingProxyType(
+        {**AMALGAM_COPIES, "SV": (first, {**second, "a_p": "b_p", "b_p": "a_p"})}))
+    with pytest.raises(TemplateInvalid) as exc:
+        load_templates()
+    assert str(exc.value) == "template 'SV' failed check 'poset': cycle through 'a_p' and 'b_p'"
+    assert isinstance(exc.value.__cause__, CycleDetected)
 
 
 @pytest.mark.parametrize("kind, shared, check", [
