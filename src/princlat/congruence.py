@@ -34,11 +34,13 @@ from .lattice import FiniteLattice
 from .order import (
     _CHUNK,
     Poset,
+    _bit_words,
     _blas_rows,
     _freeze,
+    _int_words,
     _member_names,
     _transitive_closure,
-    principal_rows,
+    _word_ints,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,8 +165,8 @@ def join_congruences(a: CongruenceRelation, b: CongruenceRelation) -> Congruence
     """The smallest congruence above both: the OR of their masks."""
     lat = _lattice_of(a, b)
     an = lat.con_analysis
-    row = np.bitwise_or.reduce(an.label_words([a.labels, b.labels]))
-    return CongruenceRelation(lat, an.labels(int.from_bytes(row.tobytes(), "little")))
+    ma, mb = _word_ints(an.label_words([a.labels, b.labels]))
+    return CongruenceRelation(lat, an.labels(ma | mb))
 
 
 def _label_dtype(n: int) -> np.dtype:
@@ -244,29 +246,6 @@ def cover_principals(lat: FiniteLattice) -> dict[tuple[int, int], CongruenceRela
             for i, j in lat.poset.covers()}
 
 
-def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
-    """One int per boolean row, bit i set iff the row is True at column i."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
-
-
-def _bit_words(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows as rows of 64-bit words, at least one per row: column
-    k at bit k % 64 of word k // 64, as :meth:`ConAnalysis.words` places
-    bit k of a mask.  The rows are packed as one flat array, zero-padded to
-    whole bytes (see :func:`princlat.order._row_keys`), and the bytes are
-    then zero-padded to whole words, so no boolean temporary is wider
-    than the rows by more than seven columns."""
-    m, c = bits.shape
-    width = max(1, -(-c // 64))
-    padded = np.zeros((m, -(-c // 8) * 8), dtype=bool)
-    padded[:, :c] = bits
-    out = np.zeros((m, 8 * width), dtype=np.uint8)
-    size = padded.shape[1] // 8
-    out[:, :size] = np.packbits(padded.ravel(), bitorder="little").reshape(m, size)
-    return out.view(np.uint64)
-
-
 def _subset_matrix(words: np.ndarray) -> np.ndarray:
     """Read-only ``leq[x, y]`` iff word row x is a subset of word row y.
 
@@ -304,13 +283,14 @@ def order_mismatch(labels, members) -> tuple[int, int] | None:
     return None
 
 
-def principal_certificate(words, members) -> bool:
+def principal_certificate(words, members, principal) -> bool:
     """Whether the subset order of word rows and containment agree on all
     pairs, checked against the principal rows only.
 
     ``words`` has one row of 64-bit words per row of ``members``, read as
     a set of bits; row a is below row b iff a & ~b is zero in every word.
-    For each column p, let D_p be the smallest row holding p
+    For each column p, D_p is row ``principal[p]``, which the caller
+    finds once as the smallest row holding p
     (:func:`princlat.order.principal_rows`): down p, when the rows are
     the down sets of a poset on the columns.  Writing
     theta_H for the word row of row H, the certificate holds iff, for
@@ -334,7 +314,7 @@ def principal_certificate(words, members) -> bool:
     lemma in :class:`ConAnalysis`.
 
     The inputs keep their order and nothing sorts them.  The n principal
-    rows are gathered once; then the rows go in chunks of at most
+    word rows are gathered once; then the rows go in chunks of at most
     ``_CHUNK`` words across all p, with one pass of (a) and (b) each, so
     no temporary outgrows a chunk by more than one row's n words, beyond
     a vector of one entry per row.
@@ -342,7 +322,7 @@ def principal_certificate(words, members) -> bool:
     members = np.asarray(members, dtype=bool)
     words = np.asarray(words)
     m, n = members.shape
-    low = words[principal_rows(members)]  # the smallest row holding each p
+    low = words[principal]  # the smallest row holding each p
     step = max(1, _CHUNK // max(n * words.shape[1], 1))
     for s in range(0, m, step):
         rows, held = words[s:s + step], members[s:s + step]
@@ -466,10 +446,11 @@ class ConAnalysis:
     label-vector worklist closure, the oracle in ``tests/reference.py``,
     is what the tests compare cm against.
 
-    A congruence also has a word row: M(theta) as ``uint64`` words, bit
-    k % 64 of word k // 64 for joinirr[k], at least one word.
-    :meth:`words` gives the rows of masks, :meth:`label_words` those of
-    label vectors, and :meth:`word_flags` reads, from word rows, which
+    A congruence also has a word row: M(theta) as ``uint64`` words, in
+    the layout that the word-row functions of :mod:`princlat.order` own
+    (``_bit_words``, ``_word_ints``, ``_int_words``), bit k for
+    joinirr[k].  :meth:`words` gives the rows of masks, :meth:`label_words`
+    those of label vectors, and :meth:`word_flags` reads, from word rows, which
     congruences are zero, one and isolating and which pairs they
     collapse.  Con L and Princ L are also kept as label matrices in
     ConOrder order, one canonical label vector per mask, built for all
@@ -480,7 +461,9 @@ class ConAnalysis:
     functions of this module are views of it.  It holds ints, tuples,
     arrays and the lattice's poset, never the lattice itself: a reference
     back would make a cycle that keeps every analysed lattice alive until
-    the cyclic garbage collector runs.
+    the cyclic garbage collector runs.  Nothing it holds depends on the
+    order of calls: :meth:`principal` keeps no memo, and each cached
+    property is a function of the lattice alone.
     """
 
     def __init__(self, lat: FiniteLattice):
@@ -495,29 +478,20 @@ class ConAnalysis:
         self.atom_mask = sum(1 << k for k, c in enumerate(self.lower_cover) if c == zero)
         self.coatoms = tuple(lower.get(lat.index(lat.top), ()))  # positions
         below = lat.leq[list(self.joinirr)].T  # below[x, k]: joinirr[k] <= x
-        self.jbelow = _row_masks(below)
+        self._jwords = _bit_words(below)  # J(x) as a word row, for each element x
+        self.jbelow = _word_ints(self._jwords)
         dep = _dependency(lat, self.joinirr, self.lower_cover, below)
-        self.cm = _row_masks(_transitive_closure(dep))  # row k: {j : j D* k}
-        self._principal: dict[int, int] = {}
+        self.cm = _word_ints(_bit_words(_transitive_closure(dep)))  # row k: {j : j D* k}
 
     def labels(self, mask: int) -> tuple[int, ...]:
         """The canonical label vector of one congruence mask (see above)."""
         ids: dict[int, int] = {}
         return tuple(ids.setdefault(jb & ~mask, len(ids)) for jb in self.jbelow)
 
-    @cached_property
-    def _jwords(self) -> np.ndarray:
-        """J(x) as a word row, for each element x."""
-        return self.words(self.jbelow)
-
     def words(self, masks) -> np.ndarray:
         """The word rows of congruence masks, one per mask, in the
         iteration order of ``masks`` (a sized collection of ints)."""
-        width = max(1, -(-len(self.joinirr) // 64))
-        if width == 1:  # every mask is below 2^64
-            return np.fromiter(masks, dtype=np.uint64, count=len(masks)).reshape(-1, 1)
-        data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-        return np.frombuffer(data, dtype=np.uint64).reshape(len(masks), width)
+        return _int_words(masks, len(self.joinirr))
 
     def label_words(self, labels) -> np.ndarray:
         """The word rows of a label matrix: bit k of row r is set iff row r
@@ -578,12 +552,8 @@ class ConAnalysis:
         return zero, one, isolating, collapsed
 
     def principal(self, a: int, b: int) -> int:
-        """Mask of con(a, b) for a <= b, memoised on J(b) minus J(a)."""
-        diff = self.jbelow[b] & ~self.jbelow[a]
-        mask = self._principal.get(diff)
-        if mask is None:
-            mask = self._principal[diff] = self._join_of(diff)
-        return mask
+        """Mask of con(a, b) for a <= b, by (*)."""
+        return self._join_of(self.jbelow[b] & ~self.jbelow[a])
 
     def _join_of(self, diff: int) -> int:
         """The OR of cm[k] over the bits k of ``diff``: the mask of
@@ -655,22 +625,16 @@ class ConAnalysis:
 
         The pairs come from one ``nonzero`` of the order, which lists them
         row-major, less its diagonal, so no n x n strict order is built.
-        Each reads the ``principal`` memo
-        inline and on a miss computes its mask without storing it: J(y)
-        minus J(x) is new for nearly every pair (for 30,911 of the 32,901
-        pairs of the 32-chain's K), so storing each would grow the memo
-        by some 11 MB for a few hits.
+        Each mask is the OR over J(y) minus J(x), as in :meth:`principal`,
+        computed inline and kept only as a key of the result.
         """
         p = self.poset
-        els, jbelow, memo = p.elements, self.jbelow, self._principal
+        els, jbelow = p.elements, self.jbelow
         found = {0: (self.bottom, self.bottom)}
         xs, ys = np.nonzero(p.leq)
         strict = xs != ys
         for x, y in zip(xs[strict].tolist(), ys[strict].tolist()):
-            diff = jbelow[y] & ~jbelow[x]
-            mask = memo.get(diff)
-            if mask is None:
-                mask = self._join_of(diff)
+            mask = self._join_of(jbelow[y] & ~jbelow[x])
             if mask not in found:
                 found[mask] = (els[x], els[y])
         return found

@@ -135,13 +135,14 @@ class ConstructionResult:
     first use: the anchor pairs as two position columns
     (``anchor_columns``), the down sets of the interior
     (``interior_down_sets``), whose rows number the bases of Con K,
-    phi's images and, through ``order.principal_rows``, the principal
-    down sets, Con K as word rows with their flags and base rows
-    (``con_facts``), the down sets' beta rows (``betas``) and their word
-    rows (``beta_words``), and the one certificate of the order of
-    H -> beta_H (``betas_embed``) that the down-set stage and phi's order
-    read.  Each fact is kept once, as row numbers where it can be; a
-    failure witness names what it needs from them.  The error of
+    phi's images and the principal down sets (``principal_down_rows``),
+    Con K as word rows with their flags and base rows (``con_facts``),
+    the down sets' beta rows as word rows (``betas``), and the one
+    certificate of the order of H -> beta_H (``betas_embed``) that the
+    down-set stage and phi's order read.  Each fact is kept once, as row
+    numbers or word rows where it can be; a failure witness rebuilds what
+    it needs from them, as the down-set stage rebuilds beta's label rows
+    with :func:`beta_labels` when the certificate fails.  The error of
     ``betas`` is raised only as a copy (:func:`_copied`), so no traceback
     ties a frame to the result.
     """
@@ -176,26 +177,29 @@ class ConstructionResult:
         return down_set_matrix(self.source.interior_poset)
 
     @cached_property
-    def betas(self) -> tuple[np.ndarray, PrinclatError | None]:
-        """:func:`beta_labels` of every row of ``interior_down_sets``: the
-        label rows up to the first row that fails, and that row's error;
-        built once."""
-        return beta_labels(self.lattice, self.contributions, self.interior_down_sets)
+    def principal_down_rows(self) -> np.ndarray:
+        """The row of down p in ``interior_down_sets`` for each interior p
+        (:func:`princlat.order.principal_rows`); found once."""
+        return principal_rows(self.interior_down_sets)
 
     @cached_property
-    def beta_words(self) -> np.ndarray:
-        """The word rows of the label rows of ``betas``
-        (``ConAnalysis.label_words``): read from beta's own labels, not
-        from the dependency relation.  Each such row is a congruence, so
-        its word row is its mask."""
-        return self.lattice.con_analysis.label_words(self.betas[0])
+    def betas(self) -> tuple[np.ndarray, PrinclatError | None]:
+        """:func:`beta_labels` of every row of ``interior_down_sets``, as
+        word rows (``ConAnalysis.label_words``): the rows up to the first
+        row that fails, and that row's error; built once.  The word rows
+        are read from beta's own labels, not from the dependency relation;
+        each such row is a congruence, so its word row is its mask.  The
+        label rows are not kept."""
+        labels, error = beta_labels(self.lattice, self.contributions, self.interior_down_sets)
+        return self.lattice.con_analysis.label_words(labels), error
 
     @cached_property
     def betas_embed(self) -> bool:
         """Whether H -> beta_H is an order embedding of the down sets of
-        the interior, by one :func:`principal_certificate` over
-        ``beta_words`` and ``interior_down_sets``, run only when ``betas``
-        reports no error (False otherwise).
+        the interior, by one :func:`principal_certificate` over the word
+        rows of ``betas``, ``interior_down_sets`` and
+        ``principal_down_rows``, run only when ``betas`` reports no error
+        (False otherwise).
 
         The certificate is sufficient on any rows, and here it is exact.
         With no error, the kernel's transitivity check makes the relation
@@ -208,8 +212,8 @@ class ConstructionResult:
         reads it, and so does :func:`_correspondence`, where it decides
         the order of phi; where it is False, both run
         :func:`order_mismatch`, which decides and names the witness."""
-        return self.betas[1] is None and principal_certificate(self.beta_words,
-                                                               self.interior_down_sets)
+        return self.betas[1] is None and principal_certificate(
+            self.betas[0], self.interior_down_sets, self.principal_down_rows)
 
 
 @dataclass(frozen=True)
@@ -731,9 +735,9 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     congruence of a K of more than one element to P and every other
     congruence to {0} u its base, numbered by ``facts.base_row``; it is a
     bijection iff its sorted numbers are 0, 1, ....  The backward map
-    sends {0} u H_k to beta_{H_k}, row k of ``result.betas``, and P to the
-    one congruence; the round trip compares the word row of each beta
-    row (``result.beta_words``) with the word row of its owner.  Every
+    sends {0} u H_k to beta_{H_k}, word row k of ``result.betas``, and P
+    to the one congruence; the round trip compares each beta word row
+    with the word row of its owner.  Every
     beta row returned is a congruence, so equal word rows are equal
     congruences (the lemma in ``ConAnalysis``).
 
@@ -782,7 +786,7 @@ def _correspondence(result: ConstructionResult) -> np.ndarray:
     # back to the one congruence
     owner = np.empty_like(forward)
     owner[forward] = np.arange(len(forward))
-    words = result.beta_words
+    words = result.betas[0]
     broken = np.flatnonzero((words != facts.words[owner[:len(words)]]).any(axis=1))
     if broken.size:
         raise CorrespondenceBroken(_down_set_names(result, int(broken[0])), "round trip broke")
@@ -850,7 +854,8 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
     failure.  The down sets of the interior are enumerated once
     (``result.interior_down_sets``); they number phi's images, the bases
     of Con K and the principal down sets of P, and their beta rows come
-    from one :func:`beta_labels` call (``result.betas``).  The order is
+    from one :func:`beta_labels` call, kept as word rows
+    (``result.betas``).  The order is
     decided once, by one certificate over those rows' word rows that
     reads the principal rows beta_{down p} (``result.betas_embed``),
     which the down-set stage and :func:`_correspondence` both read; the
@@ -938,18 +943,20 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
 
     def s_beta():
         rows = result.interior_down_sets
-        labels = result.betas[0]
-        empty = ~rows[:len(labels)].any(axis=1)
-        zero, _, isolating, _ = lat.con_analysis.word_flags(result.beta_words)
+        words, error = result.betas
+        empty = ~rows[:len(words)].any(axis=1)
+        zero, _, isolating, _ = lat.con_analysis.word_flags(words)
         ok = np.where(empty, zero, isolating)
         if not ok.all():
             k = int(ok.argmin())
             witness = "empty" if empty[k] else _member_names(P.interior, rows[k])
             raise VerificationFailed("downset-congruence", witness=witness)
-        if result.betas[1] is not None:
-            raise _copied(result.betas[1])
-        # an order embedding is injective
-        bad = None if result.betas_embed else order_mismatch(labels, rows)
+        if error is not None:
+            raise _copied(error)
+        # an order embedding is injective; the label rows are rebuilt only
+        # for the pairwise check, which decides and names the witness
+        bad = None if result.betas_embed else order_mismatch(
+            beta_labels(lat, result.contributions, rows)[0], rows)
         if bad is not None:
             witness = tuple(_member_names(P.interior, rows[k]) for k in bad)
             raise VerificationFailed("downset-congruence", witness=witness)
@@ -964,7 +971,7 @@ def verify_theorem(P: BoundedPoset, templates: dict[str, GadgetTemplate],
         if corr_error is not None:
             raise _copied(corr_error)
         an = lat.con_analysis
-        below = principal_rows(result.interior_down_sets)  # the row of each down p
+        below = result.principal_down_rows
         # the numbers of the principal down sets of P: {0}, {0} u down p, and P
         principal = {0, *below.tolist(), len(result.interior_down_sets)}
         # Con K's rows by mask: every principal congruence's row, and its image

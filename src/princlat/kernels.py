@@ -8,9 +8,10 @@ over J(K) (``ConAnalysis.word_flags``), with no label matrix, and keeps
 of each base only its row among the down sets of the interior, and
 :func:`beta_labels` computes the label row of beta_H for every row of a
 down-set membership matrix with one kernel, its labels in the narrowest
-unsigned dtype that holds them.  ``construction`` decides the order of
-H -> beta_H from the word rows of those labels, reading the rows of the
-principal down sets (``congruence.principal_certificate``).  Congruence
+unsigned dtype that holds them.  ``construction`` keeps beta_H only as
+the word rows of those labels, and decides the order of H -> beta_H
+from them, reading the rows of the principal down sets
+(``congruence.principal_certificate``).  Congruence
 and down-set objects are built only by the public API (``phi``,
 ``beta_H``, ``all_congruences``, ...) and for failure witnesses, which
 rebuild the one base they name from its word row.  Work runs in chunks
@@ -49,7 +50,8 @@ class ConFacts:
     and the I-congruences.  ``base_row[r]`` is the row, in the result's
     ``interior_down_sets``, of the base of congruence r (the interior
     elements whose anchor pair it collapses, ``congruence.base`` on the
-    isolating rows), or -1 where that is not a down set of the interior.
+    isolating rows), or -1 where that is not a down set of the interior;
+    it is int32, which holds every row number.
     Each fact is kept once: the bases themselves are not kept, and a
     failure witness rebuilds its one base from the word row.  There is
     no label matrix either: Con K in ``all_congruences`` order, with its
@@ -89,7 +91,7 @@ def con_facts(result: ConstructionResult) -> ConFacts:
     a, b = result.anchor_columns
     zero, one, isolating, base = an.word_flags(words, lat.meet[a, b], lat.join[a, b])
     return ConFacts(words, RowIndex(words), zero, one, isolating,
-                    RowIndex(result.interior_down_sets).find(base))
+                    RowIndex(result.interior_down_sets).find(base).astype(np.int32))
 
 
 def beta_labels(lat: FiniteLattice, contributions,

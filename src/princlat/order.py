@@ -38,21 +38,62 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Word rows.  A row of bits, a boolean row or the int of a bitmask, is
+# kept as a row of 64-bit words, at least one: column (or bit) k at bit
+# k % 64 of word k // 64.  The four functions below are the only code
+# that knows this layout.
+
+def _bit_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as word rows.  The rows are packed as one flat array,
+    zero-padded to whole bytes, because numpy packs short rows along an
+    axis many times slower, and the bytes are then zero-padded to whole
+    words, so no boolean temporary is wider than the rows by more than
+    seven columns."""
+    m, c = bits.shape
+    width = max(1, -(-c // 64))
+    padded = np.zeros((m, -(-c // 8) * 8), dtype=bool)
+    padded[:, :c] = bits
+    out = np.zeros((m, 8 * width), dtype=np.uint8)
+    size = padded.shape[1] // 8
+    out[:, :size] = np.packbits(padded.ravel(), bitorder="little").reshape(m, size)
+    return out.view(np.uint64)
+
+
+def _word_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` columns of word rows, as boolean rows: the
+    inverse of :func:`_bit_words`."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1, count=count,
+                         bitorder="little").view(bool)
+
+
+def _word_ints(words: np.ndarray) -> tuple[int, ...]:
+    """Word rows as bitmask ints, one per row: the inverse of :func:`_int_words`."""
+    if words.shape[1] == 1:
+        return tuple(words[:, 0].tolist())
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in words)
+
+
+def _int_words(ints, count: int) -> np.ndarray:
+    """Bitmask ints below 2^count as word rows, one per int, in the
+    iteration order of ``ints`` (a sized collection)."""
+    width = max(1, -(-count // 64))
+    if width == 1:
+        return np.fromiter(ints, dtype=np.uint64, count=len(ints)).reshape(-1, 1)
+    data = b"".join(m.to_bytes(8 * width, "little") for m in ints)
+    return np.frombuffer(data, dtype=np.uint64).reshape(len(ints), width)
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row, equal iff the rows are equal, for rows of one
     dtype and width.
 
-    A boolean row of at most 64 columns is packed to bits, and then any
-    row whose bytes fit one 64-bit word is read as that word, zero-padded:
-    a ``uint64`` key.  A wider row keeps its bytes as one opaque
-    fixed-width key, compared byte by byte.  Rows are packed as one flat
-    array, zero-padded to whole bytes, because numpy packs short rows
-    along an axis many times slower.
+    A boolean row is packed to its word row (:func:`_bit_words`), and
+    then any row whose bytes fit one 64-bit word is read as that word,
+    zero-padded: a ``uint64`` key.  A wider row keeps its bytes as one
+    opaque fixed-width key, compared byte by byte.
     """
-    if rows.dtype == bool and rows.shape[1] <= 64:
-        bits = np.zeros((len(rows), -(-rows.shape[1] // 8) * 8), dtype=bool)
-        bits[:, :rows.shape[1]] = rows
-        rows = np.packbits(bits.ravel()).reshape(len(rows), bits.shape[1] // 8)
+    if rows.dtype == bool:
+        rows = _bit_words(rows)
     rows = np.ascontiguousarray(rows).view(np.uint8)
     if rows.shape[1] <= 8:
         word = np.zeros((len(rows), 8), dtype=np.uint8)
@@ -324,27 +365,25 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The boolean matrix product: row x is the OR of the rows of b where a[x] is True.
 
-    The rows of b are packed into 64-bit words, gathered at the True
-    entries of a in row-major order, and OR-reduced over each row's run
-    of entries with one ``reduceat``.  The entries go in chunks, so no
-    gathered temporary exceeds ``_CHUNK`` words by more than one row of
-    b; a row of a split between chunks is ORed into its result from
-    each.  Numpy's ``@`` on boolean matrices runs no BLAS kernel and
-    does n^3 scalar work, and a loop over the rows of a costs a few
-    vector operations per row.
+    The rows of b are packed into word rows (:func:`_bit_words`),
+    gathered at the True entries of a in row-major order, and OR-reduced
+    over each row's run of entries with one ``reduceat``.  The entries go
+    in chunks, so no gathered temporary exceeds ``_CHUNK`` words by more
+    than one row of b; a row of a split between chunks is ORed into its
+    result from each.  Numpy's ``@`` on boolean matrices runs no BLAS
+    kernel and does n^3 scalar work, and a loop over the rows of a costs
+    a few vector operations per row.
     """
-    words = -(-b.shape[1] // 64)
-    bits = np.zeros((b.shape[0], 64 * words), dtype=bool)
-    bits[:, :b.shape[1]] = b
-    packed = np.packbits(bits, axis=1).view(np.uint64)
+    packed = _bit_words(b)
+    words = packed.shape[1]
     rows, cols = np.nonzero(a)
     out = np.zeros((a.shape[0], words), dtype=np.uint64)
-    step = max(1, _CHUNK // max(words, 1))
+    step = max(1, _CHUNK // words)
     for s in range(0, rows.size, step):
         r = rows[s:s + step]
         starts = np.flatnonzero(np.diff(r, prepend=-1))  # where each row's run begins
         out[r[starts]] |= np.bitwise_or.reduceat(packed[cols[s:s + step]], starts, axis=0)
-    return np.unpackbits(out.view(np.uint8), axis=1, count=b.shape[1]).view(bool)
+    return _word_bits(out, b.shape[1])
 
 
 def to_bounded(p: Poset) -> BoundedPoset:

@@ -46,6 +46,7 @@ from princlat.construction import (
 )
 from princlat.errors import AssemblyNotALattice
 from princlat.fuzzing import random_bounded_poset, run_fuzz
+from princlat.kernels import beta_labels
 from princlat.lattice import (
     c2_times_c3,
     chain,
@@ -62,6 +63,7 @@ from princlat.order import (
     down_sets,
     is_down_set,
     order_iso,
+    principal_rows,
     validate_poset,
 )
 
@@ -171,15 +173,19 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
         inputs = [(an.con_labels, image)]
         if not result.degenerate:
             family = [ds.members for ds in down_sets(P.interior_poset)]
-            betas, error = result.betas
+            betas, error = beta_labels(result.lattice, result.contributions,
+                                       result.interior_down_sets)
             assert error is None
+            assert np.array_equal(result.betas[0], an.label_words(betas))
             assert betas.tolist() == [list(beta_H(result, h).labels) for h in family]
             rows = down_set_matrix(P.interior_poset)
             inner = [P.poset.index(x) for x in P.interior]
             assert np.array_equal(down_set_matrix(P.poset)[1:-1][:, inner], rows)
             inputs.append((betas, rows))
         for labels, rows in inputs:
-            assert principal_certificate(an.label_words(labels), rows), P.poset.cover_names()
+            principal = principal_rows(rows)
+            assert principal_certificate(an.label_words(labels), rows, principal), \
+                P.poset.cover_names()
             if len(labels) < 2:
                 continue
             a, b = rng.sample(range(len(labels)), 2)
@@ -187,7 +193,7 @@ def test_cover_certificate_agrees_with_order_mismatch(corpus, templates, poset_z
             swapped[[a, b]] = labels[[b, a]]
             repeated[a] = labels[b]
             for variant in (swapped, repeated):
-                assert principal_certificate(an.label_words(variant), rows) == (
+                assert principal_certificate(an.label_words(variant), rows, principal) == (
                     order_mismatch(variant, rows) is None), P.poset.cover_names()
 
 
@@ -213,7 +219,7 @@ def test_the_pairwise_fallback_gives_the_same_reports(corpus, templates, poset_z
     assert all(report.passed for report, _, _ in certified.values())
     refuted = []
 
-    def refute(words, members):
+    def refute(words, members, principal):
         refuted.append(len(words))
         return False
 
@@ -238,7 +244,8 @@ def test_con_and_beta_label_rows_are_canonical(corpus, templates, poset_zoo):
     for result in results:
         matrices = [result.lattice.con_analysis.con_labels]
         if not result.degenerate:
-            matrices.append(result.betas[0])
+            matrices.append(beta_labels(result.lattice, result.contributions,
+                                        result.interior_down_sets)[0])
         for labels in matrices:
             for row in labels.tolist():
                 firsts = list(dict.fromkeys(row))

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,6 @@ from princlat.congruence import (
     ConAnalysis,
     CongruenceRelation,
     _base_rows,
-    _bit_words,
     _block_counts,
     _block_firsts,
     _canonical_counts,
@@ -31,7 +32,15 @@ from princlat.congruence import (
 )
 from princlat.construction import assemble_K, load_templates
 from princlat.lattice import as_lattice, c2_times_c3, chain, lattice_from_covers, m3
-from princlat.order import _transitive_closure, down_set_matrix, down_sets, validate_poset
+from princlat.kernels import beta_labels
+from princlat.order import (
+    _bit_words,
+    _transitive_closure,
+    down_set_matrix,
+    down_sets,
+    principal_rows,
+    validate_poset,
+)
 
 import reference as ref
 from conftest import bounded, one_congruence, random_lattices, zero_congruence
@@ -427,6 +436,24 @@ def test_princ_witnesses_match_the_row_loop(templates, poset_zoo):
         assert got == list(princ_witnesses_by_rows(ConAnalysis(lat)).items())
 
 
+def test_principal_keeps_no_state(templates, poset_zoo):
+    # with every cached property of the analysis built, principal on every
+    # comparable pair changes nothing it holds, so no later call depends
+    # on which came before; the masks are those of princ_witnesses
+    lattices = random_lattices(7, 4, max_size=12) + [m3(), c2_times_c3()]
+    lattices += [assemble_K(poset_zoo[name], templates).lattice for name in ("4-chain", "V")]
+    for lat in lattices:
+        an = ConAnalysis(lat)
+        for name, attr in vars(ConAnalysis).items():
+            if isinstance(attr, cached_property):
+                getattr(an, name)
+        before = pickle.dumps(vars(an))
+        xs, ys = np.nonzero(lat.leq)
+        masks = {an.principal(x, y) for x, y in zip(xs.tolist(), ys.tolist())}
+        assert pickle.dumps(vars(an)) == before
+        assert masks == set(an.princ_witnesses)
+
+
 def test_cover_principals_match_closures(chain8_k):
     # cover_principals and the view principal_congruence against the
     # closure, on every prime interval; K of the 8-chain has two words per
@@ -772,7 +799,7 @@ def test_cover_certificate_matches_order_mismatch_on_synthetic_orders(rng, union
     for family, label in ((thetas, "intact"), (broken, kind)):
         labels = label_matrix(family)
         embeds = order_mismatch(labels, rows) is None
-        certified = principal_certificate(pair_words(labels), rows)
+        certified = principal_certificate(pair_words(labels), rows, principal_rows(rows))
         event(f"{'union' if union else 'shared'} {label}: "
               f"{'embedding' if embeds else 'mismatch'}, certified {certified}")
         assert embeds or not certified
@@ -788,12 +815,14 @@ def test_principal_certificate_finds_a_broken_principal_row_past_the_first_byte(
     # of that row's; x9 is column 9, in the second byte of a membership row
     p = validate_poset([f"x{i}" for i in range(10)], [])
     rows = down_set_matrix(p)
+    principal = principal_rows(rows)
     labels = union_labels(rows)
-    assert principal_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
+    assert principal_certificate(pair_words(labels), rows, principal)
+    assert order_mismatch(labels, rows) is None
     h = int(np.flatnonzero(rows[:, 9] & (rows.sum(axis=1) == 1))[0])
     labels[h, 0] = labels[h, 19]
     assert order_mismatch(labels, rows) is not None
-    assert not principal_certificate(pair_words(labels), rows)
+    assert not principal_certificate(pair_words(labels), rows, principal)
 
 
 def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
@@ -806,12 +835,14 @@ def test_cover_certificate_on_the_wide_keys_of_a_65_chain():
     assert rows.shape == (66, 65)
     labels = np.tile(np.arange(67), (len(rows), 1))
     labels[:, 1:66][rows] = 0
-    assert principal_certificate(pair_words(labels), rows) and order_mismatch(labels, rows) is None
+    principal = principal_rows(rows)
+    assert principal_certificate(pair_words(labels), rows, principal)
+    assert order_mismatch(labels, rows) is None
     for a, b in ((0, 65), (31, 32), (64, 65)):
         swapped = labels.copy()
         swapped[[a, b]] = labels[[b, a]]
         assert order_mismatch(swapped, rows) is not None
-        assert not principal_certificate(pair_words(swapped), rows)
+        assert not principal_certificate(pair_words(swapped), rows, principal)
 
 
 def test_principal_certificate_finds_a_broken_principal_row_in_the_second_word():
@@ -828,13 +859,15 @@ def test_principal_certificate_finds_a_broken_principal_row_in_the_second_word()
     labels = union_labels(rows)
     words = pair_words(labels)
     assert words.shape[1] > 1
-    assert principal_certificate(words, rows) and order_mismatch(labels, rows) is None
+    principal = principal_rows(rows)
+    assert principal_certificate(words, rows, principal)
+    assert order_mismatch(labels, rows) is None
     u = p.index("u")
     assert u == 64
     h = int(np.flatnonzero(rows[:, u] & (rows.sum(axis=1) == 1))[0])
     labels[h, 0] = labels[h, 2 * u + 1]
     assert order_mismatch(labels, rows) is not None
-    assert not principal_certificate(pair_words(labels), rows)
+    assert not principal_certificate(pair_words(labels), rows, principal)
 
 
 def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypatch):
@@ -852,19 +885,21 @@ def test_cover_certificate_chunks_do_not_change_the_verdict(templates, monkeypat
     names = ["0", "1"] + [f"x{i}" for i in range(10)]
     P = bounded(names, [("0", x) for x in names[2:]] + [(x, "1") for x in names[2:]])
     result = assemble_K(P, templates)
-    labels, error = result.betas
+    labels, error = beta_labels(result.lattice, result.contributions, result.interior_down_sets)
     assert error is None and labels.shape == (1 << 10, 24)
-    words = result.beta_words
+    words = result.betas[0]
     assert words.shape == (1 << 10, 1)
+    assert np.array_equal(words, result.lattice.con_analysis.label_words(labels))
     swapped = words.copy()
     swapped[[3, 700]] = words[[700, 3]]
     inputs += [(words, result.interior_down_sets), (swapped, result.interior_down_sets)]
-    verdicts = [principal_certificate(words, rows) for words, rows in inputs]
+    inputs = [(words, rows, principal_rows(rows)) for words, rows in inputs]
+    verdicts = [principal_certificate(*given) for given in inputs]
     assert verdicts[-2:] == [True, False]
     assert True in verdicts[:-2] and False in verdicts[:-2]
     for chunk in (1, 3 * 10):
         monkeypatch.setattr(congruence, "_CHUNK", chunk)
-        assert [principal_certificate(words, rows) for words, rows in inputs] == verdicts, chunk
+        assert [principal_certificate(*given) for given in inputs] == verdicts, chunk
 
 
 # ------------------------------------ vectorised substitution check against the loop

@@ -124,7 +124,8 @@ def test_beta_of_a_degenerate_result_is_zero(templates, poset_zoo):
         assert beta_H(r, ()).is_zero()
         labels, error = beta_labels(r.lattice, r.contributions, np.zeros((1, 0), dtype=bool))
         assert error is None and labels.tolist() == [list(range(r.lattice.n))]
-        assert r.betas[1] is None and np.array_equal(r.betas[0], labels)
+        assert r.betas[1] is None
+        assert np.array_equal(r.betas[0], r.lattice.con_analysis.label_words(labels))
 
 
 def test_beta_isolated_singleton(templates, poset_zoo):
@@ -338,8 +339,9 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     # shape with the object-building API and the pairwise refinement test
     # congruence_leq refusing to run; it builds the
     # forward facts once, checks the correspondence once, enumerates down
-    # sets once, those of the interior, runs the beta kernel once over them,
-    # decides the order with one principal certificate and never calls the
+    # sets once, those of the interior, finds the rows of their principal
+    # down sets once, runs the beta kernel once over them, decides the
+    # order with one principal certificate and never calls the
     # one-row beta_H; a P of at most two elements reads none of these; it
     # builds no congruence or down-set object at all, as the principal
     # stage compares row numbers (the 6-antichain has |Con K| = 65)
@@ -357,7 +359,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
     for module in (order, construction):
         monkeypatch.setattr(module, "down_sets", refuse, raising=False)
     calls = {"con_facts": 0, "_correspondence": 0, "beta_labels": 0, "beta_H": 0,
-             "principal_certificate": 0}
+             "principal_certificate": 0, "principal_rows": 0}
     rows = []
     for fname in calls:
         original = getattr(construction, fname)
@@ -397,7 +399,7 @@ def test_verify_theorem_builds_no_object_per_congruence_or_down_set(
         assert report.passed, report.lines()
         runs = 0 if len(P.elements) <= 2 else 1
         assert calls == {"con_facts": runs, "_correspondence": runs, "beta_labels": runs,
-                         "beta_H": 0, "principal_certificate": runs}, name
+                         "beta_H": 0, "principal_certificate": runs, "principal_rows": runs}, name
         assert rows == [len(down_set_matrix(P.interior_poset))] * runs, name
         assert len(enumerated) == runs, name
         assert all(p is P.interior_poset for p in enumerated), name
@@ -794,6 +796,7 @@ def assert_facts_match_the_scalar_loop(result):
     rows = facts.index.find(an.words(an.con_masks)).tolist()
     assert sorted(rows) == list(range(len(cons)))
     assert np.array_equal(facts.words[rows], an.label_words([theta.labels for theta in cons]))
+    assert facts.base_row.dtype == np.int32
     got = [(bool(z), bool(o), bool(i), int(k)) for z, o, i, k in zip(
         facts.zero[rows], facts.one[rows], facts.isolating[rows], facts.base_row[rows])]
     want = scalar_forward_facts(result)
@@ -813,12 +816,16 @@ def assert_betas_match(result):
     rows = membership(family, P.interior)
     assert np.array_equal(result.interior_down_sets, rows)
     assert_same_beta(result.lattice, result.contributions, rows)
-    labels, error = result.betas
+    labels, error = beta_labels(result.lattice, result.contributions, result.interior_down_sets)
     assert error is None
-    # every row is a congruence of K, found among Con K's rows by its word
-    # row too, and each is the one-row beta_H
+    # the result keeps the word rows of the labels only; every row is a
+    # congruence of K, found among Con K's rows by its word row too, and
+    # each is the one-row beta_H
+    words, kept_error = result.betas
+    assert kept_error is None and words.dtype == np.uint64
+    assert np.array_equal(words, result.lattice.con_analysis.label_words(labels))
     assert (RowIndex(result.lattice.con_analysis.con_labels).find(labels) >= 0).all()
-    assert (result.con_facts.index.find(result.beta_words) >= 0).all()
+    assert (result.con_facts.index.find(words) >= 0).all()
     assert [tuple(t) for t in labels.tolist()] == [beta_H(result, h).labels for h in family]
 
 
@@ -1212,8 +1219,6 @@ def test_batched_kernels_match_the_scalar_loops_on_scrambled_gadgets(scrambled):
             got = None
         except CorrespondenceBroken as exc:
             got = exc
-        except AssemblyNotALattice:
-            got = want = None  # a beta failure, compared above
         if want is not None:
             assert (str(got), got.witness) == (str(want), want.witness)
             seen.add(str(want).split(": ")[-1])

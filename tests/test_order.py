@@ -12,12 +12,16 @@ from princlat.lattice import as_lattice, m3
 from princlat.order import (
     Poset,
     RowIndex,
+    _bit_words,
     _blas_rows,
     _bool_product,
     _freeze,
     _heights,
+    _int_words,
     _row_keys,
     _transitive_closure,
+    _word_bits,
+    _word_ints,
     down_set_matrix,
     down_set_rows,
     down_sets,
@@ -248,6 +252,24 @@ def test_bool_product_chunks_do_not_change_the_result(chunk, monkeypatch):
     for n in (1, 7, 40, 70):
         a, b = rng.random((n, n)) < 0.2, rng.random((n, n)) < 0.2
         assert np.array_equal(_bool_product(a, b), a @ b)
+
+
+@pytest.mark.parametrize("columns", [0, 1, 63, 64, 65, 128, 130])
+def test_word_rows_round_trip(columns):
+    # bits -> words -> ints -> words -> bits gives the rows back: column k
+    # is bit k of the int, at bit k % 64 of word k // 64, at least one word
+    # per row.  The rows: none set, all set, each single column, and random
+    rng = np.random.default_rng(columns)
+    bits = np.concatenate([np.zeros((1, columns), dtype=bool), np.ones((1, columns), dtype=bool),
+                           np.eye(columns, dtype=bool), rng.random((8, columns)) < 0.5])
+    words = _bit_words(bits)
+    assert words.dtype == np.uint64 and words.shape == (len(bits), max(1, -(-columns // 64)))
+    ints = _word_ints(words)
+    assert ints == tuple(sum(1 << k for k in np.flatnonzero(row).tolist()) for row in bits)
+    for k in range(columns):
+        assert words[2 + k, k // 64] == np.uint64(1 << (k % 64))
+    assert np.array_equal(_int_words(ints, columns), words)
+    assert np.array_equal(_word_bits(words, columns), bits)
 
 
 def scalar_heights(p):
